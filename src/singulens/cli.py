@@ -1,8 +1,9 @@
 """Command line surface: parse inputs, dispatch computations, render reports.
 
-Every subcommand accepts the same configuration flags.  A positional
-input is either a polynomial expression or a path to a corpus file with
-one polynomial per line, annotated with expected verdicts:
+Every subcommand accepts the same configuration flags, except that only
+``gb`` takes ``--order``; every other computation runs in grevlex.  A
+positional input is either a polynomial expression or a path to a corpus
+file with one polynomial per line, annotated with expected verdicts:
 
     <polynomial> ; key=value,key=value,...     ('#' starts a comment)
 
@@ -34,7 +35,7 @@ from .ideals import (
     maximal_ideal,
 )
 from .invariants import find_weights, is_quasi_homogeneous, milnor_number, tjurina_number
-from .polyring import MonomialOrder, ParseError, Polynomial, RingContext, parse
+from .polyring import GREVLEX, MonomialOrder, ParseError, Polynomial, RingContext, parse
 from .sections import generation_descent, jk_ideal
 
 EXIT_OK = 0
@@ -49,7 +50,6 @@ class Config:
     """Per-invocation settings shared by all subcommands."""
 
     variables: tuple[str, ...] = ("x", "y", "z")
-    order: str = "grevlex"
     max_level: int = 3
     degree_cap: int = DEFAULT_DEGREE_CAP
     json_output: bool = False
@@ -75,12 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--vars",
             default="x,y,z",
             help="comma-separated variable names (default x,y,z)",
-        )
-        sp.add_argument(
-            "--order",
-            choices=("grevlex", "lex", "grlex"),
-            default="grevlex",
-            help="monomial order (default grevlex)",
         )
         sp.add_argument(
             "--max-level",
@@ -116,9 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(sub.add_parser("invariants", help="Milnor, Tjurina, quasi-homogeneity"))
     add_common(sub.add_parser("genus", help="classification and reduced genus"))
-    add_common(
-        sub.add_parser("gb", help="reduced Groebner basis of comma-separated generators")
+    gb = sub.add_parser("gb", help="reduced Groebner basis of comma-separated generators")
+    gb.add_argument(
+        "--order",
+        choices=("grevlex", "lex", "grlex"),
+        default="grevlex",
+        help="monomial order (default grevlex)",
     )
+    add_common(gb)
     membership = sub.add_parser(
         "membership", help="ideal membership, global and local at the origin"
     )
@@ -164,7 +163,6 @@ def _config_from_args(args, parser: argparse.ArgumentParser) -> Config:
         parser.error("--degree-cap must be at least 10")
     return Config(
         variables=names,
-        order=args.order,
         max_level=args.max_level,
         degree_cap=cap,
         json_output=args.json,
@@ -403,7 +401,7 @@ def cmd_invariants(args, config: Config) -> int:
                 qh = None
     document = {
         "input": str(f),
-        "ring": {"variables": list(config.variables), "order": config.order},
+        "ring": {"variables": list(config.variables), "order": GREVLEX.name},
         "invariants": {
             "mu": "infinite" if mu == INFINITE else int(mu),
             "tau": "infinite" if tau == INFINITE else int(tau),
@@ -447,7 +445,7 @@ def cmd_genus(args, config: Config) -> int:
         return EXIT_FAIL
     document = {
         "input": str(f),
-        "ring": {"variables": list(config.variables), "order": config.order},
+        "ring": {"variables": list(config.variables), "order": GREVLEX.name},
         "class": cls.to_dict(),
         "genus": {
             "g": result.g,
@@ -472,11 +470,11 @@ def cmd_gb(args, config: Config) -> int:
     ring = config.ring()
     generators = _parse_generators(args.input, ring)
     ideal = Ideal(ring, generators)
-    order = MonomialOrder.by_name(config.order)
+    order = MonomialOrder.by_name(args.order)
     basis = ideal.groebner_basis(order)
     document = {
         "generators": [str(p) for p in generators],
-        "order": config.order,
+        "order": order.name,
         "basis": [str(p) for p in basis],
     }
     _emit(document, config, "\n".join(str(p) for p in basis))

@@ -14,7 +14,14 @@ at the origin use the Nakayama stopping rule: at the first N for which
 m^N lies in I + m^(N+1), the ideal I + m^N agrees with I locally, and its
 colength is the local one.  Local membership falls back to the ideal
 quotient: p lies in I locally exactly when (I : p) contains an element
-with nonzero constant term.
+with nonzero constant term.  Graded inputs take a shortcut: when positive
+weights make every generator of I and the target p weighted homogeneous,
+local membership is global membership (from u*p = sum a_i g_i with
+u(0) != 0, the components of weighted degree D = wdeg(p) give
+u(0)*p = sum (a_i)_(D - wdeg g_i) g_i), and only the basis up to degree D
+matters, so the Buchberger loop runs degree-truncated at D (Kreuzer and
+Robbiano, Computational Commutative Algebra 2, section 4.5).  Arithmetic
+stays in exact integers, so a nonzero remainder proves non-membership.
 """
 
 from __future__ import annotations
@@ -187,12 +194,51 @@ def _spoly(pa: _IntPoly, lma: Exponent, pb: _IntPoly, lmb: Exponent) -> _IntPoly
     return out
 
 
-def _buchberger(gens: list[_IntPoly], key, known_prefix: int = 0) -> list[_IntPoly]:
+def _reducer(p: _IntPoly, lm: Exponent, key) -> tuple:
+    """The reducer record (deg, lmkey, lm, lc, tail) that ``_ff_reduce`` scans."""
+    return (sum(lm), key(lm), lm, p[lm], tuple((e, c) for e, c in p.items() if e != lm))
+
+
+def _integer_weights(weights: Iterable) -> tuple[int, ...]:
+    """Positive rational weights scaled by the lcm of their denominators."""
+    ws = [Fraction(w) for w in weights]
+    if any(w <= 0 for w in ws):
+        raise ValueError("weights must be positive")
+    scale = math.lcm(*(w.denominator for w in ws))
+    return tuple(int(w * scale) for w in ws)
+
+
+def _wdeg(e: Exponent, weights: tuple[int, ...]) -> int:
+    return sum(x * w for x, w in zip(e, weights))
+
+
+def _weighted_degree(p: _IntPoly, weights: tuple[int, ...]) -> int | None:
+    """The weighted degree of p when p is weighted homogeneous, else None."""
+    degs = {_wdeg(e, weights) for e in p}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def _buchberger(
+    gens: list[_IntPoly],
+    key,
+    known_prefix: int = 0,
+    weights: tuple[int, ...] | None = None,
+    bound: int | None = None,
+) -> list[_IntPoly]:
     """Groebner basis of the ideal spanned by ``gens`` for the key's order.
 
     ``known_prefix`` generators are trusted to already form a Groebner
     basis among themselves; pairs internal to that prefix are skipped.
+
+    ``weights`` grades the pair queue by the weighted degree of the lcm
+    (total degree without weights).  With a ``bound`` the generators must
+    be homogeneous for that grading: generators and pairs above the bound
+    are dropped, and the result is a Groebner basis only up to the bound
+    (every element of the ideal of degree at most ``bound`` reduces to 0).
+    The chain criterion stays sound: when lm_t divides lcm(i, j), lcm(i, t)
+    divides lcm(i, j) too, so the pair (i, t) lies within the bound.
     """
+    deg = sum if weights is None else (lambda e: _wdeg(e, weights))
     basis: list[tuple[_IntPoly, Exponent, int]] = []
     reds: list = []
     pending: set[tuple[int, int]] = set()
@@ -205,8 +251,7 @@ def _buchberger(gens: list[_IntPoly], key, known_prefix: int = 0) -> list[_IntPo
             return True
         t = len(basis)
         basis.append((p, lm, p[lm]))
-        tail = tuple((e, c) for e, c in p.items() if e != lm)
-        insort(reds, (sum(lm), key(lm), lm, p[lm], tail))
+        insort(reds, _reducer(p, lm, key))
         for i in range(t):
             if in_prefix and i < known_prefix:
                 continue
@@ -214,8 +259,11 @@ def _buchberger(gens: list[_IntPoly], key, known_prefix: int = 0) -> list[_IntPo
             if all(x == 0 or y == 0 for x, y in zip(lmi, lm)):
                 continue
             lcm = tuple(max(x, y) for x, y in zip(lmi, lm))
+            d = deg(lcm)
+            if bound is not None and d > bound:
+                continue
             pending.add((i, t))
-            heapq.heappush(heap, (sum(lcm), key(lcm), i, t, lcm))
+            heapq.heappush(heap, (d, key(lcm), i, t, lcm))
         return False
 
     def unit_like(p: _IntPoly) -> _IntPoly:
@@ -223,7 +271,7 @@ def _buchberger(gens: list[_IntPoly], key, known_prefix: int = 0) -> list[_IntPo
         return {(0,) * arity: 1}
 
     for idx, g in enumerate(gens):
-        if not g:
+        if not g or (bound is not None and deg(next(iter(g))) > bound):
             continue
         fp = frozenset(g.items())
         if fp in seen:
@@ -270,13 +318,7 @@ def _reduced_basis(polys: list[_IntPoly], key) -> list[dict[Exponent, Fraction]]
         kept.append((lm, p))
     out = []
     for idx, (lm, p) in enumerate(kept):
-        reds = sorted(
-            (
-                (sum(km), key(km), km, q[km], tuple((e, c) for e, c in q.items() if e != km))
-                for j, (km, q) in enumerate(kept)
-                if j != idx
-            ),
-        )
+        reds = sorted(_reducer(q, km, key) for j, (km, q) in enumerate(kept) if j != idx)
         r = _ff_reduce(p, reds, key)
         rl = max(r, key=key)
         lc = r[rl]
@@ -498,20 +540,49 @@ class Ideal:
             gens.append(q)
         return Ideal(self.ring, gens)
 
-    def local_member(self, p: Polynomial) -> bool:
+    def local_member(self, p: Polynomial, weights: Iterable | None = None) -> bool:
         """Membership in the localization of I at the origin.
 
-        Global membership is checked first.  If the ideal provably contains
-        a power of every variable, localizing at the origin is lossless and
-        the global answer stands.  Otherwise (I : p) is inspected for an
-        element with nonzero constant term, which is a local unit.
+        With positive ``weights`` for which every generator and p are
+        checked to be weighted homogeneous, local membership equals global
+        membership (compare the components of weighted degree wdeg(p) in
+        u*p = sum a_i g_i, u(0) != 0), and global membership is decided by
+        reducing p against a basis truncated at weighted degree wdeg(p).
+        That partial basis is not the reduced basis and is not cached.
+
+        Otherwise global membership is checked first.  If the ideal provably
+        contains a power of every variable, localizing at the origin is
+        lossless and the global answer stands.  Otherwise (I : p) is
+        inspected for an element with nonzero constant term, which is a
+        local unit.
         """
-        if p.is_zero() or self.member(p):
+        if p.is_zero():
+            return True
+        if weights is not None:
+            verdict = self._graded_member(p, weights)
+            if verdict is not None:
+                return verdict
+        if self.member(p):
             return True
         if self._power_of_m_inside() is not None:
             return False
         quo = self.quotient(p)
         return any(g.constant_term != 0 for g in quo.groebner_basis())
+
+    def _graded_member(self, p: Polynomial, weights: Iterable) -> bool | None:
+        """Membership of p on a degree-truncated basis; None when not graded."""
+        ws = _integer_weights(weights)
+        if len(ws) != self.ring.arity:
+            raise ValueError("weight count does not match the ring")
+        target = _int_poly(p)
+        bound = _weighted_degree(target, ws)
+        gens = [_int_poly(g) for g in self.generators]
+        if bound is None or any(_weighted_degree(g, ws) is None for g in gens):
+            return None
+        key = GREVLEX.key
+        raw = _buchberger(gens, key, weights=ws, bound=bound)
+        reds = sorted(_reducer(g, max(g, key=key), key) for g in raw)
+        return not _ff_reduce(target, reds, key)
 
     # -- finiteness and counting ----------------------------------------
 

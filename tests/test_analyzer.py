@@ -1,15 +1,18 @@
 """Analysis pipeline, equality certification, and the witness suite."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+import singulens.analyzer as analyzer_module
 from singulens.analyzer import (
     CITE_DESCENT,
     CITE_HODGE,
     CITE_LOWER_BOUND,
     COUNTEREXAMPLE_ENV,
     COUNTEREXAMPLE_TEXT,
+    Certificate,
     analyze,
     counterexample_certificates,
     counterexample_polynomial,
@@ -18,12 +21,25 @@ from singulens.analyzer import (
     length_bound,
     screen_isolated,
 )
-from singulens.genus import compute_genus
-from singulens.ideals import maximal_ideal
+from singulens.genus import classify, compute_genus
+from singulens.ideals import Ideal, maximal_ideal
 from singulens.invariants import WeightSystem
 from singulens.polyring import RingContext, parse
+from singulens.sections import jk_ideal
 
 QUARTER = WeightSystem((Fraction(1, 4),) * 3)
+
+GRADED_GERMS = (
+    "x^3 + y^3 + z^3",
+    "x^4 + y^4 + z^4",
+    "x^5 + y^5 + z^5",
+    "x^3 + y^4 + z^2",
+    "x^2 + y^3 + z^5",
+    "x^2*y + y^3 + z^4",
+    "x^3*y + y^5 + z^6",
+    "x^4*y + y^6 + z^4",
+    "x^6*y + y^3 + z^5",
+)
 
 
 def test_screen(ring, P):
@@ -225,3 +241,61 @@ def test_descent_citation_available(ring, P):
     assert report.equality.status == "proven_at_level"
     assert report.equality.level == 1
     assert CITE_DESCENT not in report.citations
+
+
+def test_counterexample_suite_elapsed_covers_certificates(ring, monkeypatch):
+    bases = []
+    real_analyze = analyzer_module.analyze
+
+    def recording_analyze(*args, **kwargs):
+        bases.append(real_analyze(*args, **kwargs))
+        return bases[-1]
+
+    def slow_builder(f):
+        time.sleep(0.2)
+        return Certificate("C1", "slow certificate", True, CITE_HODGE)
+
+    monkeypatch.setattr(analyzer_module, "analyze", recording_analyze)
+    monkeypatch.setattr(analyzer_module, "_CERTIFICATE_BUILDERS", (slow_builder,))
+    report = counterexample_suite()
+    assert len(bases) == 1
+    assert report.elapsed >= bases[0].elapsed + 0.2
+
+
+@pytest.mark.parametrize("text", GRADED_GERMS)
+def test_graded_level_tests_agree_with_general_path(ring, P, text):
+    f = P(text)
+    cls = classify(f)
+    multiplier = compute_genus(f, cls).multiplier
+    for k in range(4):
+        jk = jk_ideal(f, multiplier, k)
+        fresh = Ideal(ring, jk.generators)
+        assert jk.local_member(f**k, cls.weights) == fresh.local_member(f**k)
+
+
+def test_graded_call_leaves_the_basis_cache_clean(ring, P):
+    f = P("x^5 + y^5 + z^5")
+    cls = classify(f)
+    j1 = jk_ideal(f, compute_genus(f, cls).multiplier, 1)
+    assert not j1.local_member(f, cls.weights)
+    assert j1.groebner_basis() == Ideal(ring, j1.generators).groebner_basis()
+
+
+def test_ungraded_input_takes_the_general_path(ring, monkeypatch):
+    f = counterexample_polynomial(ring)
+    j1 = jk_ideal(f, maximal_ideal(ring), 1)
+    with pytest.raises(ValueError):
+        j1.local_member(f, (1, 1))
+    with pytest.raises(ValueError):
+        j1.local_member(f, (1, -1, 1))
+    asked = []
+    real_member = Ideal.member
+
+    def recording_member(self, p, *args, **kwargs):
+        asked.append(p)
+        return real_member(self, p, *args, **kwargs)
+
+    monkeypatch.setattr(Ideal, "member", recording_member)
+    assert not j1.local_member(f, QUARTER)
+    assert asked and asked[0] == f
+    assert not Ideal(ring, j1.generators).local_member(f)

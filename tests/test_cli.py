@@ -286,6 +286,10 @@ def test_usage_errors_from_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--vars", "", "x^2"])
     assert exc.value.code == EXIT_USAGE
+    for command in ("analyze", "invariants", "genus"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--order", "lex", "x^2 + y^2 + z^2"])
+        assert exc.value.code == EXIT_USAGE
 
 
 def test_degree_cap_env(capsys, monkeypatch):

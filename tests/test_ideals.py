@@ -201,6 +201,32 @@ def test_local_membership_matches_global_for_m_primary_ideals(rng, ring):
         assert jac.local_member(p) == jac.member(p)
 
 
+def _random_form(rng, ring, degree):
+    total = Polynomial.zero(ring)
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randint(0, degree)
+        b = rng.randint(0, degree - a)
+        total = total + Polynomial.monomial(ring, (a, b, degree - a - b)) * rng.randint(-5, 5)
+    return total
+
+
+def test_graded_membership_matches_global_on_homogeneous_ideals(rng, ring):
+    members = 0
+    for _ in range(40):
+        gens = [_random_form(rng, ring, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero()] or [parse("x*y", ring)]
+        target = rng.randint(3, 5)
+        p = Polynomial.zero(ring)
+        for g in gens:
+            p = p + _random_form(rng, ring, target - g.total_degree()) * g
+        if rng.random() < 0.5:
+            p = p + _random_form(rng, ring, target)
+        expected = Ideal(ring, gens).member(p)
+        members += expected
+        assert Ideal(ring, gens).local_member(p, (Fraction(1, 3),) * 3) == expected
+    assert 0 < members < 40
+
+
 def test_colengths_frozen(ring, P):
     assert maximal_ideal(ring).colength() == 1
     assert maximal_ideal_power(ring, 2).colength() == 4
