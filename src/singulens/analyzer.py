@@ -71,7 +71,15 @@ CITE_HODGE = "hodge-strictness:trusted-not-reverified"
 
 @dataclass(frozen=True)
 class ScreenResult:
-    """Isolation screen: V(f, gradient f) = {origin} near the origin."""
+    """Global finiteness screen of the singular locus of f = 0.
+
+    ``isolated`` is true when V(f, gradient f) is a finite set of points
+    (possibly empty) in the whole affine space, and ``jacobian_m_primary``
+    when V(gradient f) is.  Neither is a test at the origin alone: a germ
+    with an isolated singular point at the origin still reads false when
+    the locus has a positive-dimensional component elsewhere, as for
+    (x^2 + y^2 + z^2)*(x - 1)^2 with mu = tau = 1.
+    """
 
     isolated: bool
     jacobian_m_primary: bool
@@ -84,10 +92,12 @@ class ScreenResult:
 
 
 def screen_isolated(f: Polynomial) -> ScreenResult:
-    """Check that (f) + Jacobian(f) is primary for the maximal ideal.
+    """Check that (f) + Jacobian(f) has a finite-dimensional quotient.
 
-    The extra flag records whether the Jacobian ideal alone is already
-    primary (no critical locus through the origin besides the origin).
+    That holds exactly when the affine singular locus V(f, gradient f) is
+    finite, so a positive-dimensional component anywhere, even away from
+    the origin, makes ``isolated`` false.  The second flag asks the same
+    of the Jacobian ideal alone (finitely many critical points).
     """
     jac = jacobian_ideal(f)
     tjurina_like = Ideal(f.ring, (f,)) + jac
@@ -128,8 +138,9 @@ class EqualityVerdict:
         return f"equality unknown up to level {self.level}{suffix}"
 
     def to_dict(self) -> dict:
+        """The verdict's keys of the report's ``length`` block."""
         return {
-            "status": self.status,
+            "equality": self.status,
             "level": self.level,
             "refuted_at_level_one": self.refuted_at_level_one,
             "level_results": [
@@ -144,7 +155,6 @@ def equality_certificate(
     multiplier: Ideal,
     max_level: int = 3,
     weights=None,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> EqualityVerdict:
     """Try to certify that the length equals its lower bound.
 
@@ -230,48 +240,16 @@ class AnalysisReport:
                 return None
             return "infinite" if v == INFINITE else int(v)
 
-        qh = None
-        if self.qh is not None:
-            qh = {
-                "quasi_homogeneous": self.qh.quasi_homogeneous,
-                "witness_weights": (
-                    None
-                    if self.qh.witness is None
-                    else [str(w) for w in self.qh.witness]
-                ),
-                "obstruction": (
-                    None if self.qh.obstruction is None else str(self.qh.obstruction)
-                ),
+        if self.equality is None:
+            equality = {
+                "equality": None,
+                "level": None,
+                "refuted_at_level_one": None,
+                "level_results": [],
+                "descent_steps": None,
             }
-        genus = None
-        if self.genus is not None:
-            genus = {
-                "g": self.genus.g,
-                "i0": [str(p) for p in self.genus.multiplier.generators],
-                "adj": [str(p) for p in self.genus.adjoint.generators],
-                "log_canonical": self.genus.log_canonical,
-                "provenance": self.genus.provenance,
-            }
-        length = {
-            "lower_bound": self.bound,
-            "equality": None if self.equality is None else self.equality.status,
-            "level": None if self.equality is None else self.equality.level,
-            "refuted_at_level_one": (
-                None if self.equality is None else self.equality.refuted_at_level_one
-            ),
-            "level_results": (
-                []
-                if self.equality is None
-                else [
-                    {"level": k, "member": ok}
-                    for k, ok in self.equality.level_results
-                ]
-            ),
-            "descent_steps": (
-                None if self.equality is None else self.equality.descent_steps
-            ),
-            "strict": self.strict,
-        }
+        else:
+            equality = self.equality.to_dict()
         return {
             "input": self.input_text,
             "ring": {"variables": list(self.variables), "order": self.order_name},
@@ -283,10 +261,10 @@ class AnalysisReport:
             "invariants": {
                 "mu": number(self.mu),
                 "tau": number(self.tau),
-                "qh": qh,
+                "qh": None if self.qh is None else self.qh.to_dict(),
             },
-            "genus": genus,
-            "length": length,
+            "genus": None if self.genus is None else self.genus.to_dict(),
+            "length": {"lower_bound": self.bound, **equality, "strict": self.strict},
             "certificates": [c.to_dict() for c in self.certificates],
             "screen": self.screen.to_dict(),
             "conclusion": self.conclusion,
@@ -362,9 +340,7 @@ def analyze(
             notes.extend(genus.notes)
             bound = length_bound(genus)
             citations.append(CITE_LOWER_BOUND)
-            equality = equality_certificate(
-                f, genus.multiplier, max_level, cls.weights, degree_cap
-            )
+            equality = equality_certificate(f, genus.multiplier, max_level, cls.weights)
             citations.append(CITE_EQUALITY)
             if equality.status == "proven_by_descent":
                 citations.append(CITE_DESCENT)

@@ -1,9 +1,13 @@
 """Command line surface: parse inputs, dispatch computations, render reports.
 
-Every subcommand accepts the same configuration flags, except that only
-``gb`` takes ``--order``; every other computation runs in grevlex.  A
-positional input is either a polynomial expression or a path to a corpus
-file with one polynomial per line, annotated with expected verdicts:
+Each subcommand accepts exactly the flags its handler reads: ``--json``
+everywhere, ``--vars`` wherever there is an input polynomial,
+``--degree-cap`` on the colength commands (analyze, counterexample,
+invariants, genus), ``--max-level`` on analyze, ``--seed`` on
+counterexample, and ``--order`` on gb only; every other computation runs
+in grevlex.  A positional input is either a polynomial expression or a
+path to a corpus file with one polynomial per line, annotated with
+expected verdicts:
 
     <polynomial> ; key=value,key=value,...     ('#' starts a comment)
 
@@ -18,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .analyzer import (
     AnalysisReport,
@@ -45,20 +48,6 @@ EXIT_USAGE = 2
 DEGREE_CAP_ENV = "SINGULENS_DEGREE_CAP"
 
 
-@dataclass(frozen=True)
-class Config:
-    """Per-invocation settings shared by all subcommands."""
-
-    variables: tuple[str, ...] = ("x", "y", "z")
-    max_level: int = 3
-    degree_cap: int = DEFAULT_DEGREE_CAP
-    json_output: bool = False
-    seed: int | None = None
-
-    def ring(self) -> RingContext:
-        return RingContext(self.variables)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="singulens",
@@ -70,29 +59,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, needs_input: bool = True) -> None:
-        sp.add_argument(
-            "--vars",
-            default="x,y,z",
-            help="comma-separated variable names (default x,y,z)",
-        )
-        sp.add_argument(
-            "--max-level",
-            type=int,
-            default=3,
-            help="deepest equality level to test (default 3, minimum 1)",
-        )
-        sp.add_argument(
-            "--degree-cap",
-            type=int,
-            default=None,
-            help=(
-                "colength search cap (default 40, minimum 10; env "
-                f"{DEGREE_CAP_ENV} overrides the default)"
-            ),
-        )
+    def add_common(
+        sp: argparse.ArgumentParser,
+        needs_input: bool = True,
+        max_level: bool = False,
+        degree_cap: bool = False,
+        seed: bool = False,
+    ) -> None:
+        # Each command gets only the flags its handler reads; --vars names
+        # the ring of the input, so it comes with the input.
+        if needs_input:
+            sp.add_argument(
+                "--vars",
+                default="x,y,z",
+                help="comma-separated variable names (default x,y,z)",
+            )
+        if max_level:
+            sp.add_argument(
+                "--max-level",
+                type=int,
+                default=3,
+                help="deepest equality level to test (default 3, minimum 1)",
+            )
+        if degree_cap:
+            sp.add_argument(
+                "--degree-cap",
+                type=int,
+                default=None,
+                help=(
+                    "colength search cap (default 40, minimum 10; env "
+                    f"{DEGREE_CAP_ENV} overrides the default)"
+                ),
+            )
         sp.add_argument("--json", action="store_true", help="emit a JSON document")
-        sp.add_argument("--seed", type=int, default=None, help="shuffle seed")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None, help="shuffle seed")
         if needs_input:
             sp.add_argument(
                 "input",
@@ -100,16 +101,28 @@ def build_parser() -> argparse.ArgumentParser:
                 help="polynomial expression, or path to a corpus file",
             )
 
-    add_common(sub.add_parser("analyze", help="full analysis report"))
+    add_common(
+        sub.add_parser("analyze", help="full analysis report"),
+        max_level=True,
+        degree_cap=True,
+    )
     add_common(
         sub.add_parser(
             "counterexample",
             help="run the bundled strict-inequality witness suite",
         ),
         needs_input=False,
+        degree_cap=True,
+        seed=True,
     )
-    add_common(sub.add_parser("invariants", help="Milnor, Tjurina, quasi-homogeneity"))
-    add_common(sub.add_parser("genus", help="classification and reduced genus"))
+    add_common(
+        sub.add_parser("invariants", help="Milnor, Tjurina, quasi-homogeneity"),
+        degree_cap=True,
+    )
+    add_common(
+        sub.add_parser("genus", help="classification and reduced genus"),
+        degree_cap=True,
+    )
     gb = sub.add_parser("gb", help="reduced Groebner basis of comma-separated generators")
     gb.add_argument(
         "--order",
@@ -141,33 +154,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, parser: argparse.ArgumentParser) -> Config:
-    names = tuple(v.strip() for v in args.vars.split(","))
-    if not names or any(not v for v in names):
-        parser.error("--vars needs a nonempty comma-separated list of names")
-    if len(set(names)) != len(names):
-        parser.error("--vars names must be distinct")
-    if args.max_level < 1:
+def _check_args(args, parser: argparse.ArgumentParser) -> None:
+    """Validate the flags the chosen subcommand has, normalizing in place.
+
+    ``--vars`` becomes a tuple of names and ``--degree-cap`` an int, with
+    the environment default applied.
+    """
+    if "vars" in args:
+        names = tuple(v.strip() for v in args.vars.split(","))
+        if not names or any(not v for v in names):
+            parser.error("--vars needs a nonempty comma-separated list of names")
+        if len(set(names)) != len(names):
+            parser.error("--vars names must be distinct")
+        args.vars = names
+    if "max_level" in args and args.max_level < 1:
         parser.error("--max-level must be at least 1")
-    cap = args.degree_cap
-    if cap is None:
-        env = os.environ.get(DEGREE_CAP_ENV)
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                parser.error(f"{DEGREE_CAP_ENV} must be an integer, got {env!r}")
-        else:
-            cap = DEFAULT_DEGREE_CAP
-    if cap < 10:
-        parser.error("--degree-cap must be at least 10")
-    return Config(
-        variables=names,
-        max_level=args.max_level,
-        degree_cap=cap,
-        json_output=args.json,
-        seed=args.seed,
-    )
+    if "degree_cap" in args:
+        cap = args.degree_cap
+        if cap is None:
+            env = os.environ.get(DEGREE_CAP_ENV)
+            if env is not None:
+                try:
+                    cap = int(env)
+                except ValueError:
+                    parser.error(f"{DEGREE_CAP_ENV} must be an integer, got {env!r}")
+            else:
+                cap = DEFAULT_DEGREE_CAP
+        if cap < 10:
+            parser.error("--degree-cap must be at least 10")
+        args.degree_cap = cap
 
 
 def _parse_poly(text: str, ring: RingContext) -> Polynomial:
@@ -181,8 +196,8 @@ def _parse_generators(text: str, ring: RingContext) -> list[Polynomial]:
     return [parse(p, ring) for p in parts if p]
 
 
-def _emit(document: dict, config: Config, text: str) -> None:
-    if config.json_output:
+def _emit(document: dict, json_output: bool, text: str) -> None:
+    if json_output:
         print(json.dumps(document, indent=2, sort_keys=False))
     else:
         print(text)
@@ -339,8 +354,8 @@ def _render_report(report: AnalysisReport) -> str:
 # subcommands
 
 
-def cmd_analyze(args, config: Config) -> int:
-    ring = config.ring()
+def cmd_analyze(args) -> int:
+    ring = RingContext(args.vars)
     if os.path.isfile(args.input):
         with open(args.input, encoding="utf-8") as handle:
             entries = load_corpus(handle.read())
@@ -349,7 +364,7 @@ def cmd_analyze(args, config: Config) -> int:
         failures = 0
         for poly_text, annotations in entries:
             f = _parse_poly(poly_text, ring)
-            report = analyze(f, config.max_level, config.degree_cap)
+            report = analyze(f, args.max_level, args.degree_cap)
             mismatches = check_annotations(report, annotations)
             failures += bool(mismatches)
             name = annotations.get("name", poly_text)
@@ -368,56 +383,44 @@ def cmd_analyze(args, config: Config) -> int:
         summary = f"{len(entries) - failures}/{len(entries)} corpus entries match"
         _emit(
             {"entries": documents, "summary": summary},
-            config,
+            args.json,
             "\n".join(blocks + [summary]),
         )
         return EXIT_FAIL if failures else EXIT_OK
     f = _parse_poly(args.input, ring)
-    report = analyze(f, config.max_level, config.degree_cap)
-    _emit(report.to_dict(), config, _render_report(report))
+    report = analyze(f, args.max_level, args.degree_cap)
+    _emit(report.to_dict(), args.json, _render_report(report))
     return EXIT_OK
 
 
-def cmd_counterexample(args, config: Config) -> int:
-    report = counterexample_suite(degree_cap=config.degree_cap, seed=config.seed)
-    _emit(report.to_dict(), config, _render_report(report))
+def cmd_counterexample(args) -> int:
+    report = counterexample_suite(degree_cap=args.degree_cap, seed=args.seed)
+    _emit(report.to_dict(), args.json, _render_report(report))
     return EXIT_OK if report.all_certificates_pass() else EXIT_FAIL
 
 
-def cmd_invariants(args, config: Config) -> int:
-    ring = config.ring()
+def cmd_invariants(args) -> int:
+    ring = RingContext(args.vars)
     f = _parse_poly(args.input, ring)
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mu = milnor_number(f, config.degree_cap)
-        tau = tjurina_number(f, config.degree_cap)
+        mu = milnor_number(f, args.degree_cap)
+        tau = tjurina_number(f, args.degree_cap)
         qh = None
         if mu != INFINITE:
             try:
-                qh = is_quasi_homogeneous(f, config.degree_cap)
+                qh = is_quasi_homogeneous(f, args.degree_cap)
             except ValueError:
                 qh = None
     document = {
         "input": str(f),
-        "ring": {"variables": list(config.variables), "order": GREVLEX.name},
+        "ring": {"variables": list(args.vars), "order": GREVLEX.name},
         "invariants": {
             "mu": "infinite" if mu == INFINITE else int(mu),
             "tau": "infinite" if tau == INFINITE else int(tau),
-            "qh": (
-                None
-                if qh is None
-                else {
-                    "quasi_homogeneous": qh.quasi_homogeneous,
-                    "witness_weights": (
-                        None if qh.witness is None else [str(w) for w in qh.witness]
-                    ),
-                    "obstruction": (
-                        None if qh.obstruction is None else str(qh.obstruction)
-                    ),
-                }
-            ),
+            "qh": None if qh is None else qh.to_dict(),
         },
     }
     lines = [f"mu = {_number_str(mu)}", f"tau = {_number_str(tau)}"]
@@ -427,15 +430,15 @@ def cmd_invariants(args, config: Config) -> int:
             lines.append(f"weights: {qh.witness}")
         if qh.obstruction is not None:
             lines.append(f"obstruction: {qh.obstruction}")
-    _emit(document, config, "\n".join(lines))
+    _emit(document, args.json, "\n".join(lines))
     return EXIT_OK
 
 
-def cmd_genus(args, config: Config) -> int:
-    ring = config.ring()
+def cmd_genus(args) -> int:
+    ring = RingContext(args.vars)
     f = _parse_poly(args.input, ring)
-    cls = classify(f, config.degree_cap)
-    result = compute_genus(f, cls, config.degree_cap)
+    cls = classify(f, args.degree_cap)
+    result = compute_genus(f, cls, args.degree_cap)
     if result is None:
         print(
             "no genus route applies: germ is neither ordinary nor recognizably "
@@ -445,15 +448,9 @@ def cmd_genus(args, config: Config) -> int:
         return EXIT_FAIL
     document = {
         "input": str(f),
-        "ring": {"variables": list(config.variables), "order": GREVLEX.name},
+        "ring": {"variables": list(args.vars), "order": GREVLEX.name},
         "class": cls.to_dict(),
-        "genus": {
-            "g": result.g,
-            "i0": [str(p) for p in result.multiplier.generators],
-            "adj": [str(p) for p in result.adjoint.generators],
-            "log_canonical": result.log_canonical,
-            "provenance": result.provenance,
-        },
+        "genus": result.to_dict(),
     }
     lines = [
         f"class: {cls.tag}",
@@ -462,12 +459,12 @@ def cmd_genus(args, config: Config) -> int:
         "i0  = (" + ", ".join(str(p) for p in result.multiplier.generators) + ")",
         "adj = (" + ", ".join(str(p) for p in result.adjoint.generators) + ")",
     ]
-    _emit(document, config, "\n".join(lines))
+    _emit(document, args.json, "\n".join(lines))
     return EXIT_OK
 
 
-def cmd_gb(args, config: Config) -> int:
-    ring = config.ring()
+def cmd_gb(args) -> int:
+    ring = RingContext(args.vars)
     generators = _parse_generators(args.input, ring)
     ideal = Ideal(ring, generators)
     order = MonomialOrder.by_name(args.order)
@@ -477,12 +474,12 @@ def cmd_gb(args, config: Config) -> int:
         "order": order.name,
         "basis": [str(p) for p in basis],
     }
-    _emit(document, config, "\n".join(str(p) for p in basis))
+    _emit(document, args.json, "\n".join(str(p) for p in basis))
     return EXIT_OK
 
 
-def cmd_membership(args, config: Config) -> int:
-    ring = config.ring()
+def cmd_membership(args) -> int:
+    ring = RingContext(args.vars)
     target = _parse_poly(args.input, ring)
     ideal = Ideal(ring, _parse_generators(args.ideal, ring))
     member = ideal.member(target)
@@ -494,12 +491,12 @@ def cmd_membership(args, config: Config) -> int:
         "local_member": local,
     }
     text = f"member: {_bool_str(member)}\nlocal member at origin: {_bool_str(local)}"
-    _emit(document, config, text)
+    _emit(document, args.json, text)
     return EXIT_OK
 
 
-def cmd_jk(args, config: Config) -> int:
-    ring = config.ring()
+def cmd_jk(args) -> int:
+    ring = RingContext(args.vars)
     if args.k < 0:
         print("--k must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
@@ -515,12 +512,12 @@ def cmd_jk(args, config: Config) -> int:
         "ideal": [str(p) for p in ideal.generators],
         "generators": [str(p) for p in result.generators],
     }
-    _emit(document, config, "\n".join(str(p) for p in result.generators))
+    _emit(document, args.json, "\n".join(str(p) for p in result.generators))
     return EXIT_OK
 
 
-def cmd_descent(args, config: Config) -> int:
-    ring = config.ring()
+def cmd_descent(args) -> int:
+    ring = RingContext(args.vars)
     if args.k < 0:
         print("--k must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
@@ -551,7 +548,7 @@ def cmd_descent(args, config: Config) -> int:
             )
         lines.append(f"  {u_text}/f^{step.level + 1} = " + " + ".join(terms))
     lines.append(f"verified: {_bool_str(verified)}")
-    _emit(document, config, "\n".join(lines))
+    _emit(document, args.json, "\n".join(lines))
     return EXIT_OK if verified else EXIT_FAIL
 
 
@@ -580,10 +577,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args, parser)
+    _check_args(args, parser)
     handler = _HANDLERS[args.command]
     try:
-        return handler(args, config)
+        return handler(args)
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return EXIT_USAGE

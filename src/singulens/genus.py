@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .ideals import DEFAULT_DEGREE_CAP, INFINITE, Ideal, maximal_ideal_power, quotient_dimension
 from .invariants import WeightSystem, find_weights, jacobian_ideal, tjurina_number
-from .polyring import Exponent, Polynomial, RingContext
+from .polyring import Exponent, Polynomial, RingContext, exponent_box
 from .sections import euler_check
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "genus_ordinary",
     "genus_weighted",
     "multiplier_span_generators",
-    "rho",
 ]
 
 ORDINARY_EXTRAPOLATION_NOTE = (
@@ -103,11 +102,6 @@ def classify(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Singularity
     return SingularityClass(d if ordinary else None, weights)
 
 
-def rho(u: Exponent, weights: WeightSystem) -> Fraction:
-    """Shifted weight sum sum_i (u_i + 1) w_i of a monomial exponent."""
-    return weights.rho(u)
-
-
 def multiplier_span_generators(
     ring: RingContext,
     weights: WeightSystem,
@@ -129,9 +123,9 @@ def multiplier_span_generators(
         return r > threshold if strict else r >= threshold
 
     w_max = max(weights)
-    bounds = [max(0, math.ceil((threshold + w_max) / w)) for w in weights]
+    bounds = [max(0, math.ceil((threshold + w_max) / w)) + 1 for w in weights]
     gens: list[Polynomial] = []
-    for u in _box(bounds):
+    for u in exponent_box(bounds):
         if not qualifies(u):
             continue
         if any(
@@ -157,13 +151,13 @@ class GenusResult:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
+        """The ``genus`` block of the JSON reports."""
         return {
             "g": self.g,
+            "i0": [str(p) for p in self.multiplier.generators],
+            "adj": [str(p) for p in self.adjoint.generators],
             "log_canonical": self.log_canonical,
-            "multiplier_generators": [str(p) for p in self.multiplier.generators],
-            "adjoint_generators": [str(p) for p in self.adjoint.generators],
             "provenance": self.provenance,
-            "notes": list(self.notes),
         }
 
 
@@ -221,8 +215,8 @@ def genus_weighted(
 
 
 def _count_rho_equal_one(weights: WeightSystem) -> int:
-    bounds = [max(0, math.ceil(1 / w)) for w in weights]
-    return sum(1 for u in _box(bounds) if weights.rho(u) == 1)
+    bounds = [max(0, math.ceil(1 / w)) + 1 for w in weights]
+    return sum(1 for u in exponent_box(bounds) if weights.rho(u) == 1)
 
 
 def compute_genus(
@@ -267,12 +261,3 @@ def compute_genus(
             notes=ordinary.notes + weighted.notes,
         )
     return ordinary if ordinary is not None else weighted
-
-
-def _box(bounds: list[int]):
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for tail in _box(bounds[1:]):
-            yield (head,) + tail

@@ -7,6 +7,16 @@ strategy) and pruned by the coprime and chain criteria.  The reduced basis
 and is cached on the Ideal per order name; a cache fill is idempotent, so
 concurrent readers either see the stored tuple or recompute an equal one.
 
+One reducer, ``_ff_reduce``, serves every reduction.  It rescales its
+integer state instead of dividing and strips common content as it goes,
+and returns the primitive remainder r with a rational ``scale`` such that
+r = scale * NF(p).  Buchberger, basis reduction and graded membership need
+only r up to a unit; ``Ideal.normal_form`` clears the denominators of p
+(p_int = den * p), reduces against integer multiples of the monic reduced
+basis, and returns the exact rational normal form r / (scale * den).  The
+normal form modulo a Groebner basis is unique, so it does not depend on
+which multiples of the basis elements reduce it.
+
 Questions about the local ring at the origin are answered without local
 orders.  When a power of every variable lies in the ideal, its zero locus
 is the origin alone and localizing changes nothing.  Otherwise colengths
@@ -41,6 +51,7 @@ from .polyring import (
     RingContext,
     elimination_order,
     exact_div,
+    exponent_box,
 )
 
 __all__ = [
@@ -92,39 +103,46 @@ def _primitive(p: _IntPoly) -> _IntPoly:
 
 
 def _int_poly(p: Polynomial) -> _IntPoly:
-    den = 1
-    for _, q in p.items():
-        den = den * q.denominator // math.gcd(den, q.denominator)
-    return _primitive({e: int(q * den) for e, q in p.items()})
+    return _primitive(_cleared(p)[0])
 
 
-def _strip_pair(work: _IntPoly, out: _IntPoly) -> None:
+def _cleared(p: Polynomial) -> tuple[_IntPoly, int]:
+    """(den * p, den) with den the lcm of the denominators of p."""
+    den = math.lcm(*(q.denominator for _, q in p.items()))
+    return {e: int(q * den) for e, q in p.items()}, den
+
+
+def _strip_pair(work: _IntPoly, out: _IntPoly) -> int:
+    """Divide work and out by their common content and return it."""
     g = 0
     for v in work.values():
         g = math.gcd(g, v)
         if g == 1:
-            return
+            return 1
     for v in out.values():
         g = math.gcd(g, v)
         if g == 1:
-            return
+            return 1
     if g > 1:
         for e in work:
             work[e] //= g
         for e in out:
             out[e] //= g
+    return g or 1
 
 
-def _ff_reduce(p: _IntPoly, reds: list, key) -> _IntPoly:
+def _ff_reduce(p: _IntPoly, reds: list, key) -> tuple[_IntPoly, Fraction]:
     """Full normal form of p against reducer records, fraction-free.
 
     ``reds`` holds tuples (deg, lmkey, lm, lc, tail) sorted ascending, so
     the scan can stop once reducer head degrees exceed the current monomial
-    degree.  The state may be rescaled by integers along the way; the
-    result is only meaningful up to scale and is returned primitive.
+    degree.  The state is rescaled by integers along the way and its
+    content is divided out; ``scale`` records both, so the primitive
+    remainder r returned with it satisfies r = scale * NF(p).
     """
     work = dict(p)
     out: _IntPoly = {}
+    scale = Fraction(1)
     heap = [(tuple(-k for k in key(e)), e) for e in work]
     heapq.heapify(heap)
     steps = 0
@@ -156,6 +174,7 @@ def _ff_reduce(p: _IntPoly, reds: list, key) -> _IntPoly:
             for e in out:
                 out[e] *= a
             c *= a
+            scale *= a
         shift = tuple(x - y for x, y in zip(m, lm))
         for e, q in tail:
             t = tuple(x + y for x, y in zip(e, shift))
@@ -169,8 +188,8 @@ def _ff_reduce(p: _IntPoly, reds: list, key) -> _IntPoly:
                 del work[t]
         steps += 1
         if steps % 64 == 0:
-            _strip_pair(work, out)
-    return _primitive(out)
+            scale /= _strip_pair(work, out)
+    return out, scale / _strip_pair(work, out)
 
 
 def _spoly(pa: _IntPoly, lma: Exponent, pb: _IntPoly, lmb: Exponent) -> _IntPoly:
@@ -221,14 +240,10 @@ def _weighted_degree(p: _IntPoly, weights: tuple[int, ...]) -> int | None:
 def _buchberger(
     gens: list[_IntPoly],
     key,
-    known_prefix: int = 0,
     weights: tuple[int, ...] | None = None,
     bound: int | None = None,
 ) -> list[_IntPoly]:
     """Groebner basis of the ideal spanned by ``gens`` for the key's order.
-
-    ``known_prefix`` generators are trusted to already form a Groebner
-    basis among themselves; pairs internal to that prefix are skipped.
 
     ``weights`` grades the pair queue by the weighted degree of the lcm
     (total degree without weights).  With a ``bound`` the generators must
@@ -245,7 +260,7 @@ def _buchberger(
     heap: list = []
     seen: set = set()
 
-    def add(p: _IntPoly, in_prefix: bool) -> bool:
+    def add(p: _IntPoly) -> bool:
         lm = max(p, key=key)
         if sum(lm) == 0:
             return True
@@ -253,8 +268,6 @@ def _buchberger(
         basis.append((p, lm, p[lm]))
         insort(reds, _reducer(p, lm, key))
         for i in range(t):
-            if in_prefix and i < known_prefix:
-                continue
             lmi = basis[i][1]
             if all(x == 0 or y == 0 for x, y in zip(lmi, lm)):
                 continue
@@ -270,14 +283,14 @@ def _buchberger(
         arity = len(next(iter(p)))
         return {(0,) * arity: 1}
 
-    for idx, g in enumerate(gens):
+    for g in gens:
         if not g or (bound is not None and deg(next(iter(g))) > bound):
             continue
         fp = frozenset(g.items())
         if fp in seen:
             continue
         seen.add(fp)
-        if add(g, idx < known_prefix):
+        if add(g):
             return [unit_like(g)]
 
     while heap:
@@ -300,8 +313,8 @@ def _buchberger(
         s = _spoly(basis[i][0], basis[i][1], basis[j][0], basis[j][1])
         if not s:
             continue
-        r = _ff_reduce(s, reds, key)
-        if r and add(r, False):
+        r, _ = _ff_reduce(s, reds, key)
+        if r and add(r):
             return [unit_like(r)]
     return [rec[0] for rec in basis]
 
@@ -319,65 +332,12 @@ def _reduced_basis(polys: list[_IntPoly], key) -> list[dict[Exponent, Fraction]]
     out = []
     for idx, (lm, p) in enumerate(kept):
         reds = sorted(_reducer(q, km, key) for j, (km, q) in enumerate(kept) if j != idx)
-        r = _ff_reduce(p, reds, key)
+        r, _ = _ff_reduce(p, reds, key)
         rl = max(r, key=key)
         lc = r[rl]
         out.append((key(rl), {e: Fraction(c, lc) for e, c in r.items()}))
     out.sort(key=lambda t: t[0])
     return [d for _, d in out]
-
-
-# ---------------------------------------------------------------------------
-# rational normal form against a monic reduced basis
-
-
-def _nf_fraction(p: Polynomial, basis: tuple[Polynomial, ...], order: MonomialOrder) -> Polynomial:
-    key = order.key
-    reds = sorted(
-        (
-            (
-                sum(lm),
-                key(lm),
-                lm,
-                tuple((e, c) for e, c in g.items() if e != lm),
-            )
-            for g in basis
-            for lm in (g.leading_monomial(order),)
-        ),
-    )
-    work = {e: c for e, c in p.items()}
-    out: dict[Exponent, Fraction] = {}
-    heap = [(tuple(-k for k in key(e)), e) for e in work]
-    heapq.heapify(heap)
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        mdeg = sum(m)
-        hit = None
-        for deg, _, lm, tail in reds:
-            if deg > mdeg:
-                break
-            if _divides(lm, m):
-                hit = (lm, tail)
-                break
-        if hit is None:
-            out[m] = c
-            continue
-        lm, tail = hit
-        shift = tuple(x - y for x, y in zip(m, lm))
-        for e, q in tail:
-            t = tuple(x + y for x, y in zip(e, shift))
-            prev = work.get(t)
-            v = (prev if prev is not None else Fraction(0)) - c * q
-            if v:
-                work[t] = v
-                if prev is None:
-                    heapq.heappush(heap, (tuple(-k for k in key(t)), t))
-            elif prev is not None:
-                del work[t]
-    return Polynomial(p.ring, out)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +425,24 @@ class Ideal:
         """Canonical remainder of p modulo the reduced basis."""
         if p.ring.names != self.ring.names:
             raise ValueError("polynomial from a different ring")
-        basis = self.groebner_basis(order)
-        if not basis:
+        reds = self._reducers(order)
+        if not reds:
             return p
-        return _nf_fraction(p, basis, order)
+        ints, den = _cleared(p)
+        r, scale = _ff_reduce(ints, reds, order.key)
+        scale *= den
+        return Polynomial(self.ring, {e: c / scale for e, c in r.items()})
+
+    def _reducers(self, order: MonomialOrder) -> list:
+        """Reducer records of the reduced basis, cached beside it."""
+        slot = (order.name, "reducers")
+        reds = self._cache.get(slot)
+        if reds is None:
+            key = order.key
+            ints = map(_int_poly, self.groebner_basis(order))
+            reds = sorted(_reducer(g, max(g, key=key), key) for g in ints)
+            self._cache[slot] = reds
+        return reds
 
     def member(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         return self.normal_form(p, order).is_zero()
@@ -582,7 +556,7 @@ class Ideal:
         key = GREVLEX.key
         raw = _buchberger(gens, key, weights=ws, bound=bound)
         reds = sorted(_reducer(g, max(g, key=key), key) for g in raw)
-        return not _ff_reduce(target, reds, key)
+        return not _ff_reduce(target, reds, key)[0]
 
     # -- finiteness and counting ----------------------------------------
 
@@ -628,7 +602,7 @@ class Ideal:
             return 0
         lts = [g.leading_monomial() for g in basis]
         count = 0
-        for e in _box(degs):
+        for e in exponent_box(degs):
             if not any(_divides(lt, e) for lt in lts):
                 count += 1
         return count
@@ -683,15 +657,6 @@ def _lift(p: Polynomial, ext: RingContext) -> Polynomial:
     return Polynomial(ext, {(0,) + e: c for e, c in p.items()})
 
 
-def _box(degs: tuple[int, ...]) -> Iterator[Exponent]:
-    if not degs:
-        yield ()
-        return
-    for first in range(degs[0]):
-        for rest in _box(degs[1:]):
-            yield (first,) + rest
-
-
 # ---------------------------------------------------------------------------
 # colengths at the origin
 
@@ -721,24 +686,12 @@ def local_colength(ideal: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP):
             list(base)
             + [Polynomial.monomial(ring, e) for e in _exponents_of_degree(ring.arity, n + 1)],
         )
-        gb = _groebner_with_prefix(cut, len(base))
         if all(
-            _nf_fraction(Polynomial.monomial(ring, e), gb, GREVLEX).is_zero()
+            cut.member(Polynomial.monomial(ring, e))
             for e in _exponents_of_degree(ring.arity, n)
         ):
-            return Ideal(ring, list(gb)).colength()
+            return cut.colength()
     raise DegreeCapExceeded(f"colength at the origin not stabilized by degree {degree_cap}")
-
-
-def _groebner_with_prefix(ideal: Ideal, prefix: int) -> tuple[Polynomial, ...]:
-    cached = ideal._cache.get(GREVLEX.name)
-    if cached is not None:
-        return cached
-    ints = [_int_poly(g) for g in ideal.generators]
-    raw = _buchberger(ints, GREVLEX.key, known_prefix=prefix)
-    basis = tuple(Polynomial(ideal.ring, d) for d in _reduced_basis(raw, GREVLEX.key))
-    ideal._cache[GREVLEX.name] = basis
-    return basis
 
 
 def quotient_dimension(big: Ideal, small: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:

@@ -81,6 +81,16 @@ class QHVerdict:
     witness: WeightSystem | None = None
     obstruction: Polynomial | None = None
 
+    def to_dict(self) -> dict:
+        """The ``qh`` block of the JSON reports."""
+        return {
+            "quasi_homogeneous": self.quasi_homogeneous,
+            "witness_weights": (
+                None if self.witness is None else [str(w) for w in self.witness]
+            ),
+            "obstruction": None if self.obstruction is None else str(self.obstruction),
+        }
+
 
 @dataclass(frozen=True)
 class SqhObstruction:

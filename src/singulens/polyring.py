@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -42,11 +43,18 @@ __all__ = [
     "Polynomial",
     "RingContext",
     "exact_div",
+    "exponent_box",
     "parse",
 ]
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
+
+
+def exponent_box(bounds: Iterable[int]) -> Iterator[Exponent]:
+    """Every exponent e with 0 <= e[i] < bounds[i], in ascending lex order."""
+    return product(*(range(b) for b in bounds))
+
 
 # Name reserved for the auxiliary variable of ideal-quotient elimination.
 # RingContext accepts it (the quotient machinery builds such rings) but the
@@ -354,9 +362,6 @@ class Polynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def scale(self, value: Scalar) -> "Polynomial":
-        return self * value
 
     def partial_derivative(self, var: int | str) -> "Polynomial":
         """Formal partial derivative with respect to one ring variable."""

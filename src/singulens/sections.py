@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .ideals import Ideal
 from .invariants import WeightSystem
-from .polyring import Exponent, Polynomial, RingContext, exact_div
+from .polyring import Exponent, Polynomial, RingContext, exact_div, exponent_box
 
 __all__ = [
     "DescentChain",
@@ -422,19 +422,10 @@ def generation_descent(f: Polynomial, weights: WeightSystem, k: int = 0) -> Desc
         raise ValueError("level must be nonnegative")
     if not euler_check(f, weights):
         raise ValueError("weights do not satisfy the Euler identity for f")
-    bounds = [math.ceil(Fraction(k + 1) / w) for w in weights]
+    bounds = [math.ceil(Fraction(k + 1) / w) + 1 for w in weights]
     targets = [
-        u for u in _box(bounds) if weights.rho(u) < k + 1
+        u for u in exponent_box(bounds) if weights.rho(u) < k + 1
     ]
     targets.sort(key=lambda u: (-sum(u), u))
     steps = tuple(euler_descent_witness(f, weights, u, k) for u in targets)
     return DescentChain(f=f, weights=weights, level=k, steps=steps)
-
-
-def _box(bounds: list[int]):
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for tail in _box(bounds[1:]):
-            yield (head,) + tail

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, output shapes, corpus checking."""
 
+import argparse
 import json
 from importlib import resources
 
@@ -12,6 +13,9 @@ from singulens.cli import (
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
+    _HANDLERS,
+    _check_args,
+    build_parser,
     bundled_corpus_text,
     check_annotations,
     load_corpus,
@@ -290,6 +294,67 @@ def test_usage_errors_from_argparse(capsys):
         with pytest.raises(SystemExit) as exc:
             main([command, "--order", "lex", "x^2 + y^2 + z^2"])
         assert exc.value.code == EXIT_USAGE
+    for argv in (
+        ["gb", "--seed", "1", "x, y"],
+        ["analyze", "--seed", "1", "x^2 + y^2 + z^2"],
+        ["invariants", "--max-level", "2", "x^2 + y^2 + z^2"],
+        ["counterexample", "--max-level", "2"],
+        ["jk", "--degree-cap", "20", "x^2 + y^2 + z^2"],
+        ["counterexample", "--vars", "a,b,c"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE, argv
+
+
+# The options each handler reads; a flag outside this table would be
+# accepted and ignored.
+HANDLER_OPTIONS = {
+    "analyze": {"--vars", "--max-level", "--degree-cap", "--json"},
+    "counterexample": {"--degree-cap", "--json", "--seed"},
+    "invariants": {"--vars", "--degree-cap", "--json"},
+    "genus": {"--vars", "--degree-cap", "--json"},
+    "gb": {"--order", "--vars", "--json"},
+    "membership": {"--ideal", "--vars", "--json"},
+    "jk": {"--k", "--ideal", "--vars", "--json"},
+    "descent": {"--k", "--vars", "--json"},
+}
+
+CHEAP_INPUTS = {
+    "analyze": ["x^2 + y^2 + z^2"],
+    "counterexample": [],
+    "invariants": ["x^2 + y^2 + z^2"],
+    "genus": ["x^3 + y^3 + z^3"],
+    "gb": ["x, y"],
+    "membership": ["--ideal", "x", "x"],
+    "jk": ["x^2 + y^2 + z^2"],
+    "descent": ["x^2 + y^2 + z^2"],
+}
+
+
+def test_every_option_is_read_by_its_handler(capsys):
+    parser = build_parser()
+    commands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(commands) == set(HANDLER_OPTIONS) == set(_HANDLERS)
+    for name, sub in commands.items():
+        options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert options == HANDLER_OPTIONS[name], name
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, attr):
+                read.add(attr)
+                return super().__getattribute__(attr)
+
+        args = parser.parse_args([name, *CHEAP_INPUTS[name]], namespace=Recording())
+        _check_args(args, parser)
+        read.clear()
+        assert _HANDLERS[name](args) == EXIT_OK, name
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        assert dests <= read, (name, dests - read)
+    capsys.readouterr()
 
 
 def test_degree_cap_env(capsys, monkeypatch):

@@ -13,7 +13,6 @@ from singulens.genus import (
     genus_ordinary,
     genus_weighted,
     multiplier_span_generators,
-    rho,
 )
 from singulens.ideals import Ideal, maximal_ideal_power
 from singulens.invariants import WeightSystem
@@ -194,9 +193,9 @@ def test_multiplier_span_generators_minimal(rng, ring):
 
 def test_rho_helper(ring):
     w = WeightSystem((Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)))
-    assert rho((0, 0, 0), w) == Fraction(3, 4)
-    assert rho((1, 0, 0), w) == 1
-    assert rho((2, 1, 1), w) == Fraction(7, 4)
+    assert w.rho((0, 0, 0)) == Fraction(3, 4)
+    assert w.rho((1, 0, 0)) == 1
+    assert w.rho((2, 1, 1)) == Fraction(7, 4)
 
 
 def test_compute_genus_weighted_only_entries(ring, P):

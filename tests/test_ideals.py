@@ -1,8 +1,8 @@
 """Groebner engine: bases, membership, quotients, colengths.
 
-The reduced basis is cross-checked against an independent implementation
-(sympy) on random inputs, and monomial-ideal membership in two variables
-against a brute-force divisibility oracle.
+The reduced basis and the exact normal form are cross-checked against an
+independent implementation (sympy) on random inputs, and monomial-ideal
+membership in two variables against a brute-force divisibility oracle.
 """
 
 import threading
@@ -21,7 +21,7 @@ from singulens.ideals import (
     maximal_ideal_power,
     quotient_dimension,
 )
-from singulens.polyring import GREVLEX, LEX, MonomialOrder, Polynomial, parse
+from singulens.polyring import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial, parse
 
 from conftest import random_polynomial
 
@@ -132,6 +132,43 @@ def test_sympy_cross_check(rng, ring, random_poly):
             key=lambda p: GREVLEX.key(p.leading_monomial(GREVLEX)),
         )
         assert list(mine) == converted
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX], ids=lambda o: o.name)
+def test_normal_form_matches_sympy_remainder(rng, ring, order):
+    """The exact rational remainder, not only its class modulo I."""
+    symbols = sympy.symbols("x y z")
+
+    def rational_poly(**kwargs):
+        total = Polynomial.zero(ring)
+        for _ in range(2):
+            q = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            total = total + random_polynomial(rng, ring, **kwargs) * q
+        return total
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.items()},
+            *symbols,
+        ).as_expr()
+
+    def from_sympy(expr):
+        terms = sympy.Poly(expr, *symbols).terms()
+        return Polynomial(ring, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
+
+    checked = 0
+    while checked < 150:
+        gens = [rational_poly(max_terms=3, max_degree=2) for _ in range(rng.randint(1, 3))]
+        ideal = Ideal(ring, gens)
+        if not ideal.generators:
+            continue
+        theirs = sympy.groebner(
+            [to_sympy(g) for g in ideal.generators], *symbols, order=order.name, domain="QQ"
+        )
+        for _ in range(5):
+            p = rational_poly(max_terms=4, max_degree=4)
+            assert ideal.normal_form(p, order) == from_sympy(theirs.reduce(to_sympy(p))[1])
+            checked += 1
 
 
 def test_monomial_membership_against_divisibility_oracle(rng, ring2):
