@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=None,
                 help=(
-                    "colength search cap (default 40, minimum 10; env "
+                    "largest exponent N of the pure powers x_i^N tried by "
+                    "the local colength search (default 40, minimum 10; env "
                     f"{DEGREE_CAP_ENV} overrides the default)"
                 ),
             )

@@ -18,15 +18,25 @@ normal form modulo a Groebner basis is unique, so it does not depend on
 which multiples of the basis elements reduce it.
 
 Questions about the local ring at the origin are answered without local
-orders.  When a power of every variable lies in the ideal, its zero locus
-is the origin alone and localizing changes nothing.  Otherwise colengths
-at the origin use the Nakayama stopping rule: at the first N for which
-m^N lies in I + m^(N+1), the ideal I + m^N agrees with I locally, and its
-colength is the local one.  Local membership falls back to the ideal
-quotient: p lies in I locally exactly when (I : p) contains an element
-with nonzero constant term.  Graded inputs take a shortcut: when positive
-weights make every generator of I and the target p weighted homogeneous,
-local membership is global membership (from u*p = sum a_i g_i with
+orders.  When a pure power of every variable lies in the ideal, its zero
+locus is at most the origin and localizing changes nothing.  Otherwise
+colengths at the origin use a pure-power Nakayama rule.  With
+P_N = (x_1^N, ..., x_n^N), the hull of I is I + P_(N+1) for the first N
+at which every x_i^N lies in it.  P_(N+1) lies in m*P_N, so then P_N lies
+in I + m*P_N, hence in I locally (Nakayama's lemma), and the hull equals
+I + P_N.  That ideal is m-primary or the unit ideal, so it is contracted
+from its localization, which is the localization of I: the hull holds
+exactly the polynomials that lie in I locally (Greuel and Pfister, A
+Singular Introduction to Commutative Algebra, sections 1.4 and 1.5).  Its
+colength is the local colength of I.  It is cached on I, and later local
+membership questions are plain membership in the hull.  The first such N
+is at most the first N with m^N inside I + m^(N+1), because I + P_(N+1)
+is then contracted from the localization of I and so contains m^N.
+Without a cached hull, local membership falls back to the ideal quotient:
+p lies in I locally exactly when (I : p) contains an element with nonzero
+constant term.  Graded inputs take a shortcut: when positive weights make
+every generator of I and the target p weighted homogeneous, local
+membership is global membership (from u*p = sum a_i g_i with
 u(0) != 0, the components of weighted degree D = wdeg(p) give
 u(0)*p = sum (a_i)_(D - wdeg g_i) g_i), and only the basis up to degree D
 matters, so the Buchberger loop runs degree-truncated at D (Kreuzer and
@@ -75,7 +85,13 @@ class InfiniteColengthError(ValueError):
 
 
 class DegreeCapExceeded(RuntimeError):
-    """Raised when Nakayama stabilization does not occur below the cap."""
+    """Raised when no pure-power exponent N up to the cap yields a hull.
+
+    The local colength search tries N = 1, 2, ... up to the degree cap and
+    stops at the first N with every x_i^N inside I + (x_1^(N+1), ...,
+    x_n^(N+1)) (see the module docstring).  On an ideal whose zero locus
+    is not isolated at the origin no N qualifies.
+    """
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
@@ -524,11 +540,14 @@ class Ideal:
         reducing p against a basis truncated at weighted degree wdeg(p).
         That partial basis is not the reduced basis and is not cached.
 
-        Otherwise global membership is checked first.  If the ideal provably
-        contains a power of every variable, localizing at the origin is
-        lossless and the global answer stands.  Otherwise (I : p) is
-        inspected for an element with nonzero constant term, which is a
-        local unit.
+        Otherwise global membership is checked first.  If the ideal
+        contains a pure power of every variable, localizing at the origin
+        is lossless and the global answer stands.  If ``local_colength``
+        has cached the hull of I (see the module docstring), membership in
+        the hull is the answer.  No hull is computed here: on an ideal that
+        is not isolated at the origin its search only ends at the degree
+        cap.  Otherwise (I : p) is inspected for an element with nonzero
+        constant term, which is a local unit.
         """
         if p.is_zero():
             return True
@@ -538,8 +557,11 @@ class Ideal:
                 return verdict
         if self.member(p):
             return True
-        if self._power_of_m_inside() is not None:
+        if self._contains_pure_powers():
             return False
+        hull = self._cache.get("hull")
+        if hull is not None:
+            return hull[1].member(p)
         quo = self.quotient(p)
         return any(g.constant_term != 0 for g in quo.groebner_basis())
 
@@ -607,39 +629,42 @@ class Ideal:
                 count += 1
         return count
 
-    def _power_of_m_inside(self) -> int | None:
-        """An N with m^N inside I, or None when no such N exists.
+    def _contains_pure_powers(self) -> bool:
+        """True when a pure power of every variable lies in I.
 
-        Searches for a pure power of each variable inside the ideal; the
-        nilpotency degree of the quotient bounds the search, so failure is
-        a proof of absence.
+        Then the zero locus of I is at most the origin, and localizing at
+        the origin changes nothing.  Such powers put a pure power of every
+        variable among the leading monomials, so the quotient is finite
+        dimensional, and each variable is tested for nilpotency on it.
         """
-        cached = self._cache.get("m_power", False)
-        if cached is not False:
-            return cached
-        result = self._compute_power_of_m()
-        self._cache["m_power"] = result
-        return result
+        cached = self._cache.get("pure_powers_inside")
+        if cached is None:
+            degs = self._pure_power_degrees()
+            cached = False
+            if degs is not None:
+                d = self.colength()
+                cached = all(self._nilpotent(i, start, d) for i, start in enumerate(degs))
+            self._cache["pure_powers_inside"] = cached
+        return cached
 
-    def _compute_power_of_m(self) -> int | None:
-        degs = self._pure_power_degrees()
-        if degs is None:
-            return None
-        if degs == (0,) * self.ring.arity:
-            return 0
-        bound = self.colength() + 1
-        total = 1
-        for i, start in enumerate(degs):
-            found = None
-            for k in range(start, bound + 1):
-                e = tuple(k if j == i else 0 for j in range(self.ring.arity))
-                if self.member(Polynomial.monomial(self.ring, e)):
-                    found = k
-                    break
-            if found is None:
-                return None
-            total += found - 1
-        return total
+    def _nilpotent(self, i: int, start: int, d: int) -> bool:
+        """True when some x_i^k lies in I, for a quotient of dimension d.
+
+        The powers of x_i below ``start``, the least pure power of x_i
+        among the leading monomials, are standard monomials.  From there
+        on, the normal form of x_i^(k+1) is that of x_i * NF(x_i^k), so
+        each step reduces a polynomial of at most d terms.  x_i is
+        nilpotent on the quotient exactly when NF(x_i^d) = 0, so the walk
+        stops there and failure proves absence.
+        """
+        x = Polynomial.variable(self.ring, i)
+        r = _pure_power(self.ring, i, start)
+        for _ in range(start, d + 1):
+            r = self.normal_form(r)
+            if r.is_zero():
+                return True
+            r = r * x
+        return False
 
 
 def _dedup(gens: Iterable[Polynomial]) -> list[Polynomial]:
@@ -657,6 +682,11 @@ def _lift(p: Polynomial, ext: RingContext) -> Polynomial:
     return Polynomial(ext, {(0,) + e: c for e, c in p.items()})
 
 
+def _pure_power(ring: RingContext, i: int, k: int) -> Polynomial:
+    """The monomial x_i^k."""
+    return Polynomial.monomial(ring, tuple(k if j == i else 0 for j in range(ring.arity)))
+
+
 # ---------------------------------------------------------------------------
 # colengths at the origin
 
@@ -665,32 +695,37 @@ def local_colength(ideal: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP):
     """dim_Q of the localized quotient at the origin.
 
     Returns an int, or INFINITE when the quotient is provably infinite
-    dimensional (certified here for homogeneous ideals).  Non-homogeneous
-    inputs that fail to stabilize below the cap raise DegreeCapExceeded.
+    dimensional (certified here for homogeneous ideals).  Other ideals
+    without a pure power of every variable are measured by their hull
+    I + (x_1^N, ..., x_n^N) of the module docstring, searched for
+    N = 1, 2, ... up to ``degree_cap`` and cached on the ideal; when no N
+    up to the cap qualifies, DegreeCapExceeded is raised.
     """
     if not ideal.generators:
         return INFINITE
     if ideal.is_unit():
         return 0
-    if ideal._power_of_m_inside() is not None:
+    if ideal._contains_pure_powers():
         return ideal.colength()
     if all(g.is_homogeneous() for g in ideal.generators):
         # A homogeneous ideal has a conical zero locus: finite at the
         # origin exactly when finite overall, and that case was handled.
         return INFINITE
+    return _local_hull(ideal, degree_cap).colength()
+
+
+def _local_hull(ideal: Ideal, degree_cap: int) -> Ideal:
+    """The hull I + P_(N+1) = I + P_N, with the first N up to the cap."""
+    cached = ideal._cache.get("hull")
+    if cached is not None and cached[0] <= degree_cap:
+        return cached[1]
     ring = ideal.ring
-    base = ideal.groebner_basis()
+    base = list(ideal.groebner_basis())
     for n in range(1, degree_cap + 1):
-        cut = Ideal(
-            ring,
-            list(base)
-            + [Polynomial.monomial(ring, e) for e in _exponents_of_degree(ring.arity, n + 1)],
-        )
-        if all(
-            cut.member(Polynomial.monomial(ring, e))
-            for e in _exponents_of_degree(ring.arity, n)
-        ):
-            return cut.colength()
+        hull = Ideal(ring, base + [_pure_power(ring, i, n + 1) for i in range(ring.arity)])
+        if all(hull.member(_pure_power(ring, i, n)) for i in range(ring.arity)):
+            ideal._cache["hull"] = (n, hull)
+            return hull
     raise DegreeCapExceeded(f"colength at the origin not stabilized by degree {degree_cap}")
 
 

@@ -136,14 +136,19 @@ def tjurina_number(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP):
 def is_quasi_homogeneous(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> QHVerdict:
     """Decide whether f is quasi-homogeneous as a germ at the origin.
 
-    The verdict is the local membership of f in its Jacobian ideal.  A
-    weight witness is attached when one exists in the given coordinates,
-    and a homogeneous two-piece obstruction certificate is attached when
-    the verdict is negative and such a decomposition applies.
+    The verdict is the local membership of f in its Jacobian ideal.  The
+    Milnor number is taken on the same ideal first; when it needs the
+    local hull, the hull stays cached there and answers the membership
+    without an ideal quotient.  A weight witness is attached when one
+    exists in the given coordinates, and a homogeneous two-piece
+    obstruction certificate is attached when the verdict is negative and
+    such a decomposition applies.
     """
-    if milnor_number(f, degree_cap) == INFINITE:
+    _warn_nonvanishing(f)
+    jac = jacobian_ideal(f)
+    if local_colength(jac, degree_cap) == INFINITE:
         raise ValueError("non-isolated singularity")
-    verdict = jacobian_ideal(f).local_member(f)
+    verdict = jac.local_member(f)
     witness = find_weights(f)
     obstruction = None
     if not verdict:

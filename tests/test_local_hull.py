@@ -1,0 +1,178 @@
+"""The pure-power hull of the local layer against independent oracles.
+
+``local_colength`` measures an ideal without pure powers of the variables
+by its hull I + (x_1^N, ..., x_n^N), and ``Ideal.local_member`` reads a
+cached hull instead of an ideal quotient.  These tests hold both to
+oracles that do not use the hull: the Milnor-Orlik formula, Saito's
+criterion, the m-power Nakayama loop that the hull replaced, and the
+quotient path of ``local_member``.
+"""
+
+import time
+from fractions import Fraction
+from itertools import product
+from math import prod
+
+import pytest
+
+from singulens.ideals import (
+    DegreeCapExceeded,
+    Ideal,
+    local_colength,
+    maximal_ideal_power,
+)
+from singulens.invariants import (
+    is_quasi_homogeneous,
+    jacobian_ideal,
+    milnor_number,
+    tjurina_number,
+)
+from singulens.polyring import Polynomial, parse
+
+from conftest import random_polynomial
+
+
+def _m_power_colength(ideal, degree_cap=40):
+    """Reference: the m-power Nakayama loop.
+
+    At the first n with m^n inside I + m^(n+1), the ideal I + m^(n+1)
+    agrees with I at the origin and its colength is the local one.
+    """
+    ring = ideal.ring
+    base = list(ideal.groebner_basis())
+    for n in range(1, degree_cap + 1):
+        cut = Ideal(ring, base + list(maximal_ideal_power(ring, n + 1).generators))
+        if cut.contains_ideal(maximal_ideal_power(ring, n)):
+            return cut.colength()
+    raise DegreeCapExceeded(f"not stabilized by degree {degree_cap}")
+
+
+def _sqh_germ(rng, ring):
+    """A Brieskorn-Pham principal part plus 1-2 terms of weight in (1, 3/2].
+
+    Returns (exponents, f).  Half of the draws take the extra terms from
+    the monomials with every exponent below a_i - 1, which lie outside
+    the Jacobian ideal of the principal part.
+    """
+    n = ring.arity
+    while True:
+        exps = [rng.randint(3, 4) for _ in range(n)]
+        top = rng.choice([0, 1])
+        cands = [
+            e
+            for e in product(*(range(a - top) for a in exps))
+            if 1 < sum(Fraction(x, a) for x, a in zip(e, exps)) <= Fraction(3, 2)
+        ]
+        if cands:
+            break
+    terms = {tuple(a if j == i else 0 for j in range(n)): 1 for i, a in enumerate(exps)}
+    for e in rng.sample(cands, rng.randint(1, min(2, len(cands)))):
+        terms[e] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return exps, Polynomial(ring, terms)
+
+
+def test_sqh_germs_against_milnor_orlik_and_saito(rng, ring):
+    """mu is the Milnor-Orlik number of the principal part; qh iff tau = mu."""
+    for _ in range(8):
+        exps, f = _sqh_germ(rng, ring)
+        weights = [Fraction(1, a) for a in exps]
+        mu = milnor_number(f)
+        tau = tjurina_number(f)
+        assert mu == prod(1 / w - 1 for w in weights), f
+        assert tau <= mu, f
+        assert is_quasi_homogeneous(f).quasi_homogeneous == (tau == mu), f
+
+
+def test_hull_colength_matches_m_power_loop(rng, ring):
+    """On non-homogeneous isolated ideals both Nakayama rules agree."""
+    hulls = 0
+    for _ in range(8):
+        _, f = _sqh_germ(rng, ring)
+        jac = jacobian_ideal(f)
+        for gens in (jac.generators, (f,) + jac.generators):
+            ideal = Ideal(ring, gens)
+            assert local_colength(ideal) == _m_power_colength(Ideal(ring, gens)), f
+            hulls += "hull" in ideal._cache
+    assert hulls  # the hull path ran, not only the pure-power shortcut
+
+
+def test_hull_exponent_is_bounded_by_the_cap(ring, P):
+    """A cached hull found at N does not answer a call with a cap below N."""
+    jac = jacobian_ideal(P("x^4 + y^4 + z^4 + x*y^2*z^2"))
+    assert local_colength(jac) == 27
+    n, _ = jac._cache["hull"]
+    assert local_colength(jac, degree_cap=n) == 27
+    with pytest.raises(DegreeCapExceeded):
+        local_colength(jac, degree_cap=n - 1)
+
+
+# Germs whose Jacobian ideals lack pure powers of the variables and on
+# which the quotient path stays fast: on "x^4 + y^4 + x^2*y^3" and
+# "x^3 + y^3 + z^3 + x*y*z^2" some quotients by such targets run > 1 s.
+HULL_GERMS = [
+    "x^3 + y^4 + x^2*y^2",
+    "x^3 + y^5 + x*y^4",
+    "x^2 + y^3 + z^4 + y^2*z^2",
+    "x^3 + y^4 + x^2*y^2 + z^2",
+]
+
+
+def _no_quotient(self, p):
+    raise AssertionError("local membership ran an ideal quotient")
+
+
+def test_hull_membership_matches_quotient_membership(rng, ring, ring2, monkeypatch):
+    """A cached hull answers local membership exactly as (I : p) does."""
+    answers = []
+    for text in HULL_GERMS:
+        r = ring if "z" in text else ring2
+        f = parse(text, r)
+        jac = jacobian_ideal(f)
+        local_colength(jac)
+        assert "hull" in jac._cache, text
+        # Targets vanish at the origin: by a local unit such as
+        # 8 + 9*x^2 - 6*x^3 the quotient path ran 100 s on one germ.
+        targets = [f]
+        for _ in range(8):
+            p = random_polynomial(rng, r, max_terms=3, max_degree=rng.choice([2, 3, 4]))
+            targets.append(p - Polynomial.constant(r, p.constant_term))
+        targets += [Polynomial.monomial(r, (k,) + (0,) * (r.arity - 1)) for k in (2, 6)]
+        expected = [Ideal(r, jac.generators).local_member(p) for p in targets]
+        with monkeypatch.context() as m:
+            m.setattr(Ideal, "quotient", _no_quotient)
+            got = [jac.local_member(p) for p in targets]
+        assert got == expected, text
+        answers += [(a, jac.member(p)) for a, p in zip(got, targets)]
+    assert (False, False) in answers
+    assert (True, True) in answers
+    assert (True, False) in answers  # in I locally, not globally
+
+
+def test_saito_test_reads_the_hull(ring, P, monkeypatch):
+    """The witness keeps its negative verdict and obstruction, quotient-free."""
+    monkeypatch.setattr(Ideal, "quotient", _no_quotient)
+    verdict = is_quasi_homogeneous(P("x^4 + y^4 + z^4 + x*y^2*z^2"))
+    assert not verdict.quasi_homogeneous
+    assert verdict.witness is None
+    assert verdict.obstruction == P("x*y^2*z^2")
+
+
+def test_local_member_does_not_build_a_hull(ring, P, monkeypatch):
+    """Without a cached hull, local membership takes the quotient path."""
+    f = P("x^4 + y^4 + z^4 + x*y^2*z^2")
+    jac = jacobian_ideal(f)
+    calls = []
+    real = Ideal.quotient
+    monkeypatch.setattr(Ideal, "quotient", lambda self, p: calls.append(p) or real(self, p))
+    assert not jac.local_member(f)
+    assert calls == [f]
+    assert "hull" not in jac._cache
+
+
+@pytest.mark.parametrize("text", ["x*y + x^3", "x^2*y^2 + z^3 + x^5"])
+def test_nonisolated_refusal_is_fast(ring, P, text):
+    """A germ singular along a curve is refused at the default cap in ms."""
+    start = time.perf_counter()
+    with pytest.raises(DegreeCapExceeded):
+        milnor_number(P(text))
+    assert time.perf_counter() - start < 2.0
