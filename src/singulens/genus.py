@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .ideals import DEFAULT_DEGREE_CAP, INFINITE, Ideal, maximal_ideal_power, quotient_dimension
 from .invariants import WeightSystem, find_weights, jacobian_ideal, tjurina_number
-from .polyring import Exponent, Polynomial, RingContext, exponent_box
+from .polyring import Polynomial, RingContext, exponent_box, integer_weights
 from .sections import euler_check
 
 __all__ = [
@@ -113,25 +114,26 @@ def multiplier_span_generators(
     Generators are the minimal qualifying monomials: those none of whose
     single-step predecessors u - e_i qualifies.  The qualifying set is
     upward closed since rho increases in every coordinate.
+
+    The comparison runs on integers.  With W = L*w the weights scaled by
+    their common denominator L (``integer_weights``), L*rho(u) is the
+    integer S(u) = sum_i (u_i + 1) W_i, and rho(u) >= t exactly when
+    S(u) >= T for the integer T = ceil(L*t), or T = floor(L*t) + 1 when
+    strict.  Since S(u - e_i) = S(u) - W_i, a qualifying u is minimal
+    exactly when S(u) - W_i < T for every i with u_i > 0.
     """
     if weights.arity != ring.arity:
         raise ValueError("weight system arity does not match the ring")
     threshold = Fraction(threshold)
-
-    def qualifies(u: Exponent) -> bool:
-        r = weights.rho(u)
-        return r > threshold if strict else r >= threshold
-
+    ws, scale = integer_weights(weights)
+    bar = math.floor(threshold * scale) + 1 if strict else math.ceil(threshold * scale)
+    base = sum(ws)
     w_max = max(weights)
     bounds = [max(0, math.ceil((threshold + w_max) / w)) + 1 for w in weights]
     gens: list[Polynomial] = []
     for u in exponent_box(bounds):
-        if not qualifies(u):
-            continue
-        if any(
-            u[i] > 0 and qualifies(tuple(u[j] - (1 if j == i else 0) for j in range(len(u))))
-            for i in range(len(u))
-        ):
+        s = base + sum(map(mul, u, ws))
+        if s < bar or any(e and s - w >= bar for e, w in zip(u, ws)):
             continue
         gens.append(Polynomial.monomial(ring, u))
     if not gens:
@@ -215,8 +217,11 @@ def genus_weighted(
 
 
 def _count_rho_equal_one(weights: WeightSystem) -> int:
+    """#{u : rho(u) = 1}, counted as #{u : S(u) = L} on the integer weights."""
+    ws, scale = integer_weights(weights)
+    bar = scale - sum(ws)
     bounds = [max(0, math.ceil(1 / w)) + 1 for w in weights]
-    return sum(1 for u in exponent_box(bounds) if weights.rho(u) == 1)
+    return sum(1 for u in exponent_box(bounds) if sum(map(mul, u, ws)) == bar)
 
 
 def compute_genus(

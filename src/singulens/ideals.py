@@ -32,16 +32,18 @@ colength is the local colength of I.  It is cached on I, and later local
 membership questions are plain membership in the hull.  The first such N
 is at most the first N with m^N inside I + m^(N+1), because I + P_(N+1)
 is then contracted from the localization of I and so contains m^N.
-Without a cached hull, local membership falls back to the ideal quotient:
-p lies in I locally exactly when (I : p) contains an element with nonzero
-constant term.  Graded inputs take a shortcut: when positive weights make
-every generator of I and the target p weighted homogeneous, local
-membership is global membership (from u*p = sum a_i g_i with
-u(0) != 0, the components of weighted degree D = wdeg(p) give
-u(0)*p = sum (a_i)_(D - wdeg g_i) g_i), and only the basis up to degree D
-matters, so the Buchberger loop runs degree-truncated at D (Kreuzer and
-Robbiano, Computational Commutative Algebra 2, section 4.5).  Arithmetic
-stays in exact integers, so a nonzero remainder proves non-membership.
+Without a cached hull, a local unit among the generators or in the
+target decides local membership at once; otherwise it falls back to the
+ideal quotient: p lies in I locally exactly when (I : p) contains an
+element with nonzero constant term.  Graded inputs take a shortcut: when
+positive weights make every generator of I and the target p weighted
+homogeneous, local membership is global membership (from
+u*p = sum a_i g_i with u(0) != 0, the components of weighted degree
+D = wdeg(p) give u(0)*p = sum (a_i)_(D - wdeg g_i) g_i), and only the
+basis up to degree D matters, so the Buchberger loop runs
+degree-truncated at D (Kreuzer and Robbiano, Computational Commutative
+Algebra 2, section 4.5).  Arithmetic stays in exact integers, so a
+nonzero remainder proves non-membership.
 """
 
 from __future__ import annotations
@@ -59,9 +61,11 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     RingContext,
+    clear_denominators,
     elimination_order,
     exact_div,
     exponent_box,
+    integer_weights,
 )
 
 __all__ = [
@@ -119,13 +123,7 @@ def _primitive(p: _IntPoly) -> _IntPoly:
 
 
 def _int_poly(p: Polynomial) -> _IntPoly:
-    return _primitive(_cleared(p)[0])
-
-
-def _cleared(p: Polynomial) -> tuple[_IntPoly, int]:
-    """(den * p, den) with den the lcm of the denominators of p."""
-    den = math.lcm(*(q.denominator for _, q in p.items()))
-    return {e: int(q * den) for e, q in p.items()}, den
+    return _primitive(clear_denominators(p)[0])
 
 
 def _strip_pair(work: _IntPoly, out: _IntPoly) -> int:
@@ -232,15 +230,6 @@ def _spoly(pa: _IntPoly, lma: Exponent, pb: _IntPoly, lmb: Exponent) -> _IntPoly
 def _reducer(p: _IntPoly, lm: Exponent, key) -> tuple:
     """The reducer record (deg, lmkey, lm, lc, tail) that ``_ff_reduce`` scans."""
     return (sum(lm), key(lm), lm, p[lm], tuple((e, c) for e, c in p.items() if e != lm))
-
-
-def _integer_weights(weights: Iterable) -> tuple[int, ...]:
-    """Positive rational weights scaled by the lcm of their denominators."""
-    ws = [Fraction(w) for w in weights]
-    if any(w <= 0 for w in ws):
-        raise ValueError("weights must be positive")
-    scale = math.lcm(*(w.denominator for w in ws))
-    return tuple(int(w * scale) for w in ws)
 
 
 def _wdeg(e: Exponent, weights: tuple[int, ...]) -> int:
@@ -444,7 +433,7 @@ class Ideal:
         reds = self._reducers(order)
         if not reds:
             return p
-        ints, den = _cleared(p)
+        ints, den = clear_denominators(p)
         r, scale = _ff_reduce(ints, reds, order.key)
         scale *= den
         return Polynomial(self.ring, {e: c / scale for e, c in r.items()})
@@ -546,8 +535,11 @@ class Ideal:
         has cached the hull of I (see the module docstring), membership in
         the hull is the answer.  No hull is computed here: on an ideal that
         is not isolated at the origin its search only ends at the degree
-        cap.  Otherwise (I : p) is inspected for an element with nonzero
-        constant term, which is a local unit.
+        cap.  A generator with nonzero constant term is a local unit, so I
+        is the whole local ring; otherwise I lies in the maximal ideal and a
+        target with nonzero constant term, itself a local unit, lies
+        outside.  Only when neither applies is (I : p) inspected for an
+        element with nonzero constant term, which is a local unit.
         """
         if p.is_zero():
             return True
@@ -562,12 +554,16 @@ class Ideal:
         hull = self._cache.get("hull")
         if hull is not None:
             return hull[1].member(p)
+        if any(g.constant_term for g in self.generators):
+            return True
+        if p.constant_term:
+            return False
         quo = self.quotient(p)
         return any(g.constant_term != 0 for g in quo.groebner_basis())
 
     def _graded_member(self, p: Polynomial, weights: Iterable) -> bool | None:
         """Membership of p on a degree-truncated basis; None when not graded."""
-        ws = _integer_weights(weights)
+        ws = integer_weights(weights)[0]
         if len(ws) != self.ring.arity:
             raise ValueError("weight count does not match the ring")
         target = _int_poly(p)

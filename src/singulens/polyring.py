@@ -27,6 +27,7 @@ separates the numerator and denominator of a literal rational.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -42,8 +43,10 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "RingContext",
+    "clear_denominators",
     "exact_div",
     "exponent_box",
+    "integer_weights",
     "parse",
 ]
 
@@ -54,6 +57,20 @@ Scalar = Union[int, Fraction]
 def exponent_box(bounds: Iterable[int]) -> Iterator[Exponent]:
     """Every exponent e with 0 <= e[i] < bounds[i], in ascending lex order."""
     return product(*(range(b) for b in bounds))
+
+
+def integer_weights(weights: Iterable) -> tuple[tuple[int, ...], int]:
+    """Positive rational weights w as integers W = L*w, with L their common scale.
+
+    L is the lcm of the denominators, so a weighted sum of an exponent
+    compares with a rational bound t exactly when L times that sum, an
+    integer, compares with L*t.
+    """
+    ws = [Fraction(w) for w in weights]
+    if any(w <= 0 for w in ws):
+        raise ValueError("weights must be positive")
+    scale = math.lcm(*(w.denominator for w in ws))
+    return tuple(int(w * scale) for w in ws), scale
 
 
 # Name reserved for the auxiliary variable of ideal-quotient elimination.
@@ -424,6 +441,12 @@ def _raw(ring: RingContext, coeffs: dict[Exponent, Fraction]) -> Polynomial:
     object.__setattr__(p, "_c", coeffs)
     object.__setattr__(p, "_hash", None)
     return p
+
+
+def clear_denominators(p: Polynomial) -> tuple[dict[Exponent, int], int]:
+    """(den * p, den) with den the lcm of the denominators of p, as an int dict."""
+    den = math.lcm(*(q.denominator for q in p._c.values()))
+    return {e: int(q * den) for e, q in p._c.items()}, den
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial | None:

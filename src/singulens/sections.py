@@ -8,7 +8,15 @@ of g / f stay exact at every step.
 The order-k numerator ideal of an ideal I collects, for each generator g
 and each multi-index b with |b| <= k, the polynomial f^(k+1) * d^b(g / f);
 membership of f^k in that ideal at the origin is the levelwise test used
-by the length certificates.
+by the length certificates.  It is built fraction-free, on integer
+polynomials, without sections: with f = F / c and g = G / d, the
+numerators N_b = F^(|b|+1) * d^b(G / F) obey the recurrence
+N_(b+e_i) = d_i(N_b) * F - (|b| + 1) * N_b * d_i(F) from N_0 = G, and the
+generator is F^(k-|b|) * N_b / (d * c^k).  A section cancels common
+factors of f from its numerator and pole, but f^(k+1-pole) * numerator
+does not change under that cancellation, so both ways give the same
+polynomial.  Sections, operators and the descent replays below stay
+exact rational code: they verify, they are not the hot path.
 
 The Euler layer certifies, for f weighted homogeneous with weights w, the
 rewriting of a monomial section x^u / f^(k+1) as a weighted sum of first
@@ -21,11 +29,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .ideals import Ideal
 from .invariants import WeightSystem
-from .polyring import Exponent, Polynomial, RingContext, exact_div, exponent_box
+from .polyring import (
+    Exponent,
+    Polynomial,
+    RingContext,
+    clear_denominators,
+    exact_div,
+    exponent_box,
+    integer_weights,
+)
 
 __all__ = [
     "DescentChain",
@@ -267,13 +284,37 @@ class DiffOp:
         return f"DiffOp({self!s})"
 
 
+def _mul(a: dict, b: dict) -> dict:
+    """Product of two integer polynomials given as exponent -> int dicts."""
+    out: dict[Exponent, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _partial(p: dict, i: int) -> dict:
+    """Partial derivative in x_i of an integer polynomial."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.items() if e[i]}
+
+
 def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
     """Order-k numerator ideal of the sections d^b(g / f), |b| <= k, g in I.
 
-    Each generator is f^(k+1) * d^b(g / f) written as a polynomial, using
-    the cancelled pole order of the derived section.  Distinct multi-indices
-    are enumerated once, by taking derivatives in non-decreasing variable
-    order.
+    Each generator is the polynomial f^(k+1) * d^b(g / f).  It is built on
+    integers: with f = F / c and g = G / d for integer polynomials F, G,
+    the uncancelled numerators N_b = F^(|b|+1) * d^b(G / F) start at N_0 = G
+    and obey N_(b+e_i) = d_i(N_b) * F - (|b| + 1) * N_b * d_i(F), and the
+    generator is F^(k-|b|) * N_b / (d * c^k), with the powers of F built
+    once.  No factor of f is cancelled along the way; cancelling f^c from
+    both the numerator and the pole of a section leaves
+    f^(k+1-pole) * numerator unchanged, so the generators are the same
+    polynomials as those of the cancelled ``RationalSection`` walk.
+    Distinct multi-indices are enumerated once, by taking derivatives in
+    non-decreasing variable order.  One d, the lcm of the denominators
+    over all generators of I, serves every g, so equal generators have
+    equal integer numerators and are kept once, at their first occurrence.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -281,26 +322,39 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
         raise ValueError("denominator polynomial must be nonzero")
     if ideal.ring != f.ring:
         raise ValueError("ideal and polynomial live in different rings")
-    n = f.ring.arity
+    ring = f.ring
+    n = ring.arity
+    big_f, c = clear_denominators(f)
+    partials = [_partial(big_f, i) for i in range(n)]
+    powers = [{ring.zero_exponent(): 1}]
+    for _ in range(k):
+        powers.append(_mul(powers[-1], big_f))
+    numerators = [clear_denominators(g) for g in ideal.generators]
+    d = math.lcm(*(den for _, den in numerators))
+    den = d * c**k
     out: list[Polynomial] = []
-    seen: set[Polynomial] = set()
+    seen: set[frozenset] = set()
 
-    def emit(section: RationalSection) -> None:
-        gen = f ** (k + 1 - section.pole) * section.numerator
-        if not gen.is_zero() and gen not in seen:
-            seen.add(gen)
-            out.append(gen)
+    def emit(num: dict, order: int) -> None:
+        gen = num if order == k else _mul(powers[k - order], num)
+        key = frozenset(gen.items())
+        if gen and key not in seen:
+            seen.add(key)
+            out.append(Polynomial(ring, {e: Fraction(v, den) for e, v in gen.items()}))
 
-    def walk(section: RationalSection, budget: int, start: int) -> None:
-        emit(section)
-        if budget == 0 or section.is_zero():
+    def walk(num: dict, order: int, start: int) -> None:
+        emit(num, order)
+        if order == k or not num:
             return
         for i in range(start, n):
-            walk(section.derive(i), budget - 1, i)
+            high = _mul(_partial(num, i), big_f)
+            for e, v in _mul(num, partials[i]).items():
+                high[e] = high.get(e, 0) - (order + 1) * v
+            walk({e: v for e, v in high.items() if v}, order + 1, i)
 
-    for g in ideal.generators:
-        walk(RationalSection(f, g, 1), k, 0)
-    return Ideal(f.ring, out)
+    for big_g, d_g in numerators:
+        walk({e: v * (d // d_g) for e, v in big_g.items()}, 0, 0)
+    return Ideal(ring, out)
 
 
 def euler_check(f: Polynomial, weights: WeightSystem) -> bool:
@@ -416,16 +470,19 @@ def generation_descent(f: Polynomial, weights: WeightSystem, k: int = 0) -> Desc
 
     Exhausting these targets expresses 1 / f^(k+1) (and every section below
     the threshold) through first partials of sections at or above it.  The
-    enumeration is finite: rho(u) < k + 1 forces u_i < (k + 1) / w_i.
+    enumeration is finite: rho(u) < k + 1 forces u_i < (k + 1) / w_i.  The
+    filter compares integers: with W = L*w the weights scaled by their
+    common denominator L, rho(u) < k + 1 exactly when
+    sum_i u_i W_i < (k + 1) L - sum_i W_i.
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
     if not euler_check(f, weights):
         raise ValueError("weights do not satisfy the Euler identity for f")
+    ws, scale = integer_weights(weights)
+    bar = (k + 1) * scale - sum(ws)
     bounds = [math.ceil(Fraction(k + 1) / w) + 1 for w in weights]
-    targets = [
-        u for u in exponent_box(bounds) if weights.rho(u) < k + 1
-    ]
+    targets = [u for u in exponent_box(bounds) if sum(map(mul, u, ws)) < bar]
     targets.sort(key=lambda u: (-sum(u), u))
     steps = tuple(euler_descent_witness(f, weights, u, k) for u in targets)
     return DescentChain(f=f, weights=weights, level=k, steps=steps)

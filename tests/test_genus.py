@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from singulens.cli import bundled_corpus_text, load_corpus
 from singulens.genus import (
     ORDINARY_EXTRAPOLATION_NOTE,
+    _count_rho_equal_one,
     classify,
     compute_genus,
     genus_ordinary,
@@ -35,6 +37,73 @@ def _lattice_genus_oracle(weights):
         return sum(walk(prefix + [v]) for v in grid[len(prefix)])
 
     return walk([])
+
+
+def _minimal_monomials_oracle(weights, threshold, strict):
+    """Minimal exponents u with rho(u) >= threshold (> if strict), in Fraction.
+
+    A minimal u with u_i > 0 has rho(u) - w_i <= threshold, so
+    (u_i + 1) * w_i <= rho(u) <= threshold + w_i and u_i <= threshold / w_i.
+    """
+
+    def qualifies(u):
+        r = weights.rho(u)
+        return r > threshold if strict else r >= threshold
+
+    n = weights.arity
+    box = product(*(range(math.floor(threshold / w) + 1) for w in weights))
+    return [
+        u
+        for u in box
+        if qualifies(u)
+        and not any(
+            u[i] and qualifies(tuple(e - (j == i) for j, e in enumerate(u)))
+            for i in range(n)
+        )
+    ]
+
+
+def _random_weights(rng, n):
+    return WeightSystem(
+        tuple(Fraction(rng.randint(1, 4), rng.randint(2, 9)) for _ in range(n))
+    )
+
+
+def test_multiplier_span_matches_the_lattice_oracle(rng, ring, ring2):
+    """Integer thresholds give the Fraction oracle's minimal monomials, in order."""
+    for case in range(80):
+        r = ring if case % 2 else ring2
+        weights = _random_weights(rng, r.arity)
+        if case % 3:
+            threshold = Fraction(1)
+        else:
+            threshold = Fraction(rng.randint(1, 5), rng.randint(2, 4))
+        for strict in (False, True):
+            got = multiplier_span_generators(r, weights, threshold, strict=strict)
+            expected = _minimal_monomials_oracle(weights, threshold, strict)
+            assert [g.leading_monomial() for g in got.generators] == expected
+            assert all(len(g) == 1 and g.leading_coefficient() == 1 for g in got.generators)
+        if r is ring:
+            assert _count_rho_equal_one(weights) == _lattice_genus_oracle(weights)
+
+
+def test_weighted_genus_matches_the_lattice_count(rng, ring):
+    """Seeded Brieskorn-Pham and chain germs x^a*y + y^b + z^c."""
+    germs = []
+    for _ in range(6):
+        a, b, c = (rng.randint(2, 6) for _ in range(3))
+        germs.append((f"x^{a} + y^{b} + z^{c}", (Fraction(1, a), Fraction(1, b), Fraction(1, c))))
+        a, b, c = rng.randint(2, 4), rng.randint(2, 5), rng.randint(2, 6)
+        wy = Fraction(1, b)
+        germs.append((f"x^{a}*y + y^{b} + z^{c}", ((1 - wy) / a, wy, Fraction(1, c))))
+    for text, ws in germs:
+        weights = WeightSystem(ws)
+        result = genus_weighted(parse(text, ring), weights)
+        assert result.g == _lattice_genus_oracle(weights), text
+        assert result.log_canonical == (weights.rho((0, 0, 0)) >= 1), text
+        for ideal, strict in ((result.multiplier, False), (result.adjoint, True)):
+            expected = _minimal_monomials_oracle(weights, Fraction(1), strict)
+            assert [g.leading_monomial() for g in ideal.generators] == expected, text
 
 
 def test_classify_corpus(ring):

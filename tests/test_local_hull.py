@@ -176,3 +176,48 @@ def test_nonisolated_refusal_is_fast(ring, P, text):
     with pytest.raises(DegreeCapExceeded):
         milnor_number(P(text))
     assert time.perf_counter() - start < 2.0
+
+
+def test_unit_target_is_decided_before_the_quotient(ring2, monkeypatch):
+    """A local unit outside an ideal inside m is refused without (I : p).
+
+    Through the quotient this target ran for over 100 s.
+    """
+    f = parse("x^4 + y^4 + x^2*y^3", ring2)
+    jac = Ideal(ring2, jacobian_ideal(f).generators)
+    monkeypatch.setattr(Ideal, "quotient", _no_quotient)
+    start = time.perf_counter()
+    assert not jac.local_member(parse("8 + 9*x^2 - 6*x^3", ring2))
+    assert time.perf_counter() - start < 2.0
+
+
+def _quotient_local_member(ideal, p):
+    """Reference: p lies in I locally when (I : p) holds a local unit."""
+    if ideal.member(p):
+        return True
+    return any(g.constant_term != 0 for g in ideal.quotient(p).groebner_basis())
+
+
+def test_local_unit_shortcuts_match_the_quotient_path(rng, ring2, monkeypatch):
+    """Unit generators and unit targets answer as the quotient path does."""
+    x, y = (Polynomial.variable(ring2, i) for i in range(2))
+    verdicts = set()
+    for case in range(40):
+        # a factor x or y keeps the ideal without a pure power of each variable
+        gens = [
+            random_polynomial(rng, ring2, max_terms=2, max_degree=2, allow_zero=False)
+            * (x if case % 2 else y)
+            for _ in range(rng.randint(1, 2))
+        ]
+        unit_gen = case % 3 == 0
+        if unit_gen:
+            gens.append(Polynomial.constant(ring2, rng.randint(1, 5)) + x * y)
+        p = random_polynomial(rng, ring2, max_terms=3, max_degree=2)
+        if not unit_gen:
+            p = p - Polynomial.constant(ring2, p.constant_term) + rng.randint(1, 9)
+        expected = _quotient_local_member(Ideal(ring2, gens), p)
+        with monkeypatch.context() as m:
+            m.setattr(Ideal, "quotient", _no_quotient)
+            assert Ideal(ring2, gens).local_member(p) == expected, (gens, p)
+        verdicts.add((unit_gen, expected))
+    assert verdicts == {(True, True), (False, False)}

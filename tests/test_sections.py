@@ -189,6 +189,51 @@ def test_jk_generator_count_and_dedup(ring, P):
     assert jk_ideal(witness, doubled, 0).generators == (P("x"),)
 
 
+def _reference_jk_generators(f, ideal, k):
+    """The cancelled-section walk: f^(k+1-pole) * numerator of each d^b(g / f)."""
+    out, seen = [], set()
+
+    def walk(section, budget, start):
+        gen = f ** (k + 1 - section.pole) * section.numerator
+        if not gen.is_zero() and gen not in seen:
+            seen.add(gen)
+            out.append(gen)
+        if budget == 0 or section.is_zero():
+            return
+        for i in range(start, f.ring.arity):
+            walk(section.derive(i), budget - 1, i)
+
+    for g in ideal.generators:
+        walk(RationalSection(f, g, 1), k, 0)
+    return tuple(out)
+
+
+def test_jk_generators_match_the_cancelled_section_walk(rng, ring, P):
+    """Fraction-free generators equal the cancelled-section walk's, in order."""
+    witness = P("x^4 + y^4 + z^4 + x*y^2*z^2")
+    cases = [(witness, maximal_ideal(ring), k) for k in range(4)]
+    for case in range(48):
+        k = case % 4
+        f = random_polynomial(rng, ring, max_terms=3, max_degree=3, allow_zero=False)
+        gens = [
+            random_polynomial(rng, ring, max_terms=2, max_degree=2)
+            for _ in range(rng.randint(1, 3))
+        ]
+        if (case // 4) % 2:
+            f = f * Fraction(rng.randint(1, 7), rng.randint(2, 5))
+            gens = [g * Fraction(rng.randint(1, 5), rng.randint(1, 6)) for g in gens]
+        if case % 3 == 0:
+            # multiples of f: their sections cancel a factor of f
+            gens.append(f * random_polynomial(rng, ring, max_terms=2, max_degree=1))
+            gens.append(f ** 2 * Fraction(1, rng.randint(1, 4)))
+        cases.append((f, Ideal(ring, gens), k))
+    cancelled = 0
+    for f, ideal, k in cases:
+        assert jk_ideal(f, ideal, k).generators == _reference_jk_generators(f, ideal, k)
+        cancelled += any(RationalSection(f, g, 1).pole == 0 for g in ideal.generators if g)
+    assert cancelled >= 10
+
+
 def test_jk_scaling_chain(rng, ring):
     """f times each order-(k-1) generator lands in the order-k ideal."""
     polys = [
