@@ -163,8 +163,8 @@ def equality_certificate(
     first success proves equality.  If every level fails and weights are
     supplied, a replayed level-0 descent chain proves equality for the
     weighted homogeneous case.  Weights satisfying the Euler identity also
-    let each level test run on a degree-truncated basis (see
-    ``Ideal.local_member``).
+    make each level test one linear system in the weighted degree of f^k,
+    with no Groebner basis (see ``Ideal.local_member``).
     """
     if max_level < 0:
         raise ValueError("maximum level must be nonnegative")

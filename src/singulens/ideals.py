@@ -39,11 +39,13 @@ element with nonzero constant term.  Graded inputs take a shortcut: when
 positive weights make every generator of I and the target p weighted
 homogeneous, local membership is global membership (from
 u*p = sum a_i g_i with u(0) != 0, the components of weighted degree
-D = wdeg(p) give u(0)*p = sum (a_i)_(D - wdeg g_i) g_i), and only the
-basis up to degree D matters, so the Buchberger loop runs
-degree-truncated at D (Kreuzer and Robbiano, Computational Commutative
-Algebra 2, section 4.5).  Arithmetic stays in exact integers, so a
-nonzero remainder proves non-membership.
+D = wdeg(p) give u(0)*p = sum (a_i)_(D - wdeg g_i) g_i), and global
+membership is one linear system in degree D: p must lie in the span of
+the products m*g_i with wdeg(m) = D - wdeg(g_i), the rows of the Macaulay
+matrix of the generators in that degree (Lazard, Groebner bases, Gaussian
+elimination and resolution of systems of algebraic equations, 1983).
+Arithmetic stays in exact integers, so a nonzero remainder proves
+non-membership.
 """
 
 from __future__ import annotations
@@ -232,33 +234,17 @@ def _reducer(p: _IntPoly, lm: Exponent, key) -> tuple:
     return (sum(lm), key(lm), lm, p[lm], tuple((e, c) for e, c in p.items() if e != lm))
 
 
-def _wdeg(e: Exponent, weights: tuple[int, ...]) -> int:
-    return sum(x * w for x, w in zip(e, weights))
-
-
 def _weighted_degree(p: _IntPoly, weights: tuple[int, ...]) -> int | None:
     """The weighted degree of p when p is weighted homogeneous, else None."""
-    degs = {_wdeg(e, weights) for e in p}
+    degs = {sum(x * w for x, w in zip(e, weights)) for e in p}
     return degs.pop() if len(degs) == 1 else None
 
 
-def _buchberger(
-    gens: list[_IntPoly],
-    key,
-    weights: tuple[int, ...] | None = None,
-    bound: int | None = None,
-) -> list[_IntPoly]:
+def _buchberger(gens: list[_IntPoly], key) -> list[_IntPoly]:
     """Groebner basis of the ideal spanned by ``gens`` for the key's order.
 
-    ``weights`` grades the pair queue by the weighted degree of the lcm
-    (total degree without weights).  With a ``bound`` the generators must
-    be homogeneous for that grading: generators and pairs above the bound
-    are dropped, and the result is a Groebner basis only up to the bound
-    (every element of the ideal of degree at most ``bound`` reduces to 0).
-    The chain criterion stays sound: when lm_t divides lcm(i, j), lcm(i, t)
-    divides lcm(i, j) too, so the pair (i, t) lies within the bound.
+    Pairs are queued by the total degree of their lcm (normal strategy).
     """
-    deg = sum if weights is None else (lambda e: _wdeg(e, weights))
     basis: list[tuple[_IntPoly, Exponent, int]] = []
     reds: list = []
     pending: set[tuple[int, int]] = set()
@@ -277,11 +263,8 @@ def _buchberger(
             if all(x == 0 or y == 0 for x, y in zip(lmi, lm)):
                 continue
             lcm = tuple(max(x, y) for x, y in zip(lmi, lm))
-            d = deg(lcm)
-            if bound is not None and d > bound:
-                continue
             pending.add((i, t))
-            heapq.heappush(heap, (d, key(lcm), i, t, lcm))
+            heapq.heappush(heap, (sum(lcm), key(lcm), i, t, lcm))
         return False
 
     def unit_like(p: _IntPoly) -> _IntPoly:
@@ -289,7 +272,7 @@ def _buchberger(
         return {(0,) * arity: 1}
 
     for g in gens:
-        if not g or (bound is not None and deg(next(iter(g))) > bound):
+        if not g:
             continue
         fp = frozenset(g.items())
         if fp in seen:
@@ -349,12 +332,15 @@ def _reduced_basis(polys: list[_IntPoly], key) -> list[dict[Exponent, Fraction]]
 # exponent enumeration helpers
 
 
-def _exponents_of_degree(arity: int, degree: int) -> Iterator[Exponent]:
-    if arity == 1:
-        yield (degree,)
+def _exponents_of_degree(weights: tuple[int, ...], degree: int) -> Iterator[Exponent]:
+    """Exponents of weighted degree ``degree`` for positive integer weights, e_1 descending."""
+    if not weights:
+        if degree == 0:
+            yield ()
         return
-    for first in range(degree, -1, -1):
-        for rest in _exponents_of_degree(arity - 1, degree - first):
+    w = weights[0]
+    for first in range(degree // w, -1, -1):
+        for rest in _exponents_of_degree(weights[1:], degree - first * w):
             yield (first,) + rest
 
 
@@ -369,7 +355,7 @@ def maximal_ideal_power(ring: RingContext, k: int) -> "Ideal":
         raise ValueError("negative power of the maximal ideal")
     if k == 0:
         return Ideal(ring, (ring.one(),))
-    gens = [Polynomial.monomial(ring, e) for e in _exponents_of_degree(ring.arity, k)]
+    gens = [Polynomial.monomial(ring, e) for e in _exponents_of_degree((1,) * ring.arity, k)]
     return Ideal(ring, gens)
 
 
@@ -526,8 +512,7 @@ class Ideal:
         checked to be weighted homogeneous, local membership equals global
         membership (compare the components of weighted degree wdeg(p) in
         u*p = sum a_i g_i, u(0) != 0), and global membership is decided by
-        reducing p against a basis truncated at weighted degree wdeg(p).
-        That partial basis is not the reduced basis and is not cached.
+        one linear system in degree wdeg(p), without a Groebner basis.
 
         Otherwise global membership is checked first.  If the ideal
         contains a pure power of every variable, localizing at the origin
@@ -562,18 +547,31 @@ class Ideal:
         return any(g.constant_term != 0 for g in quo.groebner_basis())
 
     def _graded_member(self, p: Polynomial, weights: Iterable) -> bool | None:
-        """Membership of p on a degree-truncated basis; None when not graded."""
+        """Membership of p by one linear system in degree wdeg(p); None when not graded.
+
+        p lies in I exactly when it lies in the span of the products m*g
+        with wdeg(m) = wdeg(p) - wdeg(g) (none when wdeg(g) > wdeg(p)).
+        Those rows share one weighted degree, so a reducer head divides a
+        monomial of theirs only when the two are equal: ``_ff_reduce`` does
+        plain row elimination on them.
+        """
         ws = integer_weights(weights)[0]
         if len(ws) != self.ring.arity:
             raise ValueError("weight count does not match the ring")
         target = _int_poly(p)
-        bound = _weighted_degree(target, ws)
+        top = _weighted_degree(target, ws)
         gens = [_int_poly(g) for g in self.generators]
-        if bound is None or any(_weighted_degree(g, ws) is None for g in gens):
+        degs = [_weighted_degree(g, ws) for g in gens]
+        if top is None or None in degs:
             return None
         key = GREVLEX.key
-        raw = _buchberger(gens, key, weights=ws, bound=bound)
-        reds = sorted(_reducer(g, max(g, key=key), key) for g in raw)
+        reds: list = []
+        for g, d in zip(gens, degs):
+            for m in _exponents_of_degree(ws, top - d):
+                row = {tuple(x + y for x, y in zip(e, m)): c for e, c in g.items()}
+                r = _ff_reduce(row, reds, key)[0]
+                if r:
+                    insort(reds, _reducer(r, max(r, key=key), key))
         return not _ff_reduce(target, reds, key)[0]
 
     # -- finiteness and counting ----------------------------------------

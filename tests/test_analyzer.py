@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import singulens.analyzer as analyzer_module
+import singulens.ideals as ideals_module
 from singulens.analyzer import (
     CITE_DESCENT,
     CITE_HODGE,
@@ -271,6 +272,21 @@ def test_graded_level_tests_agree_with_general_path(ring, P, text):
         jk = jk_ideal(f, multiplier, k)
         fresh = Ideal(ring, jk.generators)
         assert jk.local_member(f**k, cls.weights) == fresh.local_member(f**k)
+
+
+def test_graded_level_tests_run_no_buchberger(ring, P, monkeypatch):
+    f = P("x^5 + y^5 + z^5")
+    cls = classify(f)
+    multiplier = compute_genus(f, cls).multiplier
+    levels = [jk_ideal(f, multiplier, k) for k in range(4)]
+    expected = [Ideal(ring, jk.generators).local_member(f**k) for k, jk in enumerate(levels)]
+
+    def no_buchberger(*args, **kwargs):
+        raise AssertionError("a graded level test ran Buchberger")
+
+    monkeypatch.setattr(ideals_module, "_buchberger", no_buchberger)
+    assert [jk.local_member(f**k, cls.weights) for k, jk in enumerate(levels)] == expected
+    assert expected == [False, False, True, True]
 
 
 def test_graded_call_leaves_the_basis_cache_clean(ring, P):

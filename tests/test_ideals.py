@@ -5,6 +5,7 @@ independent implementation (sympy) on random inputs, and monomial-ideal
 membership in two variables against a brute-force divisibility oracle.
 """
 
+import itertools
 import threading
 from fractions import Fraction
 
@@ -238,30 +239,60 @@ def test_local_membership_matches_global_for_m_primary_ideals(rng, ring):
         assert jac.local_member(p) == jac.member(p)
 
 
-def _random_form(rng, ring, degree):
+def _random_form(rng, ring, degree, ws):
+    """A random form of weighted degree ``degree`` for integer weights ``ws``."""
+    monomials = [
+        e for e in itertools.product(range(degree + 1), repeat=3)
+        if sum(x * w for x, w in zip(e, ws)) == degree
+    ]
     total = Polynomial.zero(ring)
-    for _ in range(rng.randint(1, 3)):
-        a = rng.randint(0, degree)
-        b = rng.randint(0, degree - a)
-        total = total + Polynomial.monomial(ring, (a, b, degree - a - b)) * rng.randint(-5, 5)
+    for _ in range(rng.randint(1, 3) if monomials else 0):
+        total = total + Polynomial.monomial(ring, rng.choice(monomials)) * rng.randint(-5, 5)
     return total
 
 
-def test_graded_membership_matches_global_on_homogeneous_ideals(rng, ring):
+# (rational weights, the same weights as integers, generator degrees,
+# target degrees), degrees counted in the integer weights.
+WEIGHT_SYSTEMS = {
+    "uniform": ((Fraction(1, 3),) * 3, (1, 1, 1), (1, 3), (3, 5)),
+    "mixed": ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), (3, 2, 1), (1, 6), (6, 9)),
+}
+
+
+@pytest.mark.parametrize("system", sorted(WEIGHT_SYSTEMS))
+def test_graded_membership_matches_global_on_homogeneous_ideals(rng, ring, system):
+    weights, ws, gen_degrees, target_degrees = WEIGHT_SYSTEMS[system]
+
+    def wdeg(g):
+        return sum(x * w for x, w in zip(g.leading_monomial(), ws))
+
+    def random_gens():
+        gens = [_random_form(rng, ring, rng.randint(*gen_degrees), ws) for _ in range(rng.randint(1, 3))]
+        return [g for g in gens if not g.is_zero()] or [parse("x*y", ring)]
+
     members = 0
     for _ in range(40):
-        gens = [_random_form(rng, ring, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
-        gens = [g for g in gens if not g.is_zero()] or [parse("x*y", ring)]
-        target = rng.randint(3, 5)
+        gens = random_gens()
+        target = rng.randint(*target_degrees)
         p = Polynomial.zero(ring)
         for g in gens:
-            p = p + _random_form(rng, ring, target - g.total_degree()) * g
+            p = p + _random_form(rng, ring, target - wdeg(g), ws) * g
         if rng.random() < 0.5:
-            p = p + _random_form(rng, ring, target)
+            p = p + _random_form(rng, ring, target, ws)
         expected = Ideal(ring, gens).member(p)
         members += expected
-        assert Ideal(ring, gens).local_member(p, (Fraction(1, 3),) * 3) == expected
+        assert Ideal(ring, gens).local_member(p, weights) == expected
     assert 0 < members < 40
+    # Below every generator's degree there is no row, so the answer is no.
+    below = 0
+    while below < 10:
+        gens = random_gens()
+        p = _random_form(rng, ring, rng.randint(0, min(map(wdeg, gens)) - 1), ws)
+        if p.is_zero():
+            continue
+        below += 1
+        assert not Ideal(ring, gens).member(p)
+        assert not Ideal(ring, gens).local_member(p, weights)
 
 
 def test_colengths_frozen(ring, P):
