@@ -2,10 +2,19 @@
 
 The Buchberger loop works fraction-free on primitive integer polynomials
 (dict exponent -> int).  Pairs are selected by minimal lcm degree (normal
-strategy) and pruned by the coprime and chain criteria.  The reduced basis
-(minimal, monic, tails fully reduced) is unique for a given monomial order
-and is cached on the Ideal per order name; a cache fill is idempotent, so
-concurrent readers either see the stored tuple or recompute an equal one.
+strategy).  Which pairs exist is decided once per added element h by the
+Gebauer-Moeller update (Gebauer and Moeller, On an installation of
+Buchberger's algorithm, 1988; UPDATE in Becker and Weispfenning, Groebner
+Bases, section 5.5): of the new pairs (g, h) only those with a minimal lcm
+are queued, one per lcm and none with coprime leading monomials; a queued
+pair (a, b) is deleted when lm(h) divides its lcm and that lcm differs from
+lcm(a, h) and lcm(b, h); and the elements whose leading monomial lm(h)
+divides are never paired again.  They stay reducers: they lie in the
+ideal, and the chain through h covers the pairs they no longer form (see
+``_buchberger``).  The reduced basis (minimal, monic, tails fully reduced)
+is unique for a given monomial order and is cached on the Ideal per order
+name; a cache fill is idempotent, so concurrent readers either see the
+stored tuple or recompute an equal one.
 
 One reducer, ``_ff_reduce``, serves every reduction.  It rescales its
 integer state instead of dividing and strips common content as it goes,
@@ -244,27 +253,68 @@ def _buchberger(gens: list[_IntPoly], key) -> list[_IntPoly]:
     """Groebner basis of the ideal spanned by ``gens`` for the key's order.
 
     Pairs are queued by the total degree of their lcm (normal strategy).
+    Which pairs to queue is decided once, when an element h is added, by
+    the update of Gebauer and Moeller (On an installation of Buchberger's
+    algorithm, 1988; procedure UPDATE in Becker and Weispfenning, Groebner
+    Bases, section 5.5):
+
+    - the candidates (g, h) run over the active elements g; a candidate
+      whose lcm is a multiple of another candidate's lcm is dropped, and of
+      equal lcms one is kept.  Candidates with coprime leading monomials
+      take part in this pruning but are never queued (their S-polynomials
+      reduce to zero);
+    - a queued pair (a, b) is deleted when lm(h) divides lcm(a, b) and that
+      lcm differs from both lcm(a, h) and lcm(b, h) (chain criterion);
+    - the active elements whose leading monomial lm(h) divides are
+      deactivated and never paired again.
+
+    Deactivated elements stay reducers.  They lie in the ideal, so reducing
+    an S-polynomial by them to zero still gives it a standard
+    representation over all the elements added, and a pair with a
+    deactivated g that is never formed is covered by the chain through the
+    element that deactivated it, whose leading monomial divides lm(g).
+    ``_reduced_basis`` discards them, as multiples of other leading
+    monomials.
     """
-    basis: list[tuple[_IntPoly, Exponent, int]] = []
+    basis: list[tuple[_IntPoly, Exponent]] = []
     reds: list = []
-    pending: set[tuple[int, int]] = set()
+    active: list[int] = []
     heap: list = []
     seen: set = set()
 
-    def add(p: _IntPoly) -> bool:
-        lm = max(p, key=key)
+    def add(h: _IntPoly) -> bool:
+        lm = max(h, key=key)
         if sum(lm) == 0:
             return True
         t = len(basis)
-        basis.append((p, lm, p[lm]))
-        insort(reds, _reducer(p, lm, key))
-        for i in range(t):
+        cands = []
+        for i in active:
             lmi = basis[i][1]
-            if all(x == 0 or y == 0 for x, y in zip(lmi, lm)):
+            lcm = tuple(map(max, lmi, lm))
+            cands.append((sum(lcm), sum(lcm) < sum(lmi) + sum(lm), lcm, i))
+        # By degree, coprime first on ties: a candidate is kept exactly when
+        # no lcm kept before it divides its own.
+        cands.sort()
+        minimal: list[Exponent] = []
+        new = []
+        for deg, shared, lcm, i in cands:
+            if any(_divides(m, lcm) for m in minimal):
                 continue
-            lcm = tuple(max(x, y) for x, y in zip(lmi, lm))
-            pending.add((i, t))
-            heapq.heappush(heap, (sum(lcm), key(lcm), i, t, lcm))
+            minimal.append(lcm)
+            if shared:
+                new.append((deg, key(lcm), i, t, lcm))
+        heap[:] = [
+            q for q in heap
+            if not _divides(lm, q[4])
+            or q[4] == tuple(map(max, basis[q[2]][1], lm))
+            or q[4] == tuple(map(max, basis[q[3]][1], lm))
+        ]
+        heap.extend(new)
+        heapq.heapify(heap)
+        active[:] = [i for i in active if not _divides(lm, basis[i][1])]
+        active.append(t)
+        basis.append((h, lm))
+        insort(reds, _reducer(h, lm, key))
         return False
 
     def unit_like(p: _IntPoly) -> _IntPoly:
@@ -282,25 +332,8 @@ def _buchberger(gens: list[_IntPoly], key) -> list[_IntPoly]:
             return [unit_like(g)]
 
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.remove((i, j))
-        chained = False
-        for t in range(len(basis)):
-            if t == i or t == j:
-                continue
-            if _divides(basis[t][1], lcm):
-                a = (i, t) if i < t else (t, i)
-                b = (j, t) if j < t else (t, j)
-                if a not in pending and b not in pending:
-                    chained = True
-                    break
-        if chained:
-            continue
+        _, _, i, j, _ = heapq.heappop(heap)
         s = _spoly(basis[i][0], basis[i][1], basis[j][0], basis[j][1])
-        if not s:
-            continue
         r, _ = _ff_reduce(s, reds, key)
         if r and add(r):
             return [unit_like(r)]
@@ -317,10 +350,12 @@ def _reduced_basis(polys: list[_IntPoly], key) -> list[dict[Exponent, Fraction]]
         if any(_divides(km, lm) for km, _ in kept):
             continue
         kept.append((lm, p))
+    # The kept leading monomials are distinct: each element is reduced by
+    # the records of all the others, in their sorted order.
+    records = sorted(_reducer(p, lm, key) for lm, p in kept)
     out = []
-    for idx, (lm, p) in enumerate(kept):
-        reds = sorted(_reducer(q, km, key) for j, (km, q) in enumerate(kept) if j != idx)
-        r, _ = _ff_reduce(p, reds, key)
+    for lm, p in kept:
+        r, _ = _ff_reduce(p, [rec for rec in records if rec[2] != lm], key)
         rl = max(r, key=key)
         lc = r[rl]
         out.append((key(rl), {e: Fraction(c, lc) for e, c in r.items()}))

@@ -1,17 +1,22 @@
 """Groebner engine: bases, membership, quotients, colengths.
 
 The reduced basis and the exact normal form are cross-checked against an
-independent implementation (sympy) on random inputs, and monomial-ideal
-membership in two variables against a brute-force divisibility oracle.
+independent implementation (sympy) on random inputs and on the witness's
+derivative ideals, the pair update against the chain-criterion loop it
+replaced, and monomial-ideal membership in two variables against a
+brute-force divisibility oracle.
 """
 
+import heapq
 import itertools
 import threading
+from bisect import insort
 from fractions import Fraction
 
 import pytest
 import sympy
 
+import singulens.ideals as ideals
 from singulens.ideals import (
     DegreeCapExceeded,
     INFINITE,
@@ -22,7 +27,16 @@ from singulens.ideals import (
     maximal_ideal_power,
     quotient_dimension,
 )
-from singulens.polyring import GREVLEX, GRLEX, LEX, MonomialOrder, Polynomial, parse
+from singulens.polyring import (
+    GREVLEX,
+    GRLEX,
+    LEX,
+    MonomialOrder,
+    Polynomial,
+    elimination_order,
+    parse,
+)
+from singulens.sections import jk_ideal
 
 from conftest import random_polynomial
 
@@ -104,8 +118,9 @@ def test_spolynomials_reduce_to_zero(rng, ring, random_poly):
                 checked += 1
 
 
-def test_sympy_cross_check(rng, ring, random_poly):
-    symbols = sympy.symbols("x y z")
+def _sympy_grevlex_basis(ideal):
+    """The reduced grevlex basis of ``ideal`` computed by sympy, made monic and sorted."""
+    symbols = sympy.symbols(ideal.ring.names)
 
     def to_sympy(p):
         total = sympy.Integer(0)
@@ -117,22 +132,170 @@ def test_sympy_cross_check(rng, ring, random_poly):
         return total
 
     def from_sympy(expr):
-        p = parse(str(expr).replace("**", "^").replace(" ", ""), ring)
+        p = parse(str(expr).replace("**", "^").replace(" ", ""), ideal.ring)
         return p * (1 / p.leading_coefficient(GREVLEX))
 
+    theirs = sympy.groebner(
+        [to_sympy(g) for g in ideal.generators],
+        *symbols,
+        order="grevlex",
+    )
+    return sorted(
+        (from_sympy(e) for e in theirs.exprs),
+        key=lambda p: GREVLEX.key(p.leading_monomial(GREVLEX)),
+    )
+
+
+def test_sympy_cross_check(rng, ring, random_poly):
     for _ in range(50):
         ideal = _random_ideal(rng, ring, max_terms=3, max_degree=3, coeff_bound=7)
-        mine = ideal.groebner_basis(GREVLEX)
-        theirs = sympy.groebner(
-            [to_sympy(g) for g in ideal.generators],
-            *symbols,
-            order="grevlex",
-        )
-        converted = sorted(
-            (from_sympy(e) for e in theirs.exprs),
-            key=lambda p: GREVLEX.key(p.leading_monomial(GREVLEX)),
-        )
-        assert list(mine) == converted
+        assert list(ideal.groebner_basis(GREVLEX)) == _sympy_grevlex_basis(ideal)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_sympy_cross_check_on_witness_derivative_ideals(ring, P, k):
+    """J_1 and J_2 of the witness, 13 and 35 basis elements, where the pair criteria bite."""
+    witness = P("x^4 + y^4 + z^4 + x*y^2*z^2")
+    ideal = jk_ideal(witness, maximal_ideal(ring), k)
+    assert list(ideal.groebner_basis(GREVLEX)) == _sympy_grevlex_basis(ideal)
+
+
+def _chain_criterion_buchberger(gens, key):
+    """The pair loop that the Gebauer-Moeller update replaced, kept as a reference.
+
+    Pairs with coprime leading monomials are never queued; a popped pair is
+    skipped when some other basis element's leading monomial divides its
+    lcm and neither pair through that element is still pending.
+    """
+    basis, reds, pending, heap, seen = [], [], set(), [], set()
+
+    def add(p):
+        lm = max(p, key=key)
+        if sum(lm) == 0:
+            return True
+        t = len(basis)
+        basis.append((p, lm))
+        insort(reds, ideals._reducer(p, lm, key))
+        for i in range(t):
+            lmi = basis[i][1]
+            if all(x == 0 or y == 0 for x, y in zip(lmi, lm)):
+                continue
+            lcm = tuple(max(x, y) for x, y in zip(lmi, lm))
+            pending.add((i, t))
+            heapq.heappush(heap, (sum(lcm), key(lcm), i, t, lcm))
+        return False
+
+    def unit_like(p):
+        return [{(0,) * len(next(iter(p))): 1}]
+
+    for g in gens:
+        fp = frozenset(g.items())
+        if not g or fp in seen:
+            continue
+        seen.add(fp)
+        if add(g):
+            return unit_like(g)
+    while heap:
+        _, _, i, j, lcm = heapq.heappop(heap)
+        if (i, j) not in pending:
+            continue
+        pending.remove((i, j))
+        chained = False
+        for t in range(len(basis)):
+            if t == i or t == j:
+                continue
+            if ideals._divides(basis[t][1], lcm):
+                a = (i, t) if i < t else (t, i)
+                b = (j, t) if j < t else (t, j)
+                if a not in pending and b not in pending:
+                    chained = True
+                    break
+        if chained:
+            continue
+        s = ideals._spoly(basis[i][0], basis[i][1], basis[j][0], basis[j][1])
+        if not s:
+            continue
+        r, _ = ideals._ff_reduce(s, reds, key)
+        if r and add(r):
+            return unit_like(r)
+    return [rec[0] for rec in basis]
+
+
+def _sparse_generators(rng, max_degree, count):
+    """``count`` primitive integer polynomials in 3 variables, 2-3 terms of degree 1..max_degree."""
+    monomials = [
+        e for e in itertools.product(range(max_degree + 1), repeat=3)
+        if 1 <= sum(e) <= max_degree
+    ]
+    gens = []
+    while len(gens) < count:
+        p = {}
+        for _ in range(rng.randint(2, 3)):
+            e = rng.choice(monomials)
+            p[e] = p.get(e, 0) + rng.choice([-3, -2, -1, 1, 2, 3])
+        p = {e: c for e, c in p.items() if c}
+        if p:
+            gens.append(ideals._primitive(p))
+    return gens
+
+
+@pytest.mark.parametrize(
+    "order", [GREVLEX, GRLEX, LEX, elimination_order()], ids=lambda o: o.name
+)
+def test_pair_update_matches_the_chain_criterion_loop(rng, order):
+    """Same reduced bases as the old loop, on ideals large enough to delete queued pairs."""
+    # lex and elimination bases of cubic draws can explode: those stay quadratic
+    max_degree = 3 if order in (GREVLEX, GRLEX) else 2
+    for _ in range(30):
+        if order.name == "elim":
+            # the shape of Ideal.quotient: t*g_i and (1 - t)*p, t first
+            *base, p = _sparse_generators(rng, max_degree, rng.randint(3, 4))
+            gens = [{(1,) + e: c for e, c in g.items()} for g in base]
+            gens.append({**{(0,) + e: c for e, c in p.items()}, **{(1,) + e: -c for e, c in p.items()}})
+        else:
+            gens = _sparse_generators(rng, max_degree, rng.randint(3, 4))
+        old = ideals._reduced_basis(_chain_criterion_buchberger(gens, order.key), order.key)
+        new = ideals._reduced_basis(ideals._buchberger(gens, order.key), order.key)
+        assert new == old
+
+
+def test_pair_update_matches_the_chain_criterion_loop_on_the_witness(ring, P):
+    witness = P("x^4 + y^4 + z^4 + x*y^2*z^2")
+    key = GREVLEX.key
+    for k in range(3):
+        gens = [ideals._int_poly(g) for g in jk_ideal(witness, maximal_ideal(ring), k).generators]
+        old = ideals._reduced_basis(_chain_criterion_buchberger(gens, key), key)
+        assert ideals._reduced_basis(ideals._buchberger(gens, key), key) == old
+
+
+# Monomial generators (in order) and the number of S-polynomials formed.
+PAIR_UPDATE_CASES = {
+    # (xyz, x) is pruned by the coprime candidate (y, x) of lcm xy
+    "coprime-prunes": (("y", "x*y*z", "x"), 1),
+    # x divides lcm(xy, yz) = xyz, which differs from xy and from yz
+    "delete-queued": (("x*y", "y*z", "y"), 2),
+    # x divides xyz, but lcm(yz, x) = xyz, so (xy, yz) stays queued
+    "keep-queued": (("x*y", "y*z", "x"), 2),
+    # (xz, xy) and (yz, xy) share the lcm xyz: one of them is queued
+    "equal-lcm": (("x*z", "y*z", "x*y"), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_UPDATE_CASES))
+def test_pair_update_rules_on_monomial_ideals(P, monkeypatch, case):
+    """Each update rule, seen through the count of S-polynomials formed."""
+    texts, expected = PAIR_UPDATE_CASES[case]
+    formed = []
+    spoly = ideals._spoly
+
+    def counting(*args):
+        formed.append(args)
+        return spoly(*args)
+
+    monkeypatch.setattr(ideals, "_spoly", counting)
+    gens = [ideals._int_poly(P(t)) for t in texts]
+    assert len(ideals._buchberger(gens, GREVLEX.key)) == len(texts)
+    assert len(formed) == expected
 
 
 @pytest.mark.parametrize("order", [GREVLEX, GRLEX], ids=lambda o: o.name)
