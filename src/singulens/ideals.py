@@ -16,11 +16,12 @@ is unique for a given monomial order and is cached on the Ideal per order
 name; a cache fill is idempotent, so concurrent readers either see the
 stored tuple or recompute an equal one.
 
-One reducer, ``_ff_reduce``, serves every reduction.  It rescales its
-integer state instead of dividing and strips common content as it goes,
-and returns the primitive remainder r with a rational ``scale`` such that
-r = scale * NF(p).  Buchberger, basis reduction and graded membership need
-only r up to a unit; ``Ideal.normal_form`` clears the denominators of p
+One polynomial reducer, ``_ff_reduce``, serves Buchberger, basis
+reduction and normal forms.  It rescales its integer state instead of
+dividing and strips common content as it goes, and returns the primitive
+remainder r with a rational ``scale`` such that r = scale * NF(p).
+Buchberger and basis reduction need only r up to a unit;
+``Ideal.normal_form`` clears the denominators of p
 (p_int = den * p), reduces against integer multiples of the monic reduced
 basis, and returns the exact rational normal form r / (scale * den).  The
 normal form modulo a Groebner basis is unique, so it does not depend on
@@ -53,8 +54,15 @@ membership is one linear system in degree D: p must lie in the span of
 the products m*g_i with wdeg(m) = D - wdeg(g_i), the rows of the Macaulay
 matrix of the generators in that degree (Lazard, Groebner bases, Gaussian
 elimination and resolution of systems of algebraic equations, 1983).
-Arithmetic stays in exact integers, so a nonzero remainder proves
-non-membership.
+Those rows are built from the primitive integer forms of the generators,
+which an Ideal caches beside them (an ideal built from integer numerators,
+as ``jk_ideal`` does, receives them with its generators), and brought to
+row echelon form fraction-free by ``_pivot_reduce``.  All rows share one
+weighted degree, so a row head divides a monomial only when the two are
+equal: the kept rows sit in a dict keyed by pivot monomial, and finding a
+row's reducer is one lookup, with no divisor scan and no Groebner basis.
+Arithmetic stays in exact integers, so a target left with a monomial
+outside the pivots proves non-membership.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ import heapq
 import math
 from bisect import insort
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Iterable, Iterator
 
 from .polyring import (
@@ -72,6 +81,7 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     RingContext,
+    _raw,
     clear_denominators,
     elimination_order,
     exact_div,
@@ -159,6 +169,9 @@ def _strip_pair(work: _IntPoly, out: _IntPoly) -> int:
 def _ff_reduce(p: _IntPoly, reds: list, key) -> tuple[_IntPoly, Fraction]:
     """Full normal form of p against reducer records, fraction-free.
 
+    The one polynomial reducer: Buchberger, basis reduction and
+    ``Ideal.normal_form`` all call it.  The rows of a graded membership
+    test, all of one weighted degree, are eliminated by ``_pivot_reduce``.
     ``reds`` holds tuples (deg, lmkey, lm, lc, tail) sorted ascending, so
     the scan can stop once reducer head degrees exceed the current monomial
     degree.  The state is rescaled by integers along the way and its
@@ -200,9 +213,9 @@ def _ff_reduce(p: _IntPoly, reds: list, key) -> tuple[_IntPoly, Fraction]:
                 out[e] *= a
             c *= a
             scale *= a
-        shift = tuple(x - y for x, y in zip(m, lm))
+        shift = tuple(map(sub, m, lm))
         for e, q in tail:
-            t = tuple(x + y for x, y in zip(e, shift))
+            t = tuple(map(add, e, shift))
             prev = work.get(t)
             v = (prev if prev is not None else 0) - b * q
             if v:
@@ -222,14 +235,14 @@ def _spoly(pa: _IntPoly, lma: Exponent, pb: _IntPoly, lmb: Exponent) -> _IntPoly
     g = math.gcd(lca, lcb)
     ca = lcb // g
     cb = lca // g
-    lcm = tuple(max(x, y) for x, y in zip(lma, lmb))
-    sa = tuple(l - x for l, x in zip(lcm, lma))
-    sb = tuple(l - x for l, x in zip(lcm, lmb))
+    lcm = tuple(map(max, lma, lmb))
+    sa = tuple(map(sub, lcm, lma))
+    sb = tuple(map(sub, lcm, lmb))
     out: _IntPoly = {}
     for e, c in pa.items():
-        out[tuple(x + y for x, y in zip(e, sa))] = c * ca
+        out[tuple(map(add, e, sa))] = c * ca
     for e, c in pb.items():
-        t = tuple(x + y for x, y in zip(e, sb))
+        t = tuple(map(add, e, sb))
         v = out.get(t, 0) - c * cb
         if v:
             out[t] = v
@@ -245,8 +258,57 @@ def _reducer(p: _IntPoly, lm: Exponent, key) -> tuple:
 
 def _weighted_degree(p: _IntPoly, weights: tuple[int, ...]) -> int | None:
     """The weighted degree of p when p is weighted homogeneous, else None."""
-    degs = {sum(x * w for x, w in zip(e, weights)) for e in p}
+    degs = {sum(map(mul, e, weights)) for e in p}
     return degs.pop() if len(degs) == 1 else None
+
+
+def _pivot_reduce(work: _IntPoly, pivots: dict) -> tuple | None:
+    """Eliminate the pivots of an echelon form from a row of one weighted degree.
+
+    ``pivots`` maps each kept row's pivot, its least monomial in lex order,
+    to (coefficient, tail).  ``work`` is consumed in ascending lex order,
+    each pivot monomial met is cancelled fraction-free as in ``_ff_reduce``,
+    and content is stripped along the way.  Returns None when the row
+    reduces to zero, else (pivot, coefficient, tail) for its first monomial
+    without a pivot: every other monomial left is larger, so the row joins
+    the echelon form keyed by it.
+    """
+    heap = list(work)
+    heapq.heapify(heap)
+    steps = 0
+    while heap:
+        m = heapq.heappop(heap)
+        c = work.get(m)
+        if not c:
+            continue
+        hit = pivots.get(m)
+        if hit is None:
+            _strip_pair(work, {})
+            c = work.pop(m)
+            return m, c, list(work.items())
+        lc, tail = hit
+        del work[m]
+        g = math.gcd(c, lc)
+        a = lc // g
+        b = c // g
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:
+            for e in work:
+                work[e] *= a
+        for t, q in tail:
+            prev = work.get(t)
+            v = (prev if prev is not None else 0) - b * q
+            if v:
+                work[t] = v
+                if prev is None:
+                    heapq.heappush(heap, t)
+            elif prev is not None:
+                del work[t]
+        steps += 1
+        if steps % 64 == 0:
+            _strip_pair(work, {})
+    return None
 
 
 def _buchberger(gens: list[_IntPoly], key) -> list[_IntPoly]:
@@ -413,8 +475,32 @@ class Ideal:
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_cache", {})
 
+    @classmethod
+    def _from_numerators(cls, ring: RingContext, numerators: Iterable[_IntPoly], den: int):
+        """The ideal of the polynomials num / den, from integer numerator dicts.
+
+        For callers that already hold the integers: the generators are built
+        without re-validation, zero numerators are skipped, and the primitive
+        integer forms num // content(num) are cached as those of the
+        generators, in the same order.
+        """
+        nums = [num for num in numerators if num]
+        gens = tuple(_raw(ring, {e: Fraction(v, den) for e, v in num.items()}) for num in nums)
+        ideal = cls(ring)
+        object.__setattr__(ideal, "generators", gens)
+        ideal._cache["ints"] = [_primitive(num) for num in nums]
+        return ideal
+
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
+
+    def _int_generators(self) -> list[_IntPoly]:
+        """The primitive integer forms of the generators, in order, cached."""
+        ints = self._cache.get("ints")
+        if ints is None:
+            ints = [_int_poly(g) for g in self.generators]
+            self._cache["ints"] = ints
+        return ints
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -440,8 +526,7 @@ class Ideal:
         cached = self._cache.get(order.name)
         if cached is not None:
             return cached
-        ints = [_int_poly(g) for g in self.generators]
-        raw = _buchberger(ints, order.key)
+        raw = _buchberger(self._int_generators(), order.key)
         reduced = _reduced_basis(raw, order.key)
         basis = tuple(Polynomial(self.ring, d) for d in reduced)
         self._cache[order.name] = basis
@@ -586,28 +671,34 @@ class Ideal:
 
         p lies in I exactly when it lies in the span of the products m*g
         with wdeg(m) = wdeg(p) - wdeg(g) (none when wdeg(g) > wdeg(p)).
-        Those rows share one weighted degree, so a reducer head divides a
-        monomial of theirs only when the two are equal: ``_ff_reduce`` does
-        plain row elimination on them.
+        Those rows share one weighted degree, so a row head divides a
+        monomial of theirs only when the two are equal, and the rows are
+        eliminated without ``_ff_reduce``'s divisor scan: the kept rows are
+        held in a dict from pivot (least monomial, lex) to row, and each new
+        row, and finally p, is reduced fraction-free by ``_pivot_reduce``.
+        A row that keeps a monomial outside the dict becomes a new pivot.
+        The rows come from the cached integer generators.
         """
         ws = integer_weights(weights)[0]
         if len(ws) != self.ring.arity:
             raise ValueError("weight count does not match the ring")
         target = _int_poly(p)
         top = _weighted_degree(target, ws)
-        gens = [_int_poly(g) for g in self.generators]
+        gens = self._int_generators()
         degs = [_weighted_degree(g, ws) for g in gens]
         if top is None or None in degs:
             return None
-        key = GREVLEX.key
-        reds: list = []
+        pivots: dict[Exponent, tuple[int, list]] = {}
+        shifts: dict[int, list[Exponent]] = {}
         for g, d in zip(gens, degs):
-            for m in _exponents_of_degree(ws, top - d):
-                row = {tuple(x + y for x, y in zip(e, m)): c for e, c in g.items()}
-                r = _ff_reduce(row, reds, key)[0]
-                if r:
-                    insort(reds, _reducer(r, max(r, key=key), key))
-        return not _ff_reduce(target, reds, key)[0]
+            if d not in shifts:
+                shifts[d] = list(_exponents_of_degree(ws, top - d))
+            for m in shifts[d]:
+                row = {tuple(map(add, e, m)): c for e, c in g.items()}
+                head = _pivot_reduce(row, pivots)
+                if head is not None:
+                    pivots[head[0]] = head[1:]
+        return _pivot_reduce(target, pivots) is None
 
     # -- finiteness and counting ----------------------------------------
 
@@ -644,17 +735,29 @@ class Ideal:
         return result
 
     def colength(self) -> int:
-        """dim_Q of the quotient ring, counting standard monomials."""
+        """dim_Q of the quotient ring, counting standard monomials.
+
+        Every standard monomial lies in the box below the least pure powers
+        of the leading monomials.  The box is swept in lex order, so e - e_i
+        comes before e, and e is non-standard (a multiple of a leading
+        monomial) exactly when e is a leading monomial or some e - e_i with
+        e_i > 0 is non-standard.
+        """
         degs = self._pure_power_degrees()
         if degs is None:
             raise InfiniteColengthError("infinite colength")
         basis = self.groebner_basis()
         if basis and basis[0].total_degree() == 0:
             return 0
-        lts = [g.leading_monomial() for g in basis]
+        lts = {g.leading_monomial() for g in basis}
+        nonstandard: set[Exponent] = set()
         count = 0
         for e in exponent_box(degs):
-            if not any(_divides(lt, e) for lt in lts):
+            if e in lts or any(
+                x and e[:i] + (x - 1,) + e[i + 1 :] in nonstandard for i, x in enumerate(e)
+            ):
+                nonstandard.add(e)
+            else:
                 count += 1
         return count
 

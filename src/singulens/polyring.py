@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -355,7 +356,7 @@ class Polynomial:
         out: dict[Exponent, Fraction] = {}
         for ea, qa in self._c.items():
             for eb, qb in other._c.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 s = out.get(e, 0) + qa * qb
                 if s:
                     out[e] = s
@@ -463,11 +464,11 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial | None:
         m = max(work, key=GREVLEX.key)
         if any(a < b for a, b in zip(m, lm)):
             return None
-        shift = tuple(a - b for a, b in zip(m, lm))
+        shift = tuple(map(sub, m, lm))
         c = work.pop(m) / lc
         quo[shift] = c
         for e, q in rest:
-            t = tuple(a + b for a, b in zip(e, shift))
+            t = tuple(map(add, e, shift))
             s = work.get(t, 0) - c * q
             if s:
                 work[t] = s

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable
 
 from .ideals import Ideal
@@ -289,7 +289,7 @@ def _mul(a: dict, b: dict) -> dict:
     out: dict[Exponent, int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
@@ -315,6 +315,8 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
     non-decreasing variable order.  One d, the lcm of the denominators
     over all generators of I, serves every g, so equal generators have
     equal integer numerators and are kept once, at their first occurrence.
+    The numerators go to the ideal with its generators, so its level tests
+    and bases start from their primitive integer forms.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -331,8 +333,7 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
         powers.append(_mul(powers[-1], big_f))
     numerators = [clear_denominators(g) for g in ideal.generators]
     d = math.lcm(*(den for _, den in numerators))
-    den = d * c**k
-    out: list[Polynomial] = []
+    out: list[dict] = []
     seen: set[frozenset] = set()
 
     def emit(num: dict, order: int) -> None:
@@ -340,7 +341,7 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
         key = frozenset(gen.items())
         if gen and key not in seen:
             seen.add(key)
-            out.append(Polynomial(ring, {e: Fraction(v, den) for e, v in gen.items()}))
+            out.append(gen)
 
     def walk(num: dict, order: int, start: int) -> None:
         emit(num, order)
@@ -354,7 +355,7 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
 
     for big_g, d_g in numerators:
         walk({e: v * (d // d_g) for e, v in big_g.items()}, 0, 0)
-    return Ideal(ring, out)
+    return Ideal._from_numerators(ring, out, d * c**k)
 
 
 def euler_check(f: Polynomial, weights: WeightSystem) -> bool:

@@ -3,8 +3,9 @@
 The reduced basis and the exact normal form are cross-checked against an
 independent implementation (sympy) on random inputs and on the witness's
 derivative ideals, the pair update against the chain-criterion loop it
-replaced, and monomial-ideal membership in two variables against a
-brute-force divisibility oracle.
+replaced, graded membership against the ``_ff_reduce`` row loop it
+replaced, colengths against a plain box scan, and monomial-ideal
+membership in two variables against a brute-force divisibility oracle.
 """
 
 import heapq
@@ -17,6 +18,7 @@ import pytest
 import sympy
 
 import singulens.ideals as ideals
+from singulens.genus import classify, compute_genus
 from singulens.ideals import (
     DegreeCapExceeded,
     INFINITE,
@@ -445,6 +447,7 @@ def test_graded_membership_matches_global_on_homogeneous_ideals(rng, ring, syste
         expected = Ideal(ring, gens).member(p)
         members += expected
         assert Ideal(ring, gens).local_member(p, weights) == expected
+        assert _ff_reduce_graded_member(Ideal(ring, gens), p, weights) == expected
     assert 0 < members < 40
     # Below every generator's degree there is no row, so the answer is no.
     below = 0
@@ -456,6 +459,56 @@ def test_graded_membership_matches_global_on_homogeneous_ideals(rng, ring, syste
         below += 1
         assert not Ideal(ring, gens).member(p)
         assert not Ideal(ring, gens).local_member(p, weights)
+        assert not _ff_reduce_graded_member(Ideal(ring, gens), p, weights)
+
+
+def _ff_reduce_graded_member(ideal, p, weights):
+    """The Macaulay row loop that the pivot dict replaced, kept as a reference.
+
+    Each row m*g is reduced by ``_ff_reduce`` against the sorted records of
+    the rows kept so far, and p lies in the ideal when it reduces to zero.
+    """
+    if p.is_zero():
+        return True
+    ws = ideals.integer_weights(weights)[0]
+    target = ideals._int_poly(p)
+    top = ideals._weighted_degree(target, ws)
+    gens = [ideals._int_poly(g) for g in ideal.generators]
+    degs = [ideals._weighted_degree(g, ws) for g in gens]
+    assert top is not None and None not in degs
+    key = GREVLEX.key
+    reds = []
+    for g, d in zip(gens, degs):
+        for m in ideals._exponents_of_degree(ws, top - d):
+            row = {tuple(x + y for x, y in zip(e, m)): c for e, c in g.items()}
+            r = ideals._ff_reduce(row, reds, key)[0]
+            if r:
+                insort(reds, ideals._reducer(r, max(r, key=key), key))
+    return not ideals._ff_reduce(target, reds, key)[0]
+
+
+# Graded germs and the verdicts of their level tests at k = 0..3.
+LEVEL_VERDICTS = {
+    "x^5 + y^5 + z^5": [False, False, True, True],
+    "x^6 + y^6 + z^6": [False, False, False, True],
+    "x^2*y + y^3 + z^4": [False, True, True, True],
+    "x^3*y + y^5 + z^6": [False, False, False, True],
+    "x^6*y + y^3 + z^5": [False, False, False, False],
+}
+
+
+@pytest.mark.parametrize("text", sorted(LEVEL_VERDICTS))
+def test_pivot_elimination_matches_the_ff_reduce_row_loop(ring, P, text):
+    """Same level verdicts as the old row loop on the integer jk generators."""
+    f = P(text)
+    cls = classify(f)
+    multiplier = compute_genus(f, cls).multiplier
+    verdicts = []
+    for k in range(4):
+        jk = jk_ideal(f, multiplier, k)
+        verdicts.append(jk.local_member(f**k, cls.weights))
+        assert verdicts[-1] == _ff_reduce_graded_member(jk, f**k, cls.weights)
+    assert verdicts == LEVEL_VERDICTS[text]
 
 
 def test_colengths_frozen(ring, P):
@@ -466,6 +519,35 @@ def test_colengths_frozen(ring, P):
     assert Ideal(ring, [P("1")]).colength() == 0
     with pytest.raises(InfiniteColengthError):
         Ideal(ring, [P("x"), P("y")]).colength()
+
+
+def _box_scan_colength(ideal):
+    """Standard monomials counted by testing every box point against every leading monomial."""
+    degs = ideal._pure_power_degrees()
+    basis = ideal.groebner_basis()
+    if basis[0].total_degree() == 0:
+        return 0
+    lts = [g.leading_monomial() for g in basis]
+    return sum(
+        1
+        for e in itertools.product(*(range(d) for d in degs))
+        if not any(all(a <= b for a, b in zip(lt, e)) for lt in lts)
+    )
+
+
+def test_colength_sweep_matches_a_box_scan(rng, ring, P):
+    for _ in range(60):
+        powers = [P(f"{v}^{rng.randint(1, 5)}") for v in "xyz"]
+        extra = [
+            random_polynomial(rng, ring, max_terms=3, max_degree=3, coeff_bound=5)
+            for _ in range(rng.randint(0, 3))
+        ]
+        ideal = Ideal(ring, powers + extra)
+        assert ideal.colength() == _box_scan_colength(ideal)
+    witness = P("x^4 + y^4 + z^4 + x*y^2*z^2")
+    levels = [jk_ideal(witness, maximal_ideal(ring), k) for k in range(4)]
+    assert [j.colength() for j in levels] == [1, 29, 114, 286]
+    assert [_box_scan_colength(j) for j in levels] == [1, 29, 114, 286]
 
 
 def test_local_colength_cases(ring, P):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from singulens.ideals import Ideal, maximal_ideal
+from singulens.ideals import Ideal, _int_poly, maximal_ideal
 from singulens.invariants import WeightSystem, jacobian_ideal
 from singulens.polyring import Polynomial, parse
 from singulens.sections import (
@@ -229,7 +229,10 @@ def test_jk_generators_match_the_cancelled_section_walk(rng, ring, P):
         cases.append((f, Ideal(ring, gens), k))
     cancelled = 0
     for f, ideal, k in cases:
-        assert jk_ideal(f, ideal, k).generators == _reference_jk_generators(f, ideal, k)
+        jk = jk_ideal(f, ideal, k)
+        assert jk.generators == _reference_jk_generators(f, ideal, k)
+        # the integer forms handed over with the generators, before any lazy fill
+        assert jk._cache["ints"] == [_int_poly(g) for g in jk.generators]
         cancelled += any(RationalSection(f, g, 1).pole == 0 for g in ideal.generators if g)
     assert cancelled >= 10
 
