@@ -29,6 +29,7 @@ from .ideals import (
     quotient_dimension,
 )
 from .invariants import (
+    Germ,
     QHVerdict,
     SqhObstruction,
     WeightSystem,
@@ -83,6 +84,7 @@ __all__ = [
     "GREVLEX",
     "GRLEX",
     "GenusResult",
+    "Germ",
     "INFINITE",
     "Ideal",
     "InfiniteColengthError",

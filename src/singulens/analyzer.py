@@ -31,9 +31,10 @@ from .ideals import (
     maximal_ideal_power,
 )
 from .invariants import (
+    Germ,
     QHVerdict,
+    as_germ,
     is_quasi_homogeneous,
-    jacobian_ideal,
     milnor_number,
     tjurina_number,
 )
@@ -91,7 +92,7 @@ class ScreenResult:
         }
 
 
-def screen_isolated(f: Polynomial) -> ScreenResult:
+def screen_isolated(f: Polynomial | Germ) -> ScreenResult:
     """Check that (f) + Jacobian(f) has a finite-dimensional quotient.
 
     That holds exactly when the affine singular locus V(f, gradient f) is
@@ -99,11 +100,10 @@ def screen_isolated(f: Polynomial) -> ScreenResult:
     the origin, makes ``isolated`` false.  The second flag asks the same
     of the Jacobian ideal alone (finitely many critical points).
     """
-    jac = jacobian_ideal(f)
-    tjurina_like = Ideal(f.ring, (f,)) + jac
+    germ = as_germ(f)
     return ScreenResult(
-        isolated=tjurina_like.is_m_primary(),
-        jacobian_m_primary=jac.is_m_primary(),
+        isolated=germ.tjurina.is_m_primary(),
+        jacobian_m_primary=germ.jacobian.is_m_primary(),
     )
 
 
@@ -177,6 +177,8 @@ def equality_certificate(
         weights = None
     for k in range(max_level + 1):
         jk = jk_ideal(f, multiplier, k)
+        if jk == multiplier:  # J_0: keep the bases the genus route filled
+            jk = multiplier
         ok = jk.local_member(f**k, weights)
         results.append((k, ok))
         if ok:
@@ -277,14 +279,6 @@ class AnalysisReport:
         return bool(self.certificates) and all(c.verdict for c in self.certificates)
 
 
-def _vanishes_to_second_order(f: Polynomial) -> bool:
-    if f.is_zero() or f.constant_term:
-        return False
-    return not any(
-        f.partial_derivative(i).constant_term for i in range(f.ring.arity)
-    )
-
-
 def analyze(
     f: Polynomial,
     max_level: int = 3,
@@ -300,14 +294,15 @@ def analyze(
     if f.constant_term:
         notes.append("polynomial does not vanish at the origin")
 
+    germ = Germ(f)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        screen = screen_isolated(f)
-        mu = milnor_number(f, degree_cap)
-        tau = tjurina_number(f, degree_cap)
+        screen = screen_isolated(germ)
+        mu = milnor_number(germ, degree_cap)
+        tau = tjurina_number(germ, degree_cap)
         qh = None
-        if mu != INFINITE and _vanishes_to_second_order(f):
-            qh = is_quasi_homogeneous(f, degree_cap)
+        if mu != INFINITE and germ.no_singularity() is None:
+            qh = is_quasi_homogeneous(germ, degree_cap)
             citations.append(CITE_SAITO)
             if qh.obstruction is not None:
                 citations.append(CITE_SQH)
@@ -317,7 +312,7 @@ def analyze(
         bound = None
         equality = None
         try:
-            cls = classify(f, degree_cap)
+            cls = classify(germ, degree_cap)
         except ValueError as err:
             notes.append(str(err))
         if cls is not None:
@@ -326,7 +321,7 @@ def analyze(
                     "genus and length bound are stated for at least three variables; skipped"
                 )
             elif cls.is_ordinary or cls.is_weighted:
-                genus = compute_genus(f, cls, degree_cap)
+                genus = compute_genus(germ, cls, degree_cap)
             else:
                 notes.append(
                     "germ is neither ordinary nor recognizably weighted homogeneous; "
@@ -386,20 +381,14 @@ def counterexample_polynomial(ring: RingContext | None = None) -> Polynomial:
     return parse(text, ring)
 
 
-def _split_principal(f: Polynomial) -> tuple[Polynomial, Polynomial]:
-    parts = f.homogeneous_components()
-    d = min(parts)
-    principal = parts[d]
-    return principal, f - principal
-
-
 def _detail(**kwargs) -> tuple[tuple[str, str], ...]:
     return tuple((k, str(v)) for k, v in kwargs.items())
 
 
 def _cert_perturbation_outside_principal_jacobian(f: Polynomial) -> Certificate:
-    principal, rest = _split_principal(f)
-    outside = (not rest.is_zero()) and not jacobian_ideal(principal).member(rest)
+    cone = Germ(f).cone
+    rest = f - cone.f
+    outside = (not rest.is_zero()) and not cone.jacobian.member(rest)
     return Certificate(
         name="C1",
         statement=(
@@ -408,16 +397,19 @@ def _cert_perturbation_outside_principal_jacobian(f: Polynomial) -> Certificate:
         ),
         verdict=outside,
         citation=CITE_SQH,
-        details=_detail(tangent_cone=principal, above_cone_part=rest),
+        details=_detail(tangent_cone=cone.f, above_cone_part=rest),
     )
 
 
 def _cert_not_quasi_homogeneous(f: Polynomial) -> Certificate:
-    direct = not jacobian_ideal(f).local_member(f)
+    germ = Germ(f)
+    # Asked before is_quasi_homogeneous caches the hull of the Jacobian
+    # ideal, the direct test takes the other route, the ideal quotient.
+    direct = not germ.jacobian.local_member(f)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            qh = is_quasi_homogeneous(f)
+            qh = is_quasi_homogeneous(germ)
             obstructed = qh.obstruction is not None and not qh.quasi_homogeneous
         except ValueError:
             obstructed = False
@@ -435,9 +427,10 @@ def _cert_not_quasi_homogeneous(f: Polynomial) -> Certificate:
 
 def _cert_ordinary_genus(f: Polynomial) -> Certificate:
     ring = f.ring
+    germ = Germ(f)
     try:
-        cls = classify(f)
-        genus = compute_genus(f, cls)
+        cls = classify(germ)
+        genus = compute_genus(germ, cls)
     except (ValueError, RuntimeError) as err:
         return Certificate(
             name="C3",
@@ -472,7 +465,7 @@ def _cert_ordinary_genus(f: Polynomial) -> Certificate:
 
 def _cert_f_plus_perturbation_in_j1(f: Polynomial) -> Certificate:
     ring = f.ring
-    _, rest = _split_principal(f)
+    rest = f - Germ(f).cone.f
     j1 = jk_ideal(f, maximal_ideal(ring), 1)
     target = f + rest
     member = j1.member(target)
@@ -510,7 +503,7 @@ def _cert_m6_inside_j1(f: Polynomial) -> Certificate:
 
 def _cert_perturbation_outside_j1_plus_m6(f: Polynomial) -> Certificate:
     ring = f.ring
-    _, rest = _split_principal(f)
+    rest = f - Germ(f).cone.f
     j1 = jk_ideal(f, maximal_ideal(ring), 1)
     enlarged = j1 + maximal_ideal_power(ring, 6)
     ok = (not rest.is_zero()) and not enlarged.member(rest)

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .analyzer import (
     AnalysisReport,
@@ -37,7 +38,7 @@ from .ideals import (
     InfiniteColengthError,
     maximal_ideal,
 )
-from .invariants import find_weights, is_quasi_homogeneous, milnor_number, tjurina_number
+from .invariants import Germ, find_weights, is_quasi_homogeneous, milnor_number, tjurina_number
 from .polyring import GREVLEX, MonomialOrder, ParseError, Polynomial, RingContext, parse
 from .sections import generation_descent, jk_ideal
 
@@ -184,10 +185,6 @@ def _check_args(args, parser: argparse.ArgumentParser) -> None:
         if cap < 10:
             parser.error("--degree-cap must be at least 10")
         args.degree_cap = cap
-
-
-def _parse_poly(text: str, ring: RingContext) -> Polynomial:
-    return parse(text, ring)
 
 
 def _parse_generators(text: str, ring: RingContext) -> list[Polynomial]:
@@ -364,7 +361,7 @@ def cmd_analyze(args) -> int:
         blocks = []
         failures = 0
         for poly_text, annotations in entries:
-            f = _parse_poly(poly_text, ring)
+            f = parse(poly_text, ring)
             report = analyze(f, args.max_level, args.degree_cap)
             mismatches = check_annotations(report, annotations)
             failures += bool(mismatches)
@@ -388,7 +385,7 @@ def cmd_analyze(args) -> int:
             "\n".join(blocks + [summary]),
         )
         return EXIT_FAIL if failures else EXIT_OK
-    f = _parse_poly(args.input, ring)
+    f = parse(args.input, ring)
     report = analyze(f, args.max_level, args.degree_cap)
     _emit(report.to_dict(), args.json, _render_report(report))
     return EXIT_OK
@@ -402,21 +399,19 @@ def cmd_counterexample(args) -> int:
 
 def cmd_invariants(args) -> int:
     ring = RingContext(args.vars)
-    f = _parse_poly(args.input, ring)
-    import warnings
-
+    germ = Germ(parse(args.input, ring))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mu = milnor_number(f, args.degree_cap)
-        tau = tjurina_number(f, args.degree_cap)
+        mu = milnor_number(germ, args.degree_cap)
+        tau = tjurina_number(germ, args.degree_cap)
         qh = None
         if mu != INFINITE:
             try:
-                qh = is_quasi_homogeneous(f, args.degree_cap)
+                qh = is_quasi_homogeneous(germ, args.degree_cap)
             except ValueError:
                 qh = None
     document = {
-        "input": str(f),
+        "input": str(germ.f),
         "ring": {"variables": list(args.vars), "order": GREVLEX.name},
         "invariants": {
             "mu": "infinite" if mu == INFINITE else int(mu),
@@ -437,9 +432,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_genus(args) -> int:
     ring = RingContext(args.vars)
-    f = _parse_poly(args.input, ring)
-    cls = classify(f, args.degree_cap)
-    result = compute_genus(f, cls, args.degree_cap)
+    germ = Germ(parse(args.input, ring))
+    cls = classify(germ, args.degree_cap)
+    result = compute_genus(germ, cls, args.degree_cap)
     if result is None:
         print(
             "no genus route applies: germ is neither ordinary nor recognizably "
@@ -448,7 +443,7 @@ def cmd_genus(args) -> int:
         )
         return EXIT_FAIL
     document = {
-        "input": str(f),
+        "input": str(germ.f),
         "ring": {"variables": list(args.vars), "order": GREVLEX.name},
         "class": cls.to_dict(),
         "genus": result.to_dict(),
@@ -481,7 +476,7 @@ def cmd_gb(args) -> int:
 
 def cmd_membership(args) -> int:
     ring = RingContext(args.vars)
-    target = _parse_poly(args.input, ring)
+    target = parse(args.input, ring)
     ideal = Ideal(ring, _parse_generators(args.ideal, ring))
     member = ideal.member(target)
     local = member or ideal.local_member(target)
@@ -501,7 +496,7 @@ def cmd_jk(args) -> int:
     if args.k < 0:
         print("--k must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    f = _parse_poly(args.input, ring)
+    f = parse(args.input, ring)
     if args.ideal is None:
         ideal = maximal_ideal(ring)
     else:
@@ -522,7 +517,7 @@ def cmd_descent(args) -> int:
     if args.k < 0:
         print("--k must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
-    f = _parse_poly(args.input, ring)
+    f = parse(args.input, ring)
     weights = find_weights(f)
     if weights is None:
         print(

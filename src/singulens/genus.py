@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .ideals import DEFAULT_DEGREE_CAP, INFINITE, Ideal, maximal_ideal_power, quotient_dimension
-from .invariants import WeightSystem, find_weights, jacobian_ideal, tjurina_number
+from .ideals import (
+    DEFAULT_DEGREE_CAP, INFINITE, Ideal, local_colength, maximal_ideal_power, quotient_dimension
+)
+from .invariants import Germ, WeightSystem, as_germ
 from .polyring import Polynomial, RingContext, exponent_box, integer_weights
 from .sections import euler_check
 
@@ -75,13 +77,7 @@ class SingularityClass:
         }
 
 
-def _lowest_component(f: Polynomial) -> tuple[int, Polynomial]:
-    parts = f.homogeneous_components()
-    d = min(parts)
-    return d, parts[d]
-
-
-def classify(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> SingularityClass:
+def classify(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> SingularityClass:
     """Detect the ordinary and weighted homogeneous descriptions of the germ.
 
     Requires an isolated singular point at the origin.  The ordinary test
@@ -89,18 +85,16 @@ def classify(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Singularity
     maximal ideal (a smooth projective tangent cone); the weighted test
     searches for exact positive weights.
     """
-    if f.is_zero() or f.constant_term:
-        raise ValueError("no singularity: polynomial does not vanish at the origin")
-    if any(f.partial_derivative(i).constant_term for i in range(f.ring.arity)):
-        raise ValueError("no singularity: origin is a smooth point")
-    if tjurina_number(f, degree_cap) == INFINITE:
+    germ = as_germ(f)
+    if reason := germ.no_singularity():
+        raise ValueError(reason)
+    if local_colength(germ.tjurina, degree_cap) == INFINITE:
         raise ValueError("non-isolated singularity")
-    d, cone = _lowest_component(f)
-    ordinary = jacobian_ideal(cone).is_m_primary()
-    weights = find_weights(f)
-    if weights is not None and not euler_check(f, weights):
+    ordinary = germ.cone.jacobian.is_m_primary()
+    weights = germ.weights
+    if weights is not None and not euler_check(germ.f, weights):
         raise AssertionError("weight search returned weights failing the Euler identity")
-    return SingularityClass(d if ordinary else None, weights)
+    return SingularityClass(germ.cone.f.total_degree() if ordinary else None, weights)
 
 
 def multiplier_span_generators(
@@ -163,16 +157,17 @@ class GenusResult:
         }
 
 
-def genus_ordinary(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> GenusResult:
+def genus_ordinary(f: Polynomial | Germ) -> GenusResult:
     """Reduced genus of an ordinary point via the single-blowup ideals."""
-    ring = f.ring
+    cone = as_germ(f).cone
+    ring = cone.f.ring
     n = ring.arity
-    d, cone = _lowest_component(f)
-    if not jacobian_ideal(cone).is_m_primary():
+    d = cone.f.total_degree()
+    if not cone.jacobian.is_m_primary():
         raise ValueError("tangent cone is not smooth; ordinary route does not apply")
     multiplier = maximal_ideal_power(ring, max(d - n, 0))
     adjoint = maximal_ideal_power(ring, max(d - n + 1, 0))
-    g = quotient_dimension(multiplier, adjoint, degree_cap)
+    g = quotient_dimension(multiplier, adjoint)
     if g != math.comb(d - 1, n - 1):
         raise AssertionError("quotient dimension disagrees with the closed form")
     notes = () if d == n + 1 else (ORDINARY_EXTRAPOLATION_NOTE,)
@@ -186,23 +181,20 @@ def genus_ordinary(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> Genus
     )
 
 
-def genus_weighted(
-    f: Polynomial,
-    weights: WeightSystem | None = None,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> GenusResult:
+def genus_weighted(f: Polynomial | Germ, weights: WeightSystem | None = None) -> GenusResult:
     """Reduced genus of a weighted homogeneous germ via rho thresholds."""
-    ring = f.ring
+    germ = as_germ(f)
+    ring = germ.f.ring
     if weights is None:
-        weights = find_weights(f)
+        weights = germ.weights
         if weights is None:
             raise ValueError("no weight system found; weighted route does not apply")
-    if not euler_check(f, weights):
+    if not euler_check(germ.f, weights):
         raise ValueError("weights do not satisfy the Euler identity for f")
     one = Fraction(1)
     multiplier = multiplier_span_generators(ring, weights, one, strict=False)
     adjoint = multiplier_span_generators(ring, weights, one, strict=True)
-    g = quotient_dimension(multiplier, adjoint, degree_cap)
+    g = quotient_dimension(multiplier, adjoint)
     lattice = _count_rho_equal_one(weights)
     if g != lattice:
         raise AssertionError("quotient dimension disagrees with the lattice count")
@@ -225,7 +217,7 @@ def _count_rho_equal_one(weights: WeightSystem) -> int:
 
 
 def compute_genus(
-    f: Polynomial,
+    f: Polynomial | Germ,
     cls: SingularityClass | None = None,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> GenusResult | None:
@@ -235,17 +227,14 @@ def compute_genus(
     applies.  When both apply, the results must agree in genus, log
     canonicity, and both ideals.
     """
+    germ = as_germ(f)
     if cls is None:
-        cls = classify(f, degree_cap)
-    ordinary = genus_ordinary(f, degree_cap) if cls.is_ordinary else None
-    weighted = genus_weighted(f, cls.weights, degree_cap) if cls.is_weighted else None
+        cls = classify(germ, degree_cap)
+    ordinary = genus_ordinary(germ) if cls.is_ordinary else None
+    weighted = genus_weighted(germ, cls.weights) if cls.is_weighted else None
     if ordinary is not None and weighted is not None:
-        same_ideals = (
-            ordinary.multiplier.contains_ideal(weighted.multiplier)
-            and weighted.multiplier.contains_ideal(ordinary.multiplier)
-            and ordinary.adjoint.contains_ideal(weighted.adjoint)
-            and weighted.adjoint.contains_ideal(ordinary.adjoint)
-        )
+        pairs = ((ordinary.multiplier, weighted.multiplier), (ordinary.adjoint, weighted.adjoint))
+        same_ideals = all(a == b or (a.contains_ideal(b) and b.contains_ideal(a)) for a, b in pairs)
         if (
             ordinary.g != weighted.g
             or ordinary.log_canonical != weighted.log_canonical

@@ -861,18 +861,20 @@ def _local_hull(ideal: Ideal, degree_cap: int) -> Ideal:
     raise DegreeCapExceeded(f"colength at the origin not stabilized by degree {degree_cap}")
 
 
-def quotient_dimension(big: Ideal, small: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
+def quotient_dimension(big: Ideal, small: Ideal) -> int:
     """dim_Q (big/small) for nested ideals small inside big, at the origin.
 
     Both colengths are taken at the origin; for a pair of m-primary ideals
     this is the plain colength difference.
     """
+    if big == small:
+        return 0
     if not big.contains_ideal(small):
         raise ValueError("quotient_dimension needs the second ideal inside the first")
     if small.contains_ideal(big):
         return 0
-    a = local_colength(big, degree_cap)
-    b = local_colength(small, degree_cap)
+    a = local_colength(big)
+    b = local_colength(small)
     if a == INFINITE or b == INFINITE:
         raise InfiniteColengthError("quotient of a pair with infinite colength")
     return b - a

@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -21,6 +22,7 @@ from .ideals import DEFAULT_DEGREE_CAP, INFINITE, Ideal, local_colength
 from .polyring import Exponent, Polynomial
 
 __all__ = [
+    "Germ",
     "QHVerdict",
     "SqhObstruction",
     "WeightSystem",
@@ -115,25 +117,60 @@ def jacobian_ideal(f: Polynomial) -> Ideal:
     return Ideal(f.ring, [f.partial_derivative(i) for i in range(f.ring.arity)])
 
 
-def _warn_nonvanishing(f: Polynomial) -> None:
-    if f.constant_term:
+class Germ:
+    """f at the origin, with its Jacobian and Tjurina ideals, each built once.
+
+    Their bases and hulls fill lazily and are shared by every stage handed
+    this germ; the weights and the tangent cone (a germ) come on first use.
+    """
+
+    def __init__(self, f: Polynomial):
+        self.f = f
+        self.jacobian = jacobian_ideal(f)
+        self.tjurina = Ideal(f.ring, (f, *self.jacobian.generators))
+
+    @cached_property
+    def weights(self) -> WeightSystem | None:
+        return find_weights(self.f)
+
+    @cached_property
+    def cone(self) -> Germ:
+        """The tangent cone: the lowest homogeneous part of f, of degree mult(f)."""
+        parts = self.f.homogeneous_components()
+        return self if len(parts) == 1 else Germ(parts[min(parts)])
+
+    def no_singularity(self) -> str | None:
+        """Why the origin is not a singular point of f = 0, or None when it is."""
+        if self.f.is_zero() or self.f.constant_term:
+            return "no singularity: polynomial does not vanish at the origin"
+        if any(g.constant_term for g in self.jacobian.generators):
+            return "no singularity: origin is a smooth point"
+        return None
+
+
+def as_germ(f: Polynomial | Germ) -> Germ:
+    """f itself when it is a germ, else a fresh germ of the polynomial f."""
+    return f if isinstance(f, Germ) else Germ(f)
+
+
+def _warned_germ(f: Polynomial | Germ) -> Germ:
+    germ = as_germ(f)
+    if germ.f.constant_term:
         warnings.warn("polynomial does not vanish at the origin", stacklevel=3)
+    return germ
 
 
-def milnor_number(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP):
+def milnor_number(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP):
     """Colength of the Jacobian ideal at the origin; INFINITE if non-isolated."""
-    _warn_nonvanishing(f)
-    return local_colength(jacobian_ideal(f), degree_cap)
+    return local_colength(_warned_germ(f).jacobian, degree_cap)
 
 
-def tjurina_number(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP):
+def tjurina_number(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP):
     """Colength of (f) + Jacobian ideal at the origin; INFINITE if non-isolated."""
-    _warn_nonvanishing(f)
-    gens = [f] + [f.partial_derivative(i) for i in range(f.ring.arity)]
-    return local_colength(Ideal(f.ring, gens), degree_cap)
+    return local_colength(_warned_germ(f).tjurina, degree_cap)
 
 
-def is_quasi_homogeneous(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> QHVerdict:
+def is_quasi_homogeneous(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> QHVerdict:
     """Decide whether f is quasi-homogeneous as a germ at the origin.
 
     The verdict is the local membership of f in its Jacobian ideal.  The
@@ -144,40 +181,37 @@ def is_quasi_homogeneous(f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) ->
     obstruction certificate is attached when the verdict is negative and
     such a decomposition applies.
     """
-    _warn_nonvanishing(f)
-    jac = jacobian_ideal(f)
-    if local_colength(jac, degree_cap) == INFINITE:
+    germ = _warned_germ(f)
+    if local_colength(germ.jacobian, degree_cap) == INFINITE:
         raise ValueError("non-isolated singularity")
-    verdict = jac.local_member(f)
-    witness = find_weights(f)
-    obstruction = None
-    if not verdict:
-        obstruction = _try_sqh_decomposition(f)
-    return QHVerdict(verdict, witness, obstruction)
+    verdict = germ.jacobian.local_member(germ.f)
+    obstruction = None if verdict else _try_sqh_decomposition(germ)
+    return QHVerdict(verdict, germ.weights, obstruction)
 
 
-def _try_sqh_decomposition(f: Polynomial) -> Polynomial | None:
-    parts = f.homogeneous_components()
+def _try_sqh_decomposition(germ: Germ) -> Polynomial | None:
+    parts = germ.f.homogeneous_components()
     if len(parts) != 2:
         return None
-    (d, g), (e, h) = sorted(parts.items())
-    if e != d + 1 or d < 3:
-        return None
     try:
-        cert = sqh_obstruction(g, h)
+        cert = sqh_obstruction(germ.cone, parts[max(parts)])
     except ValueError:
         return None
     return None if cert is None else cert.perturbation
 
 
-def sqh_obstruction(principal: Polynomial, perturbation: Polynomial) -> SqhObstruction | None:
+def sqh_obstruction(
+    principal: Polynomial | Germ, perturbation: Polynomial
+) -> SqhObstruction | None:
     """Certify that principal + perturbation is not quasi-homogeneous.
 
     Returns a certificate when the perturbation lies outside the Jacobian
     ideal of the principal part, None when it lies inside (no conclusion).
-    Hypothesis violations raise ValueError individually.
+    Hypothesis violations raise ValueError individually.  A germ of the
+    principal part lends its Jacobian ideal.
     """
-    g, h = principal, perturbation
+    cone = as_germ(principal)
+    g, h = cone.f, perturbation
     if g.is_zero() or not g.is_homogeneous():
         raise ValueError("principal part must be homogeneous and nonzero")
     d = g.total_degree()
@@ -185,10 +219,9 @@ def sqh_obstruction(principal: Polynomial, perturbation: Polynomial) -> SqhObstr
         raise ValueError("principal part must have degree at least 3")
     if h.is_zero() or not h.is_homogeneous() or h.total_degree() != d + 1:
         raise ValueError("perturbation must be homogeneous of degree one above the principal part")
-    jac = jacobian_ideal(g)
-    if not jac.is_m_primary():
+    if not cone.jacobian.is_m_primary():
         raise ValueError("principal part must have an isolated critical point")
-    if jac.member(h):
+    if cone.jacobian.member(h):
         return None
     return SqhObstruction(principal=g, perturbation=h, degree=d)
 

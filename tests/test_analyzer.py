@@ -24,8 +24,8 @@ from singulens.analyzer import (
 )
 from singulens.genus import classify, compute_genus
 from singulens.ideals import Ideal, maximal_ideal
-from singulens.invariants import WeightSystem
-from singulens.polyring import RingContext, parse
+from singulens.invariants import Germ, WeightSystem
+from singulens.polyring import GREVLEX, Polynomial, RingContext, parse
 from singulens.sections import jk_ideal
 
 QUARTER = WeightSystem((Fraction(1, 4),) * 3)
@@ -315,3 +315,82 @@ def test_ungraded_input_takes_the_general_path(ring, monkeypatch):
     assert not j1.local_member(f, QUARTER)
     assert asked and asked[0] == f
     assert not Ideal(ring, j1.generators).local_member(f)
+
+
+def _record_fills(monkeypatch):
+    """Wrap Ideal.groebner_basis; list (generators, order) at each ideal's first request."""
+    asked, fills = [], []
+    real = Ideal.groebner_basis
+
+    def recording(self, order=GREVLEX):
+        if not any(ideal is self and name == order.name for ideal, name in asked):
+            asked.append((self, order.name))
+            fills.append((self.generators, order.name))
+        return real(self, order)
+
+    monkeypatch.setattr(Ideal, "groebner_basis", recording)
+    return fills
+
+
+@pytest.mark.parametrize(
+    "text", ("x^6 + y^6 + z^6", COUNTEREXAMPLE_TEXT, "x^2 + y^2 + z^2", "x^3 + y^4 + z^2")
+)
+def test_analyze_fills_each_basis_once(ring, P, monkeypatch, text):
+    """One germ serves every stage: no basis and no hull is built twice."""
+    fills = _record_fills(monkeypatch)
+    searched = []
+    real_hull = ideals_module._local_hull
+
+    def recording_hull(ideal, degree_cap):
+        if "hull" not in ideal._cache:
+            searched.append(ideal.generators)
+        return real_hull(ideal, degree_cap)
+
+    monkeypatch.setattr(ideals_module, "_local_hull", recording_hull)
+    analyze(P(text))
+    assert fills and len(set(fills)) == len(fills)
+    assert len(set(searched)) == len(searched)
+
+
+def test_counterexample_certificates_share_nothing_with_analyze(ring, monkeypatch):
+    """Each certificate takes the bare polynomial and builds its own ideals."""
+    phase = ["analyze"]
+    filled: dict[str, list] = {}
+    real_basis = Ideal.groebner_basis
+    real_quotient = Ideal.quotient
+    quotients, arguments = [], []
+
+    def recording_basis(self, order=GREVLEX):
+        filled.setdefault(phase[0], []).append(self)
+        return real_basis(self, order)
+
+    def recording_quotient(self, p):
+        quotients.append(phase[0])
+        return real_quotient(self, p)
+
+    def tracked(build):
+        def run(f):
+            arguments.append(f)
+            phase[0] = build.__name__
+            try:
+                return build(f)
+            finally:
+                phase[0] = "suite"
+
+        return run
+
+    monkeypatch.setattr(Ideal, "groebner_basis", recording_basis)
+    monkeypatch.setattr(Ideal, "quotient", recording_quotient)
+    builders = tuple(tracked(b) for b in analyzer_module._CERTIFICATE_BUILDERS)
+    monkeypatch.setattr(analyzer_module, "_CERTIFICATE_BUILDERS", builders)
+    report = counterexample_suite(seed=1)
+    assert report.strict is True
+    assert len(arguments) == 7
+    assert all(type(f) is Polynomial and not isinstance(f, Germ) for f in arguments)
+    owners = {}
+    for name, ideals in filled.items():
+        for ideal in ideals:
+            owners.setdefault(id(ideal), set()).add(name)
+    assert all(len(names) == 1 for names in owners.values())
+    # C2's direct test runs before any hull of its Jacobian ideal exists
+    assert "_cert_not_quasi_homogeneous" in quotients

@@ -1,12 +1,16 @@
 """Milnor and Tjurina numbers, quasi-homogeneity, weight detection."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from singulens.analyzer import screen_isolated
 from singulens.cli import bundled_corpus_text, load_corpus
+from singulens.genus import classify, compute_genus, genus_ordinary, genus_weighted
 from singulens.ideals import INFINITE
 from singulens.invariants import (
+    Germ,
     WeightSystem,
     find_weights,
     is_quasi_homogeneous,
@@ -215,3 +219,46 @@ def test_tjurina_at_most_milnor(rng, ring):
         if mu == INFINITE:
             continue
         assert tau != INFINITE and tau <= mu
+
+
+STAGES = (
+    screen_isolated,
+    milnor_number,
+    tjurina_number,
+    is_quasi_homogeneous,
+    classify,
+    compute_genus,
+    genus_ordinary,
+    genus_weighted,
+)
+
+
+def _outcome(stage, f):
+    try:
+        return stage(f)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def _semi_quasi_homogeneous(rng, ring):
+    """x^a + y^b + z^c plus terms of weighted degree above 1: isolated at the origin."""
+    exps = [rng.randint(2, 5) for _ in range(3)]
+    f = _diagonal(ring, exps)
+    for _ in range(rng.randint(1, 3)):
+        u = tuple(rng.randint(0, e) for e in exps)
+        if sum(Fraction(a, e) for a, e in zip(u, exps)) > 1:
+            f = f + Polynomial.monomial(ring, u) * rng.choice((1, -1, 2, -3))
+    return f
+
+
+def test_stages_agree_on_a_germ_and_on_its_polynomial(rng, ring, P):
+    """A germ shared by every stage gives each stage's answer on the bare polynomial."""
+    polys = [parse(text, ring) for text, _ in load_corpus(bundled_corpus_text())]
+    polys += [P(t) for t in ("x*y + x^3", "x*y", "1 + x^2 + y^2 + z^2", "x + y^2 + z^2")]
+    polys += [_semi_quasi_homogeneous(rng, ring) for _ in range(12)]
+    for f in polys:
+        germ = Germ(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for stage in STAGES:
+                assert _outcome(stage, germ) == _outcome(stage, f), (str(f), stage.__name__)
