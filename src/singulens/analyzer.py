@@ -403,9 +403,9 @@ def _cert_perturbation_outside_principal_jacobian(f: Polynomial) -> Certificate:
 
 def _cert_not_quasi_homogeneous(f: Polynomial) -> Certificate:
     germ = Germ(f)
-    # Asked before is_quasi_homogeneous caches the hull of the Jacobian
-    # ideal, the direct test takes the other route, the ideal quotient.
-    direct = not germ.jacobian.local_member(f)
+    # The direct test takes the other route to local membership, the ideal
+    # quotient, so that it checks the echelon verdict of is_quasi_homogeneous.
+    direct = not germ.jacobian._quotient_member(f)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:

@@ -88,9 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=None,
                 help=(
-                    "largest exponent N of the pure powers x_i^N tried by "
-                    "the local colength search (default 40, minimum 10; env "
-                    f"{DEGREE_CAP_ENV} overrides the default)"
+                    "largest Nakayama exponent N (m^N inside the ideal at "
+                    "the origin) that the local echelon search tries "
+                    f"(default 40, minimum 10; env {DEGREE_CAP_ENV} "
+                    "overrides the default)"
                 ),
             )
         sp.add_argument("--json", action="store_true", help="emit a JSON document")

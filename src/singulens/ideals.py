@@ -27,25 +27,34 @@ basis, and returns the exact rational normal form r / (scale * den).  The
 normal form modulo a Groebner basis is unique, so it does not depend on
 which multiples of the basis elements reduce it.
 
-Questions about the local ring at the origin are answered without local
-orders.  When a pure power of every variable lies in the ideal, its zero
-locus is at most the origin and localizing changes nothing.  Otherwise
-colengths at the origin use a pure-power Nakayama rule.  With
-P_N = (x_1^N, ..., x_n^N), the hull of I is I + P_(N+1) for the first N
-at which every x_i^N lies in it.  P_(N+1) lies in m*P_N, so then P_N lies
-in I + m*P_N, hence in I locally (Nakayama's lemma), and the hull equals
-I + P_N.  That ideal is m-primary or the unit ideal, so it is contracted
-from its localization, which is the localization of I: the hull holds
-exactly the polynomials that lie in I locally (Greuel and Pfister, A
-Singular Introduction to Commutative Algebra, sections 1.4 and 1.5).  Its
-colength is the local colength of I.  It is cached on I, and later local
-membership questions are plain membership in the hull.  The first such N
-is at most the first N with m^N inside I + m^(N+1), because I + P_(N+1)
-is then contracted from the localization of I and so contains m^N.
-Without a cached hull, a local unit among the generators or in the
-target decides local membership at once; otherwise it falls back to the
-ideal quotient: p lies in I locally exactly when (I : p) contains an
-element with nonzero constant term.  Graded inputs take a shortcut: when
+Questions about the local ring O_0 at the origin are answered without
+local orders or Groebner bases, by one echelon form of Macaulay rows
+(Greuel and Pfister, A Singular Introduction to Commutative Algebra,
+sections 1.4 and 1.5; Dayton and Zeng, Computing the multiplicity
+structure in solving polynomial systems, ISSAC 2005).  Modulo m^(T+1) a
+local unit is invertible, so V_T = (I + m^(T+1))/m^(T+1) is the image of
+I*O_0, and it is spanned by the products m*g truncated above degree T.
+These rows are keyed (deg,) + e, so that ``_pivot_reduce`` pivots each on
+its lowest-degree monomial, and they are eliminated degree by degree:
+stage d reduces the rows of order d, which are the generators of order d,
+x_i times each row that took a pivot of degree d - 1, and the rows whose
+terms of lower degree all cancelled.  These rows suffice: a product
+x_i*m*g is x_i times a row of lower order, which the rows reduced before
+it span, and x_i times each of those is reduced at a later stage or
+spanned by the pivot rows it reduced against.  The degree-d pivots are
+then the leading monomials of the degree-d part of I*O_0 for the
+lowest-degree order, the same for every T >= d.  The search stops at the
+least N at which every monomial of degree N is a pivot: then m^N lies in
+I*O_0 + m^(N+1), hence in I*O_0 (Nakayama's lemma), and N is the least
+exponent with m^N inside I*O_0.  The local colength is the number of
+non-pivot monomials of degree below N, and p lies in I*O_0 exactly when
+its terms of degree below N reduce to zero against the pivots.  Both are
+read off the echelon form below degree N, which is cached on I with N.
+The search is bounded by a degree cap: on an ideal whose zero locus is
+not isolated at the origin no N qualifies, ``local_colength`` raises
+``DegreeCapExceeded``, and ``Ideal.local_member`` falls back to the ideal
+quotient: p lies in I locally exactly when (I : p) contains an element
+with nonzero constant term.  Graded inputs take a shortcut: when
 positive weights make every generator of I and the target p weighted
 homogeneous, local membership is global membership (from
 u*p = sum a_i g_i with u(0) != 0, the components of weighted degree
@@ -110,12 +119,12 @@ class InfiniteColengthError(ValueError):
 
 
 class DegreeCapExceeded(RuntimeError):
-    """Raised when no pure-power exponent N up to the cap yields a hull.
+    """Raised when no Nakayama exponent N up to the degree cap exists.
 
-    The local colength search tries N = 1, 2, ... up to the degree cap and
-    stops at the first N with every x_i^N inside I + (x_1^(N+1), ...,
-    x_n^(N+1)) (see the module docstring).  On an ideal whose zero locus
-    is not isolated at the origin no N qualifies.
+    The local echelon search eliminates the Macaulay rows degree by degree
+    up to the cap and stops at the least N with m^N inside I + m^(N+1),
+    hence inside I at the origin (see the module docstring).  On an ideal
+    whose zero locus is not isolated at the origin no N qualifies.
     """
 
 
@@ -170,8 +179,9 @@ def _ff_reduce(p: _IntPoly, reds: list, key) -> tuple[_IntPoly, Fraction]:
     """Full normal form of p against reducer records, fraction-free.
 
     The one polynomial reducer: Buchberger, basis reduction and
-    ``Ideal.normal_form`` all call it.  The rows of a graded membership
-    test, all of one weighted degree, are eliminated by ``_pivot_reduce``.
+    ``Ideal.normal_form`` all call it.  The Macaulay rows of a graded
+    membership test and of the local echelon are eliminated by
+    ``_pivot_reduce``.
     ``reds`` holds tuples (deg, lmkey, lm, lc, tail) sorted ascending, so
     the scan can stop once reducer head degrees exceed the current monomial
     degree.  The state is rescaled by integers along the way and its
@@ -262,11 +272,13 @@ def _weighted_degree(p: _IntPoly, weights: tuple[int, ...]) -> int | None:
     return degs.pop() if len(degs) == 1 else None
 
 
-def _pivot_reduce(work: _IntPoly, pivots: dict) -> tuple | None:
-    """Eliminate the pivots of an echelon form from a row of one weighted degree.
+def _pivot_reduce(work: dict, pivots: dict) -> tuple | None:
+    """Eliminate the pivots of an echelon form from a row.
 
-    ``pivots`` maps each kept row's pivot, its least monomial in lex order,
-    to (coefficient, tail).  ``work`` is consumed in ascending lex order,
+    The rows are dicts from monomial keys to integers: exponents for the
+    rows of one weighted degree, (deg,) + exponent for the local echelon.
+    ``pivots`` maps each kept row's pivot, its least key, to (coefficient,
+    tail).  ``work`` is consumed in ascending key order,
     each pivot monomial met is cancelled fraction-free as in ``_ff_reduce``,
     and content is stripped along the way.  Returns None when the row
     reduces to zero, else (pivot, coefficient, tail) for its first monomial
@@ -634,17 +646,15 @@ class Ideal:
         u*p = sum a_i g_i, u(0) != 0), and global membership is decided by
         one linear system in degree wdeg(p), without a Groebner basis.
 
-        Otherwise global membership is checked first.  If the ideal
-        contains a pure power of every variable, localizing at the origin
-        is lossless and the global answer stands.  If ``local_colength``
-        has cached the hull of I (see the module docstring), membership in
-        the hull is the answer.  No hull is computed here: on an ideal that
-        is not isolated at the origin its search only ends at the degree
-        cap.  A generator with nonzero constant term is a local unit, so I
-        is the whole local ring; otherwise I lies in the maximal ideal and a
-        target with nonzero constant term, itself a local unit, lies
-        outside.  Only when neither applies is (I : p) inspected for an
-        element with nonzero constant term, which is a local unit.
+        Otherwise a generator with nonzero constant term is a local unit,
+        so I is the whole local ring; else I lies in the maximal ideal and
+        a target with nonzero constant term, itself a local unit, lies
+        outside.  Then the local echelon form of I (see the module
+        docstring), searched up to the default degree cap and cached on
+        I, decides: p lies in I locally exactly when its terms of degree
+        below the Nakayama exponent N reduce to zero against the pivots.
+        Only when no N up to the cap exists does ``_quotient_member``
+        decide.
         """
         if p.is_zero():
             return True
@@ -652,19 +662,28 @@ class Ideal:
             verdict = self._graded_member(p, weights)
             if verdict is not None:
                 return verdict
-        if self.member(p):
-            return True
-        if self._contains_pure_powers():
-            return False
-        hull = self._cache.get("hull")
-        if hull is not None:
-            return hull[1].member(p)
         if any(g.constant_term for g in self.generators):
             return True
         if p.constant_term:
             return False
-        quo = self.quotient(p)
-        return any(g.constant_term != 0 for g in quo.groebner_basis())
+        try:
+            n, pivots = _local_echelon(self, DEFAULT_DEGREE_CAP)
+        except DegreeCapExceeded:
+            return self._quotient_member(p)
+        row = {(sum(e),) + e: c for e, c in _int_poly(p).items() if sum(e) < n}
+        return _pivot_reduce(row, pivots) is None
+
+    def _quotient_member(self, p: Polynomial) -> bool:
+        """Local membership of a nonzero p through the ideal quotient.
+
+        p lies in I locally exactly when u*p lies in I for some u with
+        u(0) != 0, that is, when p lies in I or (I : p) contains an
+        element with nonzero constant term.  Needs no degree cap, but the
+        elimination behind ``quotient`` can be slow.
+        """
+        if self.member(p):
+            return True
+        return any(g.constant_term != 0 for g in self.quotient(p).groebner_basis())
 
     def _graded_member(self, p: Polynomial, weights: Iterable) -> bool | None:
         """Membership of p by one linear system in degree wdeg(p); None when not graded.
@@ -741,8 +760,11 @@ class Ideal:
         of the leading monomials.  The box is swept in lex order, so e - e_i
         comes before e, and e is non-standard (a multiple of a leading
         monomial) exactly when e is a leading monomial or some e - e_i with
-        e_i > 0 is non-standard.
+        e_i > 0 is non-standard.  The count is cached on the ideal.
         """
+        count = self._cache.get("colength")
+        if count is not None:
+            return count
         degs = self._pure_power_degrees()
         if degs is None:
             raise InfiniteColengthError("infinite colength")
@@ -759,6 +781,7 @@ class Ideal:
                 nonstandard.add(e)
             else:
                 count += 1
+        self._cache["colength"] = count
         return count
 
     def _contains_pure_powers(self) -> bool:
@@ -827,11 +850,14 @@ def local_colength(ideal: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP):
     """dim_Q of the localized quotient at the origin.
 
     Returns an int, or INFINITE when the quotient is provably infinite
-    dimensional (certified here for homogeneous ideals).  Other ideals
-    without a pure power of every variable are measured by their hull
-    I + (x_1^N, ..., x_n^N) of the module docstring, searched for
-    N = 1, 2, ... up to ``degree_cap`` and cached on the ideal; when no N
-    up to the cap qualifies, DegreeCapExceeded is raised.
+    dimensional (certified here for homogeneous ideals).  The unit ideal,
+    an ideal holding a pure power of every variable (whose global
+    colength is the local one) and a homogeneous ideal are decided first.
+    Other ideals are measured by their local echelon form of the module
+    docstring: the colength is the number of monomials of degree below
+    the Nakayama exponent N that are not pivots.  ``degree_cap`` bounds
+    N, the least exponent with m^N inside I at the origin; when no N up to
+    the cap exists, DegreeCapExceeded is raised.
     """
     if not ideal.generators:
         return INFINITE
@@ -843,22 +869,74 @@ def local_colength(ideal: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP):
         # A homogeneous ideal has a conical zero locus: finite at the
         # origin exactly when finite overall, and that case was handled.
         return INFINITE
-    return _local_hull(ideal, degree_cap).colength()
+    n, pivots = _local_echelon(ideal, degree_cap)
+    arity = ideal.ring.arity
+    return math.comb(n - 1 + arity, arity) - len(pivots)
 
 
-def _local_hull(ideal: Ideal, degree_cap: int) -> Ideal:
-    """The hull I + P_(N+1) = I + P_N, with the first N up to the cap."""
-    cached = ideal._cache.get("hull")
-    if cached is not None and cached[0] <= degree_cap:
-        return cached[1]
-    ring = ideal.ring
-    base = list(ideal.groebner_basis())
-    for n in range(1, degree_cap + 1):
-        hull = Ideal(ring, base + [_pure_power(ring, i, n + 1) for i in range(ring.arity)])
-        if all(hull.member(_pure_power(ring, i, n)) for i in range(ring.arity)):
-            ideal._cache["hull"] = (n, hull)
-            return hull
-    raise DegreeCapExceeded(f"colength at the origin not stabilized by degree {degree_cap}")
+def _local_echelon(ideal: Ideal, degree_cap: int) -> tuple[int, dict]:
+    """(N, pivots) of ``_nakayama_echelon``, cached on the ideal.
+
+    N is the least exponent with m^N inside I at the origin, so a cached N
+    above ``degree_cap`` refuses the call as a failed search does.
+    """
+    cached = ideal._cache.get("echelon")
+    if cached is None:
+        cached = _nakayama_echelon(ideal._int_generators(), ideal.ring.arity, degree_cap)
+        if cached is not None:
+            ideal._cache["echelon"] = cached
+    if cached is None or cached[0] > degree_cap:
+        raise DegreeCapExceeded(f"colength at the origin not stabilized by degree {degree_cap}")
+    return cached
+
+
+def _nakayama_echelon(gens: list[_IntPoly], arity: int, cap: int) -> tuple[int, dict] | None:
+    """The least N <= cap with m^N inside (gens) + m^(N+1), and the echelon form below N.
+
+    The rows, truncated above degree ``cap``, are eliminated degree by
+    degree as in the module docstring.  The returned pivots are the pivot
+    rows of degree below N, with their tails cut below N: they span
+    ((gens) + m^N)/m^N.  None when no N up to the cap exists.
+    """
+    pending: dict[int, list[dict]] = {}
+    for g in gens:
+        row = {(sum(e),) + e: c for e, c in g.items() if sum(e) <= cap}
+        if row:
+            pending.setdefault(min(row)[0], []).append(row)
+    # x_i as a shift of keys: one degree more, one more in exponent i
+    steps = [(1,) + tuple(int(i == j) for j in range(arity)) for i in range(arity)]
+    pivots: dict[tuple, tuple[int, list]] = {}
+    fresh: list[tuple] = []
+    for d in range(cap + 1):
+        rows = pending.pop(d, [])
+        for key, c, tail in fresh:
+            for s in steps:
+                row = {tuple(map(add, key, s)): c}
+                for t, v in tail:
+                    if t[0] < cap:
+                        row[tuple(map(add, t, s))] = v
+                rows.append(row)
+        fresh = []
+        for row in rows:
+            head = _pivot_reduce(row, pivots)
+            if head is None:
+                continue
+            key, c, tail = head
+            if key[0] == d:
+                pivots[key] = (c, tail)
+                fresh.append(head)
+            else:  # its terms of degree d cancelled: reduce it at its order
+                row = dict(tail)
+                row[key] = c
+                pending.setdefault(key[0], []).append(row)
+        if len(fresh) == math.comb(d + arity - 1, arity - 1):
+            low = {
+                key: (c, [(t, v) for t, v in tail if t[0] < d])
+                for key, (c, tail) in pivots.items()
+                if key[0] < d
+            }
+            return d, low
+    return None
 
 
 def quotient_dimension(big: Ideal, small: Ideal) -> int:

@@ -120,8 +120,9 @@ def jacobian_ideal(f: Polynomial) -> Ideal:
 class Germ:
     """f at the origin, with its Jacobian and Tjurina ideals, each built once.
 
-    Their bases and hulls fill lazily and are shared by every stage handed
-    this germ; the weights and the tangent cone (a germ) come on first use.
+    Their bases and local echelon forms fill lazily and are shared by every
+    stage handed this germ; the weights and the tangent cone (a germ) come
+    on first use.
     """
 
     def __init__(self, f: Polynomial):
@@ -175,16 +176,17 @@ def is_quasi_homogeneous(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_
 
     The verdict is the local membership of f in its Jacobian ideal.  The
     Milnor number is taken on the same ideal first; when it needs the
-    local hull, the hull stays cached there and answers the membership
-    without an ideal quotient.  A weight witness is attached when one
-    exists in the given coordinates, and a homogeneous two-piece
-    obstruction certificate is attached when the verdict is negative and
-    such a decomposition applies.
+    local echelon form, the form stays cached there and answers the
+    membership.  A weighted homogeneous f has weighted homogeneous
+    partials, so its membership is one graded linear system instead.  A
+    weight witness is attached when one exists in the given coordinates,
+    and a homogeneous two-piece obstruction certificate is attached when
+    the verdict is negative and such a decomposition applies.
     """
     germ = _warned_germ(f)
     if local_colength(germ.jacobian, degree_cap) == INFINITE:
         raise ValueError("non-isolated singularity")
-    verdict = germ.jacobian.local_member(germ.f)
+    verdict = germ.jacobian.local_member(germ.f, germ.weights)
     obstruction = None if verdict else _try_sqh_decomposition(germ)
     return QHVerdict(verdict, germ.weights, obstruction)
 

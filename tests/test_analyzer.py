@@ -313,8 +313,11 @@ def test_ungraded_input_takes_the_general_path(ring, monkeypatch):
 
     monkeypatch.setattr(Ideal, "member", recording_member)
     assert not j1.local_member(f, QUARTER)
-    assert asked and asked[0] == f
+    # the ungraded level test is decided by the local echelon form alone
+    assert "echelon" in j1._cache
+    assert asked == []
     assert not Ideal(ring, j1.generators).local_member(f)
+    assert asked == []
 
 
 def _record_fills(monkeypatch):
@@ -336,17 +339,17 @@ def _record_fills(monkeypatch):
     "text", ("x^6 + y^6 + z^6", COUNTEREXAMPLE_TEXT, "x^2 + y^2 + z^2", "x^3 + y^4 + z^2")
 )
 def test_analyze_fills_each_basis_once(ring, P, monkeypatch, text):
-    """One germ serves every stage: no basis and no hull is built twice."""
+    """One germ serves every stage: no basis and no local echelon is built twice."""
     fills = _record_fills(monkeypatch)
     searched = []
-    real_hull = ideals_module._local_hull
+    real_echelon = ideals_module._local_echelon
 
-    def recording_hull(ideal, degree_cap):
-        if "hull" not in ideal._cache:
+    def recording_echelon(ideal, degree_cap):
+        if "echelon" not in ideal._cache:
             searched.append(ideal.generators)
-        return real_hull(ideal, degree_cap)
+        return real_echelon(ideal, degree_cap)
 
-    monkeypatch.setattr(ideals_module, "_local_hull", recording_hull)
+    monkeypatch.setattr(ideals_module, "_local_echelon", recording_echelon)
     analyze(P(text))
     assert fills and len(set(fills)) == len(fills)
     assert len(set(searched)) == len(searched)
@@ -392,5 +395,5 @@ def test_counterexample_certificates_share_nothing_with_analyze(ring, monkeypatc
         for ideal in ideals:
             owners.setdefault(id(ideal), set()).add(name)
     assert all(len(names) == 1 for names in owners.values())
-    # C2's direct test runs before any hull of its Jacobian ideal exists
+    # C2's direct test names the quotient route
     assert "_cert_not_quasi_homogeneous" in quotients

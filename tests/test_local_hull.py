@@ -1,13 +1,15 @@
-"""The pure-power hull of the local layer against independent oracles.
+"""The local echelon form of the local layer against independent oracles.
 
 ``local_colength`` measures an ideal without pure powers of the variables
-by its hull I + (x_1^N, ..., x_n^N), and ``Ideal.local_member`` reads a
-cached hull instead of an ideal quotient.  These tests hold both to
-oracles that do not use the hull: the Milnor-Orlik formula, Saito's
-criterion, the m-power Nakayama loop that the hull replaced, and the
-quotient path of ``local_member``.
+by its local echelon form, the Macaulay rows eliminated degree by degree
+up to the Nakayama exponent N, and ``Ideal.local_member`` reduces its
+target against the same form instead of running an ideal quotient.  These
+tests hold both to oracles that do not use it: the Milnor-Orlik formula,
+Saito's criterion, the m-power Nakayama loop on Groebner bases, global
+Buchberger colengths, and the quotient route of local membership.
 """
 
+import math
 import time
 from fractions import Fraction
 from itertools import product
@@ -15,10 +17,14 @@ from math import prod
 
 import pytest
 
+import singulens.ideals as ideals_module
+from singulens.analyzer import counterexample_polynomial
 from singulens.ideals import (
+    DEFAULT_DEGREE_CAP,
     DegreeCapExceeded,
     Ideal,
     local_colength,
+    maximal_ideal,
     maximal_ideal_power,
 )
 from singulens.invariants import (
@@ -28,6 +34,7 @@ from singulens.invariants import (
     tjurina_number,
 )
 from singulens.polyring import Polynomial, parse
+from singulens.sections import jk_ideal
 
 from conftest import random_polynomial
 
@@ -83,33 +90,71 @@ def test_sqh_germs_against_milnor_orlik_and_saito(rng, ring):
         assert is_quasi_homogeneous(f).quasi_homogeneous == (tau == mu), f
 
 
-def test_hull_colength_matches_m_power_loop(rng, ring):
-    """On non-homogeneous isolated ideals both Nakayama rules agree."""
-    hulls = 0
+def test_echelon_colength_matches_m_power_loop(rng, ring):
+    """On non-homogeneous isolated ideals the echelon and the m-power loop agree."""
+    echelons = 0
     for _ in range(8):
         _, f = _sqh_germ(rng, ring)
         jac = jacobian_ideal(f)
         for gens in (jac.generators, (f,) + jac.generators):
             ideal = Ideal(ring, gens)
             assert local_colength(ideal) == _m_power_colength(Ideal(ring, gens)), f
-            hulls += "hull" in ideal._cache
-    assert hulls  # the hull path ran, not only the pure-power shortcut
+            echelons += "echelon" in ideal._cache
+    assert echelons  # the echelon ran, not only the pure-power shortcut
 
 
-def test_hull_exponent_is_bounded_by_the_cap(ring, P):
-    """A cached hull found at N does not answer a call with a cap below N."""
+def test_echelon_exponent_is_bounded_by_the_cap(ring, P, monkeypatch):
+    """An echelon cached at N answers the cap N and refuses N - 1, searching no more."""
     jac = jacobian_ideal(P("x^4 + y^4 + z^4 + x*y^2*z^2"))
     assert local_colength(jac) == 27
-    n, _ = jac._cache["hull"]
+    n, _ = jac._cache["echelon"]
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a cached echelon was searched again")
+
+    monkeypatch.setattr(ideals_module, "_nakayama_echelon", no_search)
     assert local_colength(jac, degree_cap=n) == 27
     with pytest.raises(DegreeCapExceeded):
         local_colength(jac, degree_cap=n - 1)
 
 
+def _witness_levels(ring):
+    f = counterexample_polynomial(ring)
+    return f, [jk_ideal(f, maximal_ideal(ring), k) for k in (1, 2, 3)]
+
+
+def test_echelon_of_witness_levels_matches_buchberger(ring):
+    """J_1..J_3 of the witness: N = 6, 10, 14 and the global colengths.
+
+    Each J_k contains m^(4k+2), so its local colength is the global one.
+    """
+    _, levels = _witness_levels(ring)
+    found = []
+    for jk in levels:
+        n, pivots = ideals_module._local_echelon(jk, DEFAULT_DEGREE_CAP)
+        found.append(n)
+        colength = math.comb(n - 1 + ring.arity, ring.arity) - len(pivots)
+        assert colength == Ideal(ring, jk.generators).colength()
+    assert found == [6, 10, 14]
+
+
+def test_witness_level_tests_run_no_buchberger(ring, monkeypatch):
+    """f^k in J_k locally, for k = 1..3, is decided by the echelon alone."""
+    f, levels = _witness_levels(ring)
+    expected = [Ideal(ring, jk.generators).member(f**k) for k, jk in enumerate(levels, 1)]
+
+    def no_buchberger(*args, **kwargs):
+        raise AssertionError("an ungraded level test ran Buchberger")
+
+    monkeypatch.setattr(ideals_module, "_buchberger", no_buchberger)
+    got = [jk.local_member(f**k) for k, jk in enumerate(levels, 1)]
+    assert got == expected == [False, False, False]
+
+
 # Germs whose Jacobian ideals lack pure powers of the variables and on
-# which the quotient path stays fast: on "x^4 + y^4 + x^2*y^3" and
+# which the quotient route stays fast: on "x^4 + y^4 + x^2*y^3" and
 # "x^3 + y^3 + z^3 + x*y*z^2" some quotients by such targets run > 1 s.
-HULL_GERMS = [
+LOCAL_GERMS = [
     "x^3 + y^4 + x^2*y^2",
     "x^3 + y^5 + x*y^4",
     "x^2 + y^3 + z^4 + y^2*z^2",
@@ -121,23 +166,23 @@ def _no_quotient(self, p):
     raise AssertionError("local membership ran an ideal quotient")
 
 
-def test_hull_membership_matches_quotient_membership(rng, ring, ring2, monkeypatch):
-    """A cached hull answers local membership exactly as (I : p) does."""
+def test_echelon_membership_matches_quotient_membership(rng, ring, ring2, monkeypatch):
+    """A cached echelon answers local membership exactly as (I : p) does."""
     answers = []
-    for text in HULL_GERMS:
+    for text in LOCAL_GERMS:
         r = ring if "z" in text else ring2
         f = parse(text, r)
         jac = jacobian_ideal(f)
         local_colength(jac)
-        assert "hull" in jac._cache, text
+        assert "echelon" in jac._cache, text
         # Targets vanish at the origin: by a local unit such as
-        # 8 + 9*x^2 - 6*x^3 the quotient path ran 100 s on one germ.
+        # 8 + 9*x^2 - 6*x^3 the quotient route ran 100 s on one germ.
         targets = [f]
         for _ in range(8):
             p = random_polynomial(rng, r, max_terms=3, max_degree=rng.choice([2, 3, 4]))
             targets.append(p - Polynomial.constant(r, p.constant_term))
         targets += [Polynomial.monomial(r, (k,) + (0,) * (r.arity - 1)) for k in (2, 6)]
-        expected = [Ideal(r, jac.generators).local_member(p) for p in targets]
+        expected = [_quotient_local_member(Ideal(r, jac.generators), p) for p in targets]
         with monkeypatch.context() as m:
             m.setattr(Ideal, "quotient", _no_quotient)
             got = [jac.local_member(p) for p in targets]
@@ -157,16 +202,22 @@ def test_saito_test_reads_the_hull(ring, P, monkeypatch):
     assert verdict.obstruction == P("x*y^2*z^2")
 
 
-def test_local_member_does_not_build_a_hull(ring, P, monkeypatch):
-    """Without a cached hull, local membership takes the quotient path."""
-    f = P("x^4 + y^4 + z^4 + x*y^2*z^2")
-    jac = jacobian_ideal(f)
+def test_ideal_without_nakayama_exponent_takes_the_quotient_route(ring, P, monkeypatch):
+    """With no N up to the cap, local membership is decided through (I : p).
+
+    The Jacobian ideal (y + 3*x^2, x) of x*y + x^3 vanishes along the
+    z-axis, so no power of m lies in it at the origin.
+    """
+    jac = jacobian_ideal(P("x*y + x^3"))
     calls = []
     real = Ideal.quotient
     monkeypatch.setattr(Ideal, "quotient", lambda self, p: calls.append(p) or real(self, p))
-    assert not jac.local_member(f)
-    assert calls == [f]
-    assert "hull" not in jac._cache
+    assert not jac.local_member(P("z"))
+    assert calls == [P("z")]
+    assert jac.local_member(P("x*z + y^2"))  # global member, no quotient
+    assert not jac.local_member(P("z^2 + x*z"))
+    assert calls == [P("z"), P("z^2 + x*z")]
+    assert "echelon" not in jac._cache
 
 
 @pytest.mark.parametrize("text", ["x*y + x^3", "x^2*y^2 + z^3 + x^5"])
