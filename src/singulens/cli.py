@@ -89,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help=(
                     "largest Nakayama exponent N (m^N inside the ideal at "
-                    "the origin) that the local echelon search tries "
+                    "the origin) that the local echelon search tries on an "
+                    "ideal that is not weighted homogeneous; a weighted "
+                    "homogeneous one is measured globally, with no cap "
                     f"(default 40, minimum 10; env {DEGREE_CAP_ENV} "
                     "overrides the default)"
                 ),

@@ -88,7 +88,7 @@ def classify(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> Sing
     germ = as_germ(f)
     if reason := germ.no_singularity():
         raise ValueError(reason)
-    if local_colength(germ.tjurina, degree_cap) == INFINITE:
+    if local_colength(germ.tjurina, degree_cap, germ.weights) == INFINITE:
         raise ValueError("non-isolated singularity")
     ordinary = germ.cone.jacobian.is_m_primary()
     weights = germ.weights

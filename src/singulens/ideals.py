@@ -54,7 +54,17 @@ The search is bounded by a degree cap: on an ideal whose zero locus is
 not isolated at the origin no N qualifies, ``local_colength`` raises
 ``DegreeCapExceeded``, and ``Ideal.local_member`` falls back to the ideal
 quotient: p lies in I locally exactly when (I : p) contains an element
-with nonzero constant term.  Graded inputs take a shortcut: when
+with nonzero constant term.
+
+``local_colength`` has two routes.  An ideal checked to be weighted
+homogeneous for positive weights (all ones by default) is measured
+globally: t*x = (t^w_i x_i) keeps its zero locus, so each point of it lies
+on a C*-orbit whose closure holds the origin, the origin is isolated
+exactly when the global quotient is finite, and then the global colength
+is the local one.  Every other ideal takes the echelon, and only there
+does the degree cap bound N.
+
+Graded inputs also take a shortcut to local membership: when
 positive weights make every generator of I and the target p weighted
 homogeneous, local membership is global membership (from
 u*p = sum a_i g_i with u(0) != 0, the components of weighted degree
@@ -125,6 +135,7 @@ class DegreeCapExceeded(RuntimeError):
     up to the cap and stops at the least N with m^N inside I + m^(N+1),
     hence inside I at the origin (see the module docstring).  On an ideal
     whose zero locus is not isolated at the origin no N qualifies.
+    ``local_colength`` decides a weighted homogeneous ideal without it.
     """
 
 
@@ -698,18 +709,17 @@ class Ideal:
         A row that keeps a monomial outside the dict becomes a new pivot.
         The rows come from the cached integer generators.
         """
-        ws = integer_weights(weights)[0]
-        if len(ws) != self.ring.arity:
-            raise ValueError("weight count does not match the ring")
+        graded = self._graded_degrees(weights)
+        if graded is None:
+            return None
+        ws, degs = graded
         target = _int_poly(p)
         top = _weighted_degree(target, ws)
-        gens = self._int_generators()
-        degs = [_weighted_degree(g, ws) for g in gens]
-        if top is None or None in degs:
+        if top is None:
             return None
         pivots: dict[Exponent, tuple[int, list]] = {}
         shifts: dict[int, list[Exponent]] = {}
-        for g, d in zip(gens, degs):
+        for g, d in zip(self._int_generators(), degs):
             if d not in shifts:
                 shifts[d] = list(_exponents_of_degree(ws, top - d))
             for m in shifts[d]:
@@ -718,6 +728,19 @@ class Ideal:
                 if head is not None:
                     pivots[head[0]] = head[1:]
         return _pivot_reduce(target, pivots) is None
+
+    def _graded_degrees(self, weights: Iterable) -> tuple[tuple[int, ...], list[int]] | None:
+        """The integer weights and the weighted degrees of the generators.
+
+        None when some generator is not weighted homogeneous for
+        ``weights``; nonpositive weights or a wrong weight count raise
+        ``ValueError``.
+        """
+        ws = integer_weights(weights)[0]
+        if len(ws) != self.ring.arity:
+            raise ValueError("weight count does not match the ring")
+        degs = [_weighted_degree(g, ws) for g in self._int_generators()]
+        return None if None in degs else (ws, degs)
 
     # -- finiteness and counting ----------------------------------------
 
@@ -784,43 +807,6 @@ class Ideal:
         self._cache["colength"] = count
         return count
 
-    def _contains_pure_powers(self) -> bool:
-        """True when a pure power of every variable lies in I.
-
-        Then the zero locus of I is at most the origin, and localizing at
-        the origin changes nothing.  Such powers put a pure power of every
-        variable among the leading monomials, so the quotient is finite
-        dimensional, and each variable is tested for nilpotency on it.
-        """
-        cached = self._cache.get("pure_powers_inside")
-        if cached is None:
-            degs = self._pure_power_degrees()
-            cached = False
-            if degs is not None:
-                d = self.colength()
-                cached = all(self._nilpotent(i, start, d) for i, start in enumerate(degs))
-            self._cache["pure_powers_inside"] = cached
-        return cached
-
-    def _nilpotent(self, i: int, start: int, d: int) -> bool:
-        """True when some x_i^k lies in I, for a quotient of dimension d.
-
-        The powers of x_i below ``start``, the least pure power of x_i
-        among the leading monomials, are standard monomials.  From there
-        on, the normal form of x_i^(k+1) is that of x_i * NF(x_i^k), so
-        each step reduces a polynomial of at most d terms.  x_i is
-        nilpotent on the quotient exactly when NF(x_i^d) = 0, so the walk
-        stops there and failure proves absence.
-        """
-        x = Polynomial.variable(self.ring, i)
-        r = _pure_power(self.ring, i, start)
-        for _ in range(start, d + 1):
-            r = self.normal_form(r)
-            if r.is_zero():
-                return True
-            r = r * x
-        return False
-
 
 def _dedup(gens: Iterable[Polynomial]) -> list[Polynomial]:
     seen = set()
@@ -837,38 +823,31 @@ def _lift(p: Polynomial, ext: RingContext) -> Polynomial:
     return Polynomial(ext, {(0,) + e: c for e, c in p.items()})
 
 
-def _pure_power(ring: RingContext, i: int, k: int) -> Polynomial:
-    """The monomial x_i^k."""
-    return Polynomial.monomial(ring, tuple(k if j == i else 0 for j in range(ring.arity)))
-
-
 # ---------------------------------------------------------------------------
 # colengths at the origin
 
 
-def local_colength(ideal: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP):
-    """dim_Q of the localized quotient at the origin.
+def local_colength(
+    ideal: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP, weights: Iterable | None = None
+):
+    """dim_Q of the localized quotient at the origin: an int, or INFINITE.
 
-    Returns an int, or INFINITE when the quotient is provably infinite
-    dimensional (certified here for homogeneous ideals).  The unit ideal,
-    an ideal holding a pure power of every variable (whose global
-    colength is the local one) and a homogeneous ideal are decided first.
-    Other ideals are measured by their local echelon form of the module
-    docstring: the colength is the number of monomials of degree below
-    the Nakayama exponent N that are not pivots.  ``degree_cap`` bounds
-    N, the least exponent with m^N inside I at the origin; when no N up to
-    the cap exists, DegreeCapExceeded is raised.
+    Two routes.  An ideal whose generators are checked to be weighted
+    homogeneous for ``weights`` (all ones when None; nonpositive weights or
+    a wrong count raise ``ValueError``) is measured globally: its global
+    colength when it is m-primary, else INFINITE.  Its zero locus is a
+    union of closures of C*-orbits through the origin, so the origin is
+    isolated in it exactly when the global quotient is finite.  Every other
+    ideal is measured by its local echelon form of the module docstring:
+    the colength is the number of monomials of degree below the Nakayama
+    exponent N that are not pivots.  ``degree_cap`` bounds N, the least
+    exponent with m^N inside I at the origin, on that route alone; when no
+    N up to the cap exists, DegreeCapExceeded is raised.
     """
-    if not ideal.generators:
-        return INFINITE
-    if ideal.is_unit():
-        return 0
-    if ideal._contains_pure_powers():
-        return ideal.colength()
-    if all(g.is_homogeneous() for g in ideal.generators):
-        # A homogeneous ideal has a conical zero locus: finite at the
-        # origin exactly when finite overall, and that case was handled.
-        return INFINITE
+    if weights is None:
+        weights = (1,) * ideal.ring.arity
+    if ideal._graded_degrees(weights) is not None:
+        return ideal.colength() if ideal.is_m_primary() else INFINITE
     n, pivots = _local_echelon(ideal, degree_cap)
     arity = ideal.ring.arity
     return math.comb(n - 1 + arity, arity) - len(pivots)

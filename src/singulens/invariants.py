@@ -163,12 +163,14 @@ def _warned_germ(f: Polynomial | Germ) -> Germ:
 
 def milnor_number(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP):
     """Colength of the Jacobian ideal at the origin; INFINITE if non-isolated."""
-    return local_colength(_warned_germ(f).jacobian, degree_cap)
+    germ = _warned_germ(f)
+    return local_colength(germ.jacobian, degree_cap, germ.weights)
 
 
 def tjurina_number(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP):
     """Colength of (f) + Jacobian ideal at the origin; INFINITE if non-isolated."""
-    return local_colength(_warned_germ(f).tjurina, degree_cap)
+    germ = _warned_germ(f)
+    return local_colength(germ.tjurina, degree_cap, germ.weights)
 
 
 def is_quasi_homogeneous(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> QHVerdict:
@@ -184,7 +186,7 @@ def is_quasi_homogeneous(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_
     the verdict is negative and such a decomposition applies.
     """
     germ = _warned_germ(f)
-    if local_colength(germ.jacobian, degree_cap) == INFINITE:
+    if local_colength(germ.jacobian, degree_cap, germ.weights) == INFINITE:
         raise ValueError("non-isolated singularity")
     verdict = germ.jacobian.local_member(germ.f, germ.weights)
     obstruction = None if verdict else _try_sqh_decomposition(germ)

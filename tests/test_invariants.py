@@ -200,7 +200,11 @@ def test_sqh_obstruction_hypothesis_errors(ring, P):
 
 
 def test_tjurina_at_most_milnor(rng, ring):
-    """The restricted quotient never has larger dimension."""
+    """The restricted quotient never has larger dimension.
+
+    A draw with weights is measured globally, with no cap, so only a draw
+    without weights may be refused.
+    """
     import warnings
 
     from singulens.ideals import DegreeCapExceeded
@@ -215,6 +219,7 @@ def test_tjurina_at_most_milnor(rng, ring):
                 mu = milnor_number(f, degree_cap=16)
                 tau = tjurina_number(f, degree_cap=16)
             except DegreeCapExceeded:
+                assert find_weights(f) is None, f
                 continue
         if mu == INFINITE:
             continue

@@ -1,12 +1,14 @@
 """The local echelon form of the local layer against independent oracles.
 
-``local_colength`` measures an ideal without pure powers of the variables
-by its local echelon form, the Macaulay rows eliminated degree by degree
-up to the Nakayama exponent N, and ``Ideal.local_member`` reduces its
-target against the same form instead of running an ideal quotient.  These
-tests hold both to oracles that do not use it: the Milnor-Orlik formula,
+``local_colength`` measures an ideal that is not weighted homogeneous by
+its local echelon form, the Macaulay rows eliminated degree by degree up
+to the Nakayama exponent N, and ``Ideal.local_member`` reduces its target
+against the same form instead of running an ideal quotient.  These tests
+hold both to oracles that do not use it: the Milnor-Orlik formula,
 Saito's criterion, the m-power Nakayama loop on Groebner bases, global
-Buchberger colengths, and the quotient route of local membership.
+Buchberger colengths, and the quotient route of local membership.  The
+graded route, global colengths of weighted homogeneous ideals, is held to
+the echelon and to Milnor-Orlik.
 """
 
 import math
@@ -21,6 +23,7 @@ import singulens.ideals as ideals_module
 from singulens.analyzer import counterexample_polynomial
 from singulens.ideals import (
     DEFAULT_DEGREE_CAP,
+    INFINITE,
     DegreeCapExceeded,
     Ideal,
     local_colength,
@@ -100,7 +103,7 @@ def test_echelon_colength_matches_m_power_loop(rng, ring):
             ideal = Ideal(ring, gens)
             assert local_colength(ideal) == _m_power_colength(Ideal(ring, gens)), f
             echelons += "echelon" in ideal._cache
-    assert echelons  # the echelon ran, not only the pure-power shortcut
+    assert echelons  # the echelon ran, not only the graded route
 
 
 def test_echelon_exponent_is_bounded_by_the_cap(ring, P, monkeypatch):
@@ -123,6 +126,12 @@ def _witness_levels(ring):
     return f, [jk_ideal(f, maximal_ideal(ring), k) for k in (1, 2, 3)]
 
 
+def _echelon_colength(ideal):
+    """(N, local colength) read off the local echelon form alone."""
+    n, pivots = ideals_module._local_echelon(ideal, DEFAULT_DEGREE_CAP)
+    return n, math.comb(n - 1 + ideal.ring.arity, ideal.ring.arity) - len(pivots)
+
+
 def test_echelon_of_witness_levels_matches_buchberger(ring):
     """J_1..J_3 of the witness: N = 6, 10, 14 and the global colengths.
 
@@ -131,11 +140,73 @@ def test_echelon_of_witness_levels_matches_buchberger(ring):
     _, levels = _witness_levels(ring)
     found = []
     for jk in levels:
-        n, pivots = ideals_module._local_echelon(jk, DEFAULT_DEGREE_CAP)
+        n, colength = _echelon_colength(jk)
         found.append(n)
-        colength = math.comb(n - 1 + ring.arity, ring.arity) - len(pivots)
         assert colength == Ideal(ring, jk.generators).colength()
     assert found == [6, 10, 14]
+
+
+def _graded_germ(rng, P):
+    """A Brieskorn-Pham germ x^a + y^b + z^c or a chain x^a*y + y^b + z^c.
+
+    Returns (f, weights), the weights giving every term weight 1.
+    """
+    a, b, c = (rng.randint(2, 5) for _ in range(3))
+    if rng.random() < 0.5:
+        return P(f"x^{a} + y^{b} + z^{c}"), (Fraction(1, a), Fraction(1, b), Fraction(1, c))
+    f = P(f"x^{a}*y + y^{b} + z^{c}")
+    return f, (Fraction(b - 1, a * b), Fraction(1, b), Fraction(1, c))
+
+
+def _no_echelon(*args, **kwargs):
+    raise AssertionError("a graded ideal ran the local echelon")
+
+
+def test_graded_route_matches_echelon_and_milnor_orlik(rng, ring, P, monkeypatch):
+    """Weighted homogeneous Jacobian ideals: graded route = echelon = Milnor-Orlik."""
+    for _ in range(10):
+        f, weights = _graded_germ(rng, P)
+        jac = jacobian_ideal(f)
+        with monkeypatch.context() as m:
+            m.setattr(ideals_module, "_nakayama_echelon", _no_echelon)
+            graded = local_colength(jac, weights=weights)
+        _, echelon = _echelon_colength(Ideal(ring, jac.generators))
+        assert graded == echelon == prod(1 / w - 1 for w in weights), f
+
+
+def _nonisolated_graded_germ(rng, P):
+    """A weighted homogeneous germ singular along a curve through the origin.
+
+    Either f is free of one variable (a Brieskorn-Pham or chain curve in
+    the other two), or f = (x^a + y^b)^2 + z^c, singular along
+    x^a + y^b = z = 0.
+    """
+    a, b, c = (rng.randint(2, 5) for _ in range(3))
+    if rng.random() < 0.5:
+        u, v = rng.sample("xyz", 2)
+        return P(rng.choice([f"{u}^{a} + {v}^{b}", f"{u}^{a}*{v} + {v}^{b}"]))
+    return P(f"(x^{a} + y^{b})^2 + z^{c}")
+
+
+def test_nonisolated_graded_germs_are_infinite_without_the_echelon(rng, P, monkeypatch):
+    """Seeded non-isolated weighted homogeneous germs: mu = tau = INFINITE, in ms."""
+    monkeypatch.setattr(ideals_module, "_nakayama_echelon", _no_echelon)
+    for _ in range(10):
+        f = _nonisolated_graded_germ(rng, P)
+        start = time.perf_counter()
+        assert milnor_number(f) == tjurina_number(f) == INFINITE, f
+        assert time.perf_counter() - start < 0.5, f
+
+
+def test_wrong_weights_fall_through_to_the_echelon(ring, P):
+    """The witness Jacobian is not graded for (1/4, 1/4, 1/4): the echelon gives 27."""
+    jac = jacobian_ideal(P("x^4 + y^4 + z^4 + x*y^2*z^2"))
+    assert local_colength(jac, weights=(Fraction(1, 4),) * 3) == 27
+    assert "echelon" in jac._cache
+    with pytest.raises(ValueError):
+        local_colength(jac, weights=(1, 1))
+    with pytest.raises(ValueError):
+        local_colength(jac, weights=(1, 0, 1))
 
 
 def test_witness_level_tests_run_no_buchberger(ring, monkeypatch):
@@ -220,12 +291,24 @@ def test_ideal_without_nakayama_exponent_takes_the_quotient_route(ring, P, monke
     assert "echelon" not in jac._cache
 
 
-@pytest.mark.parametrize("text", ["x*y + x^3", "x^2*y^2 + z^3 + x^5"])
-def test_nonisolated_refusal_is_fast(ring, P, text):
-    """A germ singular along a curve is refused at the default cap in ms."""
+@pytest.mark.parametrize("text", ["x*y + x^3", "x^2*y^2 + z^3 + x^5", "(x + y^2)^2 + z^3*x"])
+def test_nonisolated_graded_germ_is_decided_fast(ring, P, text):
+    """A weighted homogeneous germ singular along a curve has mu = tau = INFINITE in ms."""
+    start = time.perf_counter()
+    assert milnor_number(P(text)) == INFINITE
+    assert tjurina_number(P(text)) == INFINITE
+    assert time.perf_counter() - start < 2.0
+
+
+def test_nongraded_nonisolated_germ_is_refused_fast(ring, P):
+    """x*y + x^3 + x^2*y has no weights and is singular along the z-axis.
+
+    Its Jacobian ideal takes the echelon, which finds no Nakayama exponent
+    up to the default cap and refuses.
+    """
     start = time.perf_counter()
     with pytest.raises(DegreeCapExceeded):
-        milnor_number(P(text))
+        milnor_number(P("x*y + x^3 + x^2*y"))
     assert time.perf_counter() - start < 2.0
 
 
