@@ -20,6 +20,7 @@ from .polyring import (
 )
 from .ideals import (
     DegreeCapExceeded,
+    ExponentOverflow,
     INFINITE,
     Ideal,
     InfiniteColengthError,
@@ -81,6 +82,7 @@ __all__ = [
     "DescentStep",
     "DiffOp",
     "EqualityVerdict",
+    "ExponentOverflow",
     "GREVLEX",
     "GRLEX",
     "GenusResult",

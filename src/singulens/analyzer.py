@@ -177,7 +177,9 @@ def equality_certificate(
         weights = None
     for k in range(max_level + 1):
         jk = jk_ideal(f, multiplier, k)
-        if jk == multiplier:  # J_0: keep the bases the genus route filled
+        # J_0: keep the bases the genus route filled.  For k >= 1 the
+        # generators of J_k are left unbuilt: the level test reads integers.
+        if k == 0 and jk == multiplier:
             jk = multiplier
         ok = jk.local_member(f**k, weights)
         results.append((k, ok))

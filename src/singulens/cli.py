@@ -34,6 +34,7 @@ from .ideals import (
     DEFAULT_DEGREE_CAP,
     INFINITE,
     DegreeCapExceeded,
+    ExponentOverflow,
     Ideal,
     InfiniteColengthError,
     maximal_ideal,
@@ -583,7 +584,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegreeCapExceeded, InfiniteColengthError) as err:
+    except (DegreeCapExceeded, ExponentOverflow, InfiniteColengthError) as err:
         print(f"computation failed: {err}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, RuntimeError) as err:

@@ -22,9 +22,9 @@ from fractions import Fraction
 from operator import mul
 
 from .ideals import (
-    DEFAULT_DEGREE_CAP, INFINITE, Ideal, local_colength, maximal_ideal_power, quotient_dimension
+    DEFAULT_DEGREE_CAP, INFINITE, Ideal, maximal_ideal_power, quotient_dimension
 )
-from .invariants import Germ, WeightSystem, as_germ
+from .invariants import Germ, WeightSystem, _stage_colength, as_germ
 from .polyring import Polynomial, RingContext, exponent_box, integer_weights
 from .sections import euler_check
 
@@ -88,7 +88,8 @@ def classify(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> Sing
     germ = as_germ(f)
     if reason := germ.no_singularity():
         raise ValueError(reason)
-    if local_colength(germ.tjurina, degree_cap, germ.weights) == INFINITE:
+    tau = _stage_colength("classify", "Tjurina ideal", germ.tjurina, degree_cap, germ.weights)
+    if tau == INFINITE:
         raise ValueError("non-isolated singularity")
     ordinary = germ.cone.jacobian.is_m_primary()
     weights = germ.weights

@@ -1,7 +1,32 @@
 """Ideals in Q[x1..xn]: Groebner bases, membership, quotients, colengths.
 
+Inside the exact kernel a monomial is one Python int (packed exponent
+vectors: Bachmann and Schoenemann, Monomial representations for Groebner
+bases computations, ISSAC 1998; Monagan and Pearce, Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors, CASC 2007).
+Every order in use (lex, grlex, grevlex and the ``elim`` block order) is
+a linear form on exponents, so a monomial e packs as
+M(e) = (K(e) << pbits) + P(e).  P(e) holds the exponents in fields of 15
+value bits and one guard bit each, x_1 most significant, and
+K(e) the order's key fields as signed digits, each digit wider than any
+difference of its field on exponents below EXPONENT_LIMIT; a trailing run
+of key fields equal to the exponents themselves is left to P, which
+compares the same way.  Both parts are linear, so a product is ``+``.  M
+compares as the key tuples do: the first key field that differs
+outweighs all lower digits, and with equal keys P decides lexicographically.
+lm divides m exactly when no guard bit of m - lm is set: a field with
+m_i >= lm_i subtracts without a borrow and leaves its guard clear, and the
+lowest field with m_i < lm_i borrows from its own guard.  An lcm is the
+fieldwise max of the P parts, read off the guards of a difference.  An
+exponent at EXPONENT_LIMIT = 2^15 would reach a guard bit: it is
+refused with ``ExponentOverflow`` when an input is packed or when a
+product creates it, never carried into the next field.  ``Polynomial`` and
+every public signature keep exponent tuples; a kernel call packs its
+inputs once with the packing of its arity and order and unpacks its
+results.
+
 The Buchberger loop works fraction-free on primitive integer polynomials
-(dict exponent -> int).  Pairs are selected by minimal lcm degree (normal
+(dict monomial -> int).  Pairs are selected by minimal lcm degree (normal
 strategy).  Which pairs exist is decided once per added element h by the
 Gebauer-Moeller update (Gebauer and Moeller, On an installation of
 Buchberger's algorithm, 1988; UPDATE in Becker and Weispfenning, Groebner
@@ -19,11 +44,11 @@ stored tuple or recompute an equal one.
 One polynomial reducer, ``_ff_reduce``, serves Buchberger, basis
 reduction and normal forms.  It rescales its integer state instead of
 dividing and strips common content as it goes, and returns the primitive
-remainder r with a rational ``scale`` such that r = scale * NF(p).
+remainder r with integers num, den such that den * r = num * NF(p).
 Buchberger and basis reduction need only r up to a unit;
-``Ideal.normal_form`` clears the denominators of p
-(p_int = den * p), reduces against integer multiples of the monic reduced
-basis, and returns the exact rational normal form r / (scale * den).  The
+``Ideal.normal_form`` clears the denominators of p (p_int = d * p),
+reduces against the primitive integer forms of the monic reduced basis,
+and returns the exact rational normal form den * r / (num * d).  The
 normal form modulo a Groebner basis is unique, so it does not depend on
 which multiples of the basis elements reduce it.
 
@@ -34,8 +59,9 @@ sections 1.4 and 1.5; Dayton and Zeng, Computing the multiplicity
 structure in solving polynomial systems, ISSAC 2005).  Modulo m^(T+1) a
 local unit is invertible, so V_T = (I + m^(T+1))/m^(T+1) is the image of
 I*O_0, and it is spanned by the products m*g truncated above degree T.
-These rows are keyed (deg,) + e, so that ``_pivot_reduce`` pivots each on
-its lowest-degree monomial, and they are eliminated degree by degree:
+These rows are keyed by the grlex packing, (deg << pbits) + P(e), so that
+``_pivot_reduce`` pivots each on its lowest-degree monomial and x_i times
+a row adds the packed x_i; they are eliminated degree by degree:
 stage d reduces the rows of order d, which are the generators of order d,
 x_i times each row that took a pivot of degree d - 1, and the rows whose
 terms of lower degree all cancelled.  These rows suffice: a product
@@ -75,7 +101,8 @@ matrix of the generators in that degree (Lazard, Groebner bases, Gaussian
 elimination and resolution of systems of algebraic equations, 1983).
 Those rows are built from the primitive integer forms of the generators,
 which an Ideal caches beside them (an ideal built from integer numerators,
-as ``jk_ideal`` does, receives them with its generators), and brought to
+as ``jk_ideal`` does, receives them in place of its generators), packed
+by the lex packing, which is P alone, and brought to
 row echelon form fraction-free by ``_pivot_reduce``.  All rows share one
 weighted degree, so a row head divides a monomial only when the two are
 equal: the kept rows sit in a dict keyed by pivot monomial, and finding a
@@ -90,12 +117,13 @@ import heapq
 import math
 from bisect import insort
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .polyring import (
-    ELIMINATION_VARIABLE,
     GREVLEX,
+    GRLEX,
+    LEX,
     Exponent,
     MonomialOrder,
     Polynomial,
@@ -110,6 +138,8 @@ from .polyring import (
 
 __all__ = [
     "DegreeCapExceeded",
+    "EXPONENT_LIMIT",
+    "ExponentOverflow",
     "INFINITE",
     "Ideal",
     "InfiniteColengthError",
@@ -139,17 +169,101 @@ class DegreeCapExceeded(RuntimeError):
     """
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+# ---------------------------------------------------------------------------
+# packed monomials
+
+# Value bits per exponent field.  Each field carries one more bit, its
+# guard, so that the sum of two exponents below the limit cannot carry into
+# the next field.
+_FIELD_BITS = 15
+EXPONENT_LIMIT = 1 << _FIELD_BITS
+
+
+class ExponentOverflow(OverflowError):
+    """Raised when an exponent in the exact kernel would reach EXPONENT_LIMIT.
+
+    Packed monomials hold each exponent in a field below the limit; a
+    larger exponent is refused at the kernel boundary or at the moment a
+    product creates it, never carried silently into the next field.
+    """
+
+
+def _overflow(exponent: int | None = None) -> ExponentOverflow:
+    what = "an exponent" if exponent is None else f"exponent {exponent}"
+    return ExponentOverflow(f"{what} reached the kernel limit {EXPONENT_LIMIT}")
+
+
+class _Packing:
+    """Monomials of one arity and order as ints, M(e) = (K(e) << pbits) + P(e).
+
+    P(e) holds the exponents in guarded fields, x_1 most significant, and
+    K(e) the order's key fields in signed digits; both are read off the
+    order key on the unit vectors, so M(e) = sum_i e_i * M(u_i).  A
+    trailing run of key fields equal to the exponents themselves is left
+    to P, which compares them the same way.
+    """
+
+    __slots__ = ("units", "pbits", "guard", "_shifts")
+
+    def __init__(self, arity: int, key):
+        width = _FIELD_BITS + 1
+        eye = [tuple(int(i == j) for j in range(arity)) for i in range(arity)]
+        if any(key((0,) * arity)):
+            raise ValueError("monomial order key is not linear")
+        rows = list(zip(*map(key, eye)))
+        if rows[-arity:] == eye:
+            rows = rows[:-arity]
+        # Each digit is wider than any difference of its key field on
+        # exponents below the limit, so M compares as the key tuples do.
+        offsets = []
+        offset = 0
+        for row in reversed(rows):
+            offsets.append(offset)
+            offset += (sum(map(abs, row)) * (EXPONENT_LIMIT - 1)).bit_length()
+        offsets.reverse()
+        self.pbits = width * arity
+        self._shifts = tuple(width * (arity - 1 - i) for i in range(arity))
+        self.units = tuple(
+            (sum(row[i] << o for row, o in zip(rows, offsets)) << self.pbits) + (1 << s)
+            for i, s in enumerate(self._shifts)
+        )
+        self.guard = sum(1 << (s + _FIELD_BITS) for s in self._shifts)
+
+    def pack(self, e: Exponent) -> int:
+        if max(e) >= EXPONENT_LIMIT:
+            raise _overflow(max(e))
+        return sum(map(mul, e, self.units))
+
+    def pack_poly(self, p: dict) -> dict:
+        return {self.pack(e): c for e, c in p.items()}
+
+    def unpack(self, m: int) -> Exponent:
+        return tuple((m >> s) & (EXPONENT_LIMIT - 1) for s in self._shifts)
+
+    def lcm(self, a: int, b: int) -> int:
+        """The fieldwise max of two exponent parts P."""
+        guard = self.guard
+        # the guard of a field of (a | guard) - b is set where a >= b
+        g = ((a | guard) - b) & guard
+        return b ^ ((a ^ b) & (g - (g >> _FIELD_BITS)))
+
+
+_PACKINGS: dict[tuple[int, str], _Packing] = {}
+
+
+def _packing(arity: int, order: MonomialOrder) -> _Packing:
+    """The packing for an arity and order, one per (arity, order name)."""
+    slot = (arity, order.name)
+    pk = _PACKINGS.get(slot)
+    if pk is None:
+        pk = _PACKINGS[slot] = _Packing(arity, order.key)
+    return pk
 
 
 # ---------------------------------------------------------------------------
 # integer polynomial layer used inside the Buchberger loop
 
-_IntPoly = dict  # Exponent -> int, content 1
+_IntPoly = dict  # monomial -> int, content 1
 
 
 def _primitive(p: _IntPoly) -> _IntPoly:
@@ -186,42 +300,46 @@ def _strip_pair(work: _IntPoly, out: _IntPoly) -> int:
     return g or 1
 
 
-def _ff_reduce(p: _IntPoly, reds: list, key) -> tuple[_IntPoly, Fraction]:
-    """Full normal form of p against reducer records, fraction-free.
+def _ff_reduce(p: _IntPoly, reds: list, guard: int) -> tuple[_IntPoly, int, int]:
+    """Full normal form of packed p against reducer records, fraction-free.
 
     The one polynomial reducer: Buchberger, basis reduction and
     ``Ideal.normal_form`` all call it.  The Macaulay rows of a graded
     membership test and of the local echelon are eliminated by
     ``_pivot_reduce``.
-    ``reds`` holds tuples (deg, lmkey, lm, lc, tail) sorted ascending, so
-    the scan can stop once reducer head degrees exceed the current monomial
-    degree.  The state is rescaled by integers along the way and its
-    content is divided out; ``scale`` records both, so the primitive
-    remainder r returned with it satisfies r = scale * NF(p).
+    ``reds`` holds records (lm, lc, tail) sorted by packed leading
+    monomial.  Terms are taken largest first off a heap of negated ints;
+    the scan for a reducer of m tests lm | m by the guard bits of m - lm
+    and stops at the first lm > m, since a divisor is never larger.  A term
+    whose guard bits are set has an exponent at the limit and raises
+    ``ExponentOverflow``.  The state is rescaled by integers along the way
+    and its content is divided out; the integers num and den returned with
+    the primitive remainder r record both, so that den * r = num * NF(p).
     """
     work = dict(p)
     out: _IntPoly = {}
-    scale = Fraction(1)
-    heap = [(tuple(-k for k in key(e)), e) for e in work]
+    num = den = 1
+    heap = [-m for m in work]
     heapq.heapify(heap)
     steps = 0
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
-        mdeg = sum(m)
-        hit = None
-        for deg, _, lm, lc, tail in reds:
-            if deg > mdeg:
+        if m & guard:
+            raise _overflow()
+        for lm, lc, tail in reds:
+            if lm > m:
+                tail = None
                 break
-            if _divides(lm, m):
-                hit = (lm, lc, tail)
+            if not (m - lm) & guard:
                 break
-        if hit is None:
+        else:
+            tail = None
+        if tail is None:  # no reducer divides m
             out[m] = c
             continue
-        lm, lc, tail = hit
         g = math.gcd(c, lc)
         a = lc // g
         b = c // g
@@ -232,38 +350,34 @@ def _ff_reduce(p: _IntPoly, reds: list, key) -> tuple[_IntPoly, Fraction]:
                 work[e] *= a
             for e in out:
                 out[e] *= a
-            c *= a
-            scale *= a
-        shift = tuple(map(sub, m, lm))
+            num *= a
+        shift = m - lm
         for e, q in tail:
-            t = tuple(map(add, e, shift))
+            t = e + shift
             prev = work.get(t)
             v = (prev if prev is not None else 0) - b * q
             if v:
                 work[t] = v
                 if prev is None:
-                    heapq.heappush(heap, (tuple(-k for k in key(t)), t))
+                    heapq.heappush(heap, -t)
             elif prev is not None:
                 del work[t]
         steps += 1
         if steps % 64 == 0:
-            scale /= _strip_pair(work, out)
-    return out, scale / _strip_pair(work, out)
+            den *= _strip_pair(work, out)
+    return out, num, den * _strip_pair(work, out)
 
 
-def _spoly(pa: _IntPoly, lma: Exponent, pb: _IntPoly, lmb: Exponent) -> _IntPoly:
+def _spoly(pa: _IntPoly, lma: int, pb: _IntPoly, lmb: int, lcm: int) -> _IntPoly:
     lca, lcb = pa[lma], pb[lmb]
     g = math.gcd(lca, lcb)
     ca = lcb // g
     cb = lca // g
-    lcm = tuple(map(max, lma, lmb))
-    sa = tuple(map(sub, lcm, lma))
-    sb = tuple(map(sub, lcm, lmb))
-    out: _IntPoly = {}
-    for e, c in pa.items():
-        out[tuple(map(add, e, sa))] = c * ca
+    sa = lcm - lma
+    sb = lcm - lmb
+    out: _IntPoly = {e + sa: c * ca for e, c in pa.items()}
     for e, c in pb.items():
-        t = tuple(map(add, e, sb))
+        t = e + sb
         v = out.get(t, 0) - c * cb
         if v:
             out[t] = v
@@ -272,9 +386,9 @@ def _spoly(pa: _IntPoly, lma: Exponent, pb: _IntPoly, lmb: Exponent) -> _IntPoly
     return out
 
 
-def _reducer(p: _IntPoly, lm: Exponent, key) -> tuple:
-    """The reducer record (deg, lmkey, lm, lc, tail) that ``_ff_reduce`` scans."""
-    return (sum(lm), key(lm), lm, p[lm], tuple((e, c) for e, c in p.items() if e != lm))
+def _reducer(p: _IntPoly, lm: int) -> tuple:
+    """The reducer record (lm, lc, tail) that ``_ff_reduce`` scans."""
+    return (lm, p[lm], tuple((e, c) for e, c in p.items() if e != lm))
 
 
 def _weighted_degree(p: _IntPoly, weights: tuple[int, ...]) -> int | None:
@@ -286,15 +400,17 @@ def _weighted_degree(p: _IntPoly, weights: tuple[int, ...]) -> int | None:
 def _pivot_reduce(work: dict, pivots: dict) -> tuple | None:
     """Eliminate the pivots of an echelon form from a row.
 
-    The rows are dicts from monomial keys to integers: exponents for the
-    rows of one weighted degree, (deg,) + exponent for the local echelon.
-    ``pivots`` maps each kept row's pivot, its least key, to (coefficient,
-    tail).  ``work`` is consumed in ascending key order,
-    each pivot monomial met is cancelled fraction-free as in ``_ff_reduce``,
-    and content is stripped along the way.  Returns None when the row
-    reduces to zero, else (pivot, coefficient, tail) for its first monomial
-    without a pivot: every other monomial left is larger, so the row joins
-    the echelon form keyed by it.
+    The rows are dicts from packed monomials to integers: the lex packing,
+    which is P alone, for the rows of one weighted degree, and the grlex
+    packing, whose key field is the degree, for the local echelon.
+    ``pivots`` maps each kept row's pivot, its least monomial, to
+    (coefficient, tail).  ``work`` is consumed in ascending order off a
+    heap of ints, each pivot monomial met is cancelled fraction-free as in
+    ``_ff_reduce``, and content is stripped along the way.  Returns None
+    when the row reduces to zero, else (pivot, coefficient, tail) for its
+    first monomial without a pivot: every other monomial left is larger, so
+    the row joins the echelon form keyed by it.  The callers bound every
+    exponent of their rows below the limit beforehand.
     """
     heap = list(work)
     heapq.heapify(heap)
@@ -334,14 +450,14 @@ def _pivot_reduce(work: dict, pivots: dict) -> tuple | None:
     return None
 
 
-def _buchberger(gens: list[_IntPoly], key) -> list[_IntPoly]:
-    """Groebner basis of the ideal spanned by ``gens`` for the key's order.
+def _buchberger(gens: list[_IntPoly], pk: _Packing) -> list[_IntPoly]:
+    """Groebner basis of the ideal spanned by packed ``gens`` for pk's order.
 
-    Pairs are queued by the total degree of their lcm (normal strategy).
-    Which pairs to queue is decided once, when an element h is added, by
-    the update of Gebauer and Moeller (On an installation of Buchberger's
-    algorithm, 1988; procedure UPDATE in Becker and Weispfenning, Groebner
-    Bases, section 5.5):
+    Pairs are queued by the total degree of their lcm (normal strategy),
+    then by the order.  Which pairs to queue is decided once, when an
+    element h is added, by the update of Gebauer and Moeller (On an
+    installation of Buchberger's algorithm, 1988; procedure UPDATE in
+    Becker and Weispfenning, Groebner Bases, section 5.5):
 
     - the candidates (g, h) run over the active elements g; a candidate
       whose lcm is a multiple of another candidate's lcm is dropped, and of
@@ -360,51 +476,62 @@ def _buchberger(gens: list[_IntPoly], key) -> list[_IntPoly]:
     element that deactivated it, whose leading monomial divides lm(g).
     ``_reduced_basis`` discards them, as multiples of other leading
     monomials.
+
+    The update works on the exponent parts P of the leading monomials: an
+    lcm is a fieldwise max of guarded fields, a divisibility test reads the
+    guard bits of a difference, and leading monomials are coprime exactly
+    when their lcm is their product.  Only a queued pair unpacks its lcm,
+    for its degree and its packed monomial.
     """
-    basis: list[tuple[_IntPoly, Exponent]] = []
+    guard = pk.guard
+    pmask = (1 << pk.pbits) - 1
+    lcm = pk.lcm
+    # (poly, lm, P(lm)) per element
+    basis: list[tuple[_IntPoly, int, int]] = []
     reds: list = []
     active: list[int] = []
     heap: list = []
     seen: set = set()
 
     def add(h: _IntPoly) -> bool:
-        lm = max(h, key=key)
-        if sum(lm) == 0:
+        lm = max(h)
+        plm = lm & pmask
+        if not plm:
             return True
         t = len(basis)
         cands = []
         for i in active:
-            lmi = basis[i][1]
-            lcm = tuple(map(max, lmi, lm))
-            cands.append((sum(lcm), sum(lcm) < sum(lmi) + sum(lm), lcm, i))
-        # By degree, coprime first on ties: a candidate is kept exactly when
+            pi = basis[i][2]
+            pl = lcm(pi, plm)
+            cands.append((pl, pl != pi + plm, i))
+        # P is the lex order, so an lcm comes after its proper divisors,
+        # and coprime comes first on ties: a candidate is kept exactly when
         # no lcm kept before it divides its own.
         cands.sort()
-        minimal: list[Exponent] = []
+        minimal: list[int] = []
         new = []
-        for deg, shared, lcm, i in cands:
-            if any(_divides(m, lcm) for m in minimal):
-                continue
-            minimal.append(lcm)
-            if shared:
-                new.append((deg, key(lcm), i, t, lcm))
+        for pl, shared, i in cands:
+            for m in minimal:
+                if not (pl - m) & guard:
+                    break
+            else:
+                minimal.append(pl)
+                if shared:
+                    e = pk.unpack(pl)
+                    new.append((sum(e), pk.pack(e), i, t, pl))
         heap[:] = [
             q for q in heap
-            if not _divides(lm, q[4])
-            or q[4] == tuple(map(max, basis[q[2]][1], lm))
-            or q[4] == tuple(map(max, basis[q[3]][1], lm))
+            if (q[4] - plm) & guard
+            or q[4] == lcm(basis[q[2]][2], plm)
+            or q[4] == lcm(basis[q[3]][2], plm)
         ]
         heap.extend(new)
         heapq.heapify(heap)
-        active[:] = [i for i in active if not _divides(lm, basis[i][1])]
+        active[:] = [i for i in active if (basis[i][2] - plm) & guard]
         active.append(t)
-        basis.append((h, lm))
-        insort(reds, _reducer(h, lm, key))
+        basis.append((h, lm, plm))
+        insort(reds, _reducer(h, lm))
         return False
-
-    def unit_like(p: _IntPoly) -> _IntPoly:
-        arity = len(next(iter(p)))
-        return {(0,) * arity: 1}
 
     for g in gens:
         if not g:
@@ -414,38 +541,40 @@ def _buchberger(gens: list[_IntPoly], key) -> list[_IntPoly]:
             continue
         seen.add(fp)
         if add(g):
-            return [unit_like(g)]
+            return [{0: 1}]
 
     while heap:
-        _, _, i, j, _ = heapq.heappop(heap)
-        s = _spoly(basis[i][0], basis[i][1], basis[j][0], basis[j][1])
-        r, _ = _ff_reduce(s, reds, key)
+        _, m, i, j, _ = heapq.heappop(heap)
+        s = _spoly(basis[i][0], basis[i][1], basis[j][0], basis[j][1], m)
+        r = _ff_reduce(s, reds, guard)[0]
         if r and add(r):
-            return [unit_like(r)]
+            return [{0: 1}]
     return [rec[0] for rec in basis]
 
 
-def _reduced_basis(polys: list[_IntPoly], key) -> list[dict[Exponent, Fraction]]:
-    """Minimalize, tail-reduce and monicize a Groebner basis."""
+def _reduced_basis(polys: list[_IntPoly], guard: int) -> list[_IntPoly]:
+    """Minimalize and tail-reduce a packed Groebner basis.
+
+    Returns the reduced basis as primitive integer polynomials with
+    positive leading coefficients, by ascending leading monomial; each is
+    unique for its order.
+    """
     if not polys:
         return []
-    with_lm = sorted(((max(p, key=key), p) for p in polys), key=lambda t: key(t[0]))
-    kept: list[tuple[Exponent, _IntPoly]] = []
-    for lm, p in with_lm:
-        if any(_divides(km, lm) for km, _ in kept):
+    kept: list[tuple[int, _IntPoly]] = []
+    for lm, p in sorted(((max(p), p) for p in polys), key=itemgetter(0)):
+        if any(not (lm - km) & guard for km, _ in kept):
             continue
         kept.append((lm, p))
-    # The kept leading monomials are distinct: each element is reduced by
-    # the records of all the others, in their sorted order.
-    records = sorted(_reducer(p, lm, key) for lm, p in kept)
+    # The kept leading monomials are distinct and ascending: each element is
+    # reduced by the records of all the others, in their sorted order, and
+    # keeps its leading monomial.
+    records = [_reducer(p, lm) for lm, p in kept]
     out = []
     for lm, p in kept:
-        r, _ = _ff_reduce(p, [rec for rec in records if rec[2] != lm], key)
-        rl = max(r, key=key)
-        lc = r[rl]
-        out.append((key(rl), {e: Fraction(c, lc) for e, c in r.items()}))
-    out.sort(key=lambda t: t[0])
-    return [d for _, d in out]
+        r = _ff_reduce(p, [rec for rec in records if rec[0] != lm], guard)[0]
+        out.append(r if r[lm] > 0 else {e: -c for e, c in r.items()})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +614,7 @@ def maximal_ideal_power(ring: RingContext, k: int) -> "Ideal":
 class Ideal:
     """Finitely generated ideal with per-order cached reduced Groebner bases."""
 
-    __slots__ = ("ring", "generators", "_cache")
+    __slots__ = ("ring", "_generators", "_cache")
 
     def __init__(self, ring: RingContext, generators: Iterable[Polynomial] = ()):
         gens = []
@@ -495,24 +624,37 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_generators", tuple(gens))
         object.__setattr__(self, "_cache", {})
 
     @classmethod
     def _from_numerators(cls, ring: RingContext, numerators: Iterable[_IntPoly], den: int):
         """The ideal of the polynomials num / den, from integer numerator dicts.
 
-        For callers that already hold the integers: the generators are built
-        without re-validation, zero numerators are skipped, and the primitive
-        integer forms num // content(num) are cached as those of the
-        generators, in the same order.
+        For callers that already hold the integers: zero numerators are
+        skipped, and the primitive integer forms num // content(num) are
+        cached as those of the generators, in the same order.  The
+        generators themselves are built on first access to ``generators``,
+        without re-validation; the level tests read only the integers.
         """
         nums = [num for num in numerators if num]
-        gens = tuple(_raw(ring, {e: Fraction(v, den) for e, v in num.items()}) for num in nums)
         ideal = cls(ring)
-        object.__setattr__(ideal, "generators", gens)
+        object.__setattr__(ideal, "_generators", None)
+        ideal._cache["numerators"] = (nums, den)
         ideal._cache["ints"] = [_primitive(num) for num in nums]
         return ideal
+
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        """The nonzero generators, in the order given."""
+        gens = self._generators
+        if gens is None:
+            # idempotent: a concurrent reader builds an equal tuple
+            nums, den = self._cache["numerators"]
+            ring = self.ring
+            gens = tuple(_raw(ring, {e: Fraction(v, den) for e, v in num.items()}) for num in nums)
+            object.__setattr__(self, "_generators", gens)
+        return gens
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -545,15 +687,22 @@ class Ideal:
         """The reduced Groebner basis: minimal, monic, fully tail-reduced.
 
         Unique for the given order, sorted by ascending leading monomial.
+        Raises ``ExponentOverflow`` when an exponent of a generator or of a
+        polynomial formed on the way reaches ``EXPONENT_LIMIT``.
         """
         cached = self._cache.get(order.name)
-        if cached is not None:
-            return cached
-        raw = _buchberger(self._int_generators(), order.key)
-        reduced = _reduced_basis(raw, order.key)
-        basis = tuple(Polynomial(self.ring, d) for d in reduced)
-        self._cache[order.name] = basis
-        return basis
+        if cached is None:
+            pk = _packing(self.ring.arity, order)
+            gens = [pk.pack_poly(g) for g in self._int_generators()]
+            ints = _reduced_basis(_buchberger(gens, pk), pk.guard)
+            basis = tuple(
+                Polynomial(self.ring, {pk.unpack(e): Fraction(c, r[lm]) for e, c in r.items()})
+                for r, lm in zip(ints, map(max, ints))
+            )
+            # the reducer records of normal forms, stored with the basis
+            cached = (basis, [_reducer(r, max(r)) for r in ints])
+            self._cache[order.name] = cached
+        return cached[0]
 
     def normal_form(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
         """Canonical remainder of p modulo the reduced basis."""
@@ -562,21 +711,21 @@ class Ideal:
         reds = self._reducers(order)
         if not reds:
             return p
-        ints, den = clear_denominators(p)
-        r, scale = _ff_reduce(ints, reds, order.key)
-        scale *= den
-        return Polynomial(self.ring, {e: c / scale for e, c in r.items()})
+        pk = _packing(self.ring.arity, order)
+        ints, d = clear_denominators(p)
+        r, num, den = _ff_reduce(pk.pack_poly(ints), reds, pk.guard)
+        # den * r = num * NF(d * p)
+        return Polynomial(
+            self.ring, {pk.unpack(e): Fraction(c * den, num * d) for e, c in r.items()}
+        )
 
     def _reducers(self, order: MonomialOrder) -> list:
-        """Reducer records of the reduced basis, cached beside it."""
-        slot = (order.name, "reducers")
-        reds = self._cache.get(slot)
-        if reds is None:
-            key = order.key
-            ints = map(_int_poly, self.groebner_basis(order))
-            reds = sorted(_reducer(g, max(g, key=key), key) for g in ints)
-            self._cache[slot] = reds
-        return reds
+        """Reducer records of the reduced basis, filled with it."""
+        cached = self._cache.get(order.name)
+        if cached is None:
+            self.groebner_basis(order)
+            cached = self._cache[order.name]
+        return cached[1]
 
     def member(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
         return self.normal_form(p, order).is_zero()
@@ -630,15 +779,17 @@ class Ideal:
             raise ValueError("polynomial from a different ring")
         if not self.generators:
             return Ideal(self.ring, ())
-        ext = RingContext((ELIMINATION_VARIABLE,) + self.ring.names)
-        t = Polynomial.variable(ext, 0)
-        lifted = [_lift(g, ext) * t for g in self.groebner_basis()]
-        lifted.append((ext.one() - t) * _lift(p, ext))
-        order = elimination_order()
-        raw = _buchberger([_int_poly(g) for g in lifted], order.key)
-        reduced = _reduced_basis(raw, order.key)
+        pk = _packing(self.ring.arity + 1, elimination_order())
+        lifted = [
+            {pk.pack((1,) + e): c for e, c in _int_poly(g).items()} for g in self.groebner_basis()
+        ]
+        base = {pk.pack((0,) + e): c for e, c in _int_poly(p).items()}
+        t = pk.units[0]
+        lifted.append({**base, **{m + t: -c for m, c in base.items()}})  # (1 - t) * p
         gens = []
-        for d in reduced:
+        for r in _reduced_basis(_buchberger(lifted, pk), pk.guard):
+            lc = r[max(r)]
+            d = {pk.unpack(m): Fraction(c, lc) for m, c in r.items()}
             if any(e[0] for e in d):
                 continue
             low = Polynomial(self.ring, {e[1:]: c for e, c in d.items()})
@@ -673,7 +824,8 @@ class Ideal:
             verdict = self._graded_member(p, weights)
             if verdict is not None:
                 return verdict
-        if any(g.constant_term for g in self.generators):
+        zero = self.ring.zero_exponent()
+        if any(zero in g for g in self._int_generators()):
             return True
         if p.constant_term:
             return False
@@ -681,7 +833,9 @@ class Ideal:
             n, pivots = _local_echelon(self, DEFAULT_DEGREE_CAP)
         except DegreeCapExceeded:
             return self._quotient_member(p)
-        row = {(sum(e),) + e: c for e, c in _int_poly(p).items() if sum(e) < n}
+        pk = _packing(self.ring.arity, GRLEX)
+        bound = n << pk.pbits  # the least packed monomial of degree n
+        row = {m: c for m, c in pk.pack_poly(_int_poly(p)).items() if m < bound}
         return _pivot_reduce(row, pivots) is None
 
     def _quotient_member(self, p: Polynomial) -> bool:
@@ -707,7 +861,10 @@ class Ideal:
         held in a dict from pivot (least monomial, lex) to row, and each new
         row, and finally p, is reduced fraction-free by ``_pivot_reduce``.
         A row that keeps a monomial outside the dict becomes a new pivot.
-        The rows come from the cached integer generators.
+        The rows come from the cached integer generators, packed by the lex
+        packing, so that a shift by m is one addition.  Every exponent of
+        weighted degree wdeg(p) is at most wdeg(p) // min(weights), which
+        must stay below the limit, else ``ExponentOverflow`` is raised.
         """
         graded = self._graded_degrees(weights)
         if graded is None:
@@ -717,17 +874,21 @@ class Ideal:
         top = _weighted_degree(target, ws)
         if top is None:
             return None
-        pivots: dict[Exponent, tuple[int, list]] = {}
-        shifts: dict[int, list[Exponent]] = {}
+        if top // min(ws) >= EXPONENT_LIMIT:
+            raise _overflow()
+        pk = _packing(self.ring.arity, LEX)
+        pivots: dict[int, tuple[int, list]] = {}
+        shifts: dict[int, list[int]] = {}
         for g, d in zip(self._int_generators(), degs):
             if d not in shifts:
-                shifts[d] = list(_exponents_of_degree(ws, top - d))
+                shifts[d] = [pk.pack(m) for m in _exponents_of_degree(ws, top - d)]
+            row0 = pk.pack_poly(g)
             for m in shifts[d]:
-                row = {tuple(map(add, e, m)): c for e, c in g.items()}
+                row = {e + m: c for e, c in row0.items()}
                 head = _pivot_reduce(row, pivots)
                 if head is not None:
                     pivots[head[0]] = head[1:]
-        return _pivot_reduce(target, pivots) is None
+        return _pivot_reduce(pk.pack_poly(target), pivots) is None
 
     def _graded_degrees(self, weights: Iterable) -> tuple[tuple[int, ...], list[int]] | None:
         """The integer weights and the weighted degrees of the generators.
@@ -819,10 +980,6 @@ def _dedup(gens: Iterable[Polynomial]) -> list[Polynomial]:
     return out
 
 
-def _lift(p: Polynomial, ext: RingContext) -> Polynomial:
-    return Polynomial(ext, {(0,) + e: c for e, c in p.items()})
-
-
 # ---------------------------------------------------------------------------
 # colengths at the origin
 
@@ -842,7 +999,9 @@ def local_colength(
     the colength is the number of monomials of degree below the Nakayama
     exponent N that are not pivots.  ``degree_cap`` bounds N, the least
     exponent with m^N inside I at the origin, on that route alone; when no
-    N up to the cap exists, DegreeCapExceeded is raised.
+    N up to the cap exists, DegreeCapExceeded is raised.  A generator
+    exponent at ``EXPONENT_LIMIT`` raises ``ExponentOverflow`` on either
+    route.
     """
     if weights is None:
         weights = (1,) * ideal.ring.arity
@@ -873,27 +1032,34 @@ def _nakayama_echelon(gens: list[_IntPoly], arity: int, cap: int) -> tuple[int, 
     """The least N <= cap with m^N inside (gens) + m^(N+1), and the echelon form below N.
 
     The rows, truncated above degree ``cap``, are eliminated degree by
-    degree as in the module docstring.  The returned pivots are the pivot
-    rows of degree below N, with their tails cut below N: they span
-    ((gens) + m^N)/m^N.  None when no N up to the cap exists.
+    degree as in the module docstring.  They are keyed by the grlex
+    packing, (deg << pbits) + P(e), so x_i times a monomial adds the packed
+    x_i, and a degree bound is one comparison.  The returned pivots are the
+    pivot rows of degree below N, with their tails cut below N: they span
+    ((gens) + m^N)/m^N.  None when no N up to the cap exists.  The pivots
+    of degree d do not depend on the truncation as long as it is at least
+    d, so the rows are truncated below the exponent limit too; only a cap
+    at the limit that the search reaches raises ``ExponentOverflow``.
     """
+    pk = _packing(arity, GRLEX)
+    dshift = pk.pbits
+    top = min(cap, EXPONENT_LIMIT - 1)
     pending: dict[int, list[dict]] = {}
     for g in gens:
-        row = {(sum(e),) + e: c for e, c in g.items() if sum(e) <= cap}
+        row = {m: c for m, c in pk.pack_poly(g).items() if m >> dshift <= top}
         if row:
-            pending.setdefault(min(row)[0], []).append(row)
-    # x_i as a shift of keys: one degree more, one more in exponent i
-    steps = [(1,) + tuple(int(i == j) for j in range(arity)) for i in range(arity)]
-    pivots: dict[tuple, tuple[int, list]] = {}
+            pending.setdefault(min(row) >> dshift, []).append(row)
+    below_top = top << dshift
+    pivots: dict[int, tuple[int, list]] = {}
     fresh: list[tuple] = []
-    for d in range(cap + 1):
+    for d in range(top + 1):
         rows = pending.pop(d, [])
         for key, c, tail in fresh:
-            for s in steps:
-                row = {tuple(map(add, key, s)): c}
-                for t, v in tail:
-                    if t[0] < cap:
-                        row[tuple(map(add, t, s))] = v
+            kept = [(t, v) for t, v in tail if t < below_top]
+            for s in pk.units:
+                row = {key + s: c}
+                for t, v in kept:
+                    row[t + s] = v
                 rows.append(row)
         fresh = []
         for row in rows:
@@ -901,20 +1067,23 @@ def _nakayama_echelon(gens: list[_IntPoly], arity: int, cap: int) -> tuple[int, 
             if head is None:
                 continue
             key, c, tail = head
-            if key[0] == d:
+            if key >> dshift == d:
                 pivots[key] = (c, tail)
                 fresh.append(head)
             else:  # its terms of degree d cancelled: reduce it at its order
                 row = dict(tail)
                 row[key] = c
-                pending.setdefault(key[0], []).append(row)
+                pending.setdefault(key >> dshift, []).append(row)
         if len(fresh) == math.comb(d + arity - 1, arity - 1):
+            bound = d << dshift
             low = {
-                key: (c, [(t, v) for t, v in tail if t[0] < d])
+                key: (c, [(t, v) for t, v in tail if t < bound])
                 for key, (c, tail) in pivots.items()
-                if key[0] < d
+                if key < bound
             }
             return d, low
+    if top < cap:
+        raise _overflow()
     return None
 
 

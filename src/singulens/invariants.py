@@ -18,7 +18,14 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
-from .ideals import DEFAULT_DEGREE_CAP, INFINITE, Ideal, local_colength
+from .ideals import (
+    DEFAULT_DEGREE_CAP,
+    INFINITE,
+    DegreeCapExceeded,
+    ExponentOverflow,
+    Ideal,
+    local_colength,
+)
 from .polyring import Exponent, Polynomial
 
 __all__ = [
@@ -161,16 +168,29 @@ def _warned_germ(f: Polynomial | Germ) -> Germ:
     return germ
 
 
+def _stage_colength(stage: str, name: str, ideal: Ideal, degree_cap: int, weights):
+    """``local_colength`` of a germ's ideal; a refusal names the stage and the ideal."""
+    try:
+        return local_colength(ideal, degree_cap, weights)
+    except (DegreeCapExceeded, ExponentOverflow) as err:
+        count = len(ideal.generators)
+        raise type(err)(f"{stage} on the {name} ({count} generators): {err}") from err
+
+
 def milnor_number(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP):
     """Colength of the Jacobian ideal at the origin; INFINITE if non-isolated."""
     germ = _warned_germ(f)
-    return local_colength(germ.jacobian, degree_cap, germ.weights)
+    return _stage_colength(
+        "milnor_number", "Jacobian ideal", germ.jacobian, degree_cap, germ.weights
+    )
 
 
 def tjurina_number(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP):
     """Colength of (f) + Jacobian ideal at the origin; INFINITE if non-isolated."""
     germ = _warned_germ(f)
-    return local_colength(germ.tjurina, degree_cap, germ.weights)
+    return _stage_colength(
+        "tjurina_number", "Tjurina ideal", germ.tjurina, degree_cap, germ.weights
+    )
 
 
 def is_quasi_homogeneous(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> QHVerdict:
@@ -186,7 +206,10 @@ def is_quasi_homogeneous(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_
     the verdict is negative and such a decomposition applies.
     """
     germ = _warned_germ(f)
-    if local_colength(germ.jacobian, degree_cap, germ.weights) == INFINITE:
+    mu = _stage_colength(
+        "is_quasi_homogeneous", "Jacobian ideal", germ.jacobian, degree_cap, germ.weights
+    )
+    if mu == INFINITE:
         raise ValueError("non-isolated singularity")
     verdict = germ.jacobian.local_member(germ.f, germ.weights)
     obstruction = None if verdict else _try_sqh_decomposition(germ)

@@ -156,6 +156,27 @@ def test_invariants_command(capsys):
     assert document["invariants"]["qh"] is None
 
 
+def test_refusal_names_the_stage_and_the_ideal(capsys):
+    """A failed colength search says which stage and which ideal refused."""
+    code, out, err = run(capsys, ["invariants", "x*y + x^3 + x^2*y"])
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err == (
+        "computation failed: milnor_number on the Jacobian ideal (2 generators): "
+        "colength at the origin not stabilized by degree 40\n"
+    )
+
+
+def test_exponent_limit_is_a_computation_failure(capsys):
+    """An exponent the exact kernel cannot pack is refused with exit 1, named."""
+    code, out, err = run(capsys, ["invariants", "x^40000 + y^2 + z^2"])
+    assert code == EXIT_FAIL
+    assert err == (
+        "computation failed: milnor_number on the Jacobian ideal (3 generators): "
+        "exponent 39999 reached the kernel limit 32768\n"
+    )
+
+
 def test_genus_command(capsys):
     code, out, err = run(capsys, ["genus", "x^4 + y^4 + z^4"])
     assert code == EXIT_OK
