@@ -161,10 +161,11 @@ def equality_certificate(
     Levelwise: for k = 0..max_level test whether f^k lies, locally at the
     origin, in the order-k numerator ideal of the multiplier ideal.  The
     first success proves equality.  If every level fails and weights are
-    supplied, a replayed level-0 descent chain proves equality for the
-    weighted homogeneous case.  Weights satisfying the Euler identity also
-    make each level test one linear system in the weighted degree of f^k,
-    with no Groebner basis (see ``Ideal.local_member``).
+    supplied, a level-0 descent chain, replayed once as it is built,
+    proves equality for the weighted homogeneous case.  Weights satisfying
+    the Euler identity also make each level test one linear system in the
+    weighted degree of f^k, with no Groebner basis (see
+    ``Ideal.local_member``), on numerators packed by those weights.
     """
     if max_level < 0:
         raise ValueError("maximum level must be nonnegative")
@@ -176,7 +177,7 @@ def equality_certificate(
     if weights is not None and not euler_check(f, weights):
         weights = None
     for k in range(max_level + 1):
-        jk = jk_ideal(f, multiplier, k)
+        jk = jk_ideal(f, multiplier, k, weights)
         # J_0: keep the bases the genus route filled.  For k >= 1 the
         # generators of J_k are left unbuilt: the level test reads integers.
         if k == 0 and jk == multiplier:
@@ -188,11 +189,11 @@ def equality_certificate(
                 "proven_at_level", k, refuted(), tuple(results)
             )
     if weights is not None:
+        # generation_descent replays the chain before it returns it
         chain = generation_descent(f, weights, 0)
-        if chain.replay():
-            return EqualityVerdict(
-                "proven_by_descent", None, refuted(), tuple(results), len(chain)
-            )
+        return EqualityVerdict(
+            "proven_by_descent", None, refuted(), tuple(results), len(chain)
+        )
     return EqualityVerdict("unknown_up_to", max_level, refuted(), tuple(results))
 
 

@@ -22,7 +22,12 @@ from fractions import Fraction
 from operator import mul
 
 from .ideals import (
-    DEFAULT_DEGREE_CAP, INFINITE, Ideal, maximal_ideal_power, quotient_dimension
+    DEFAULT_DEGREE_CAP,
+    INFINITE,
+    Ideal,
+    _exponents_of_degree,
+    maximal_ideal_power,
+    quotient_dimension,
 )
 from .invariants import Germ, WeightSystem, _stage_colength, as_germ
 from .polyring import Polynomial, RingContext, exponent_box, integer_weights
@@ -114,26 +119,39 @@ def multiplier_span_generators(
     their common denominator L (``integer_weights``), L*rho(u) is the
     integer S(u) = sum_i (u_i + 1) W_i, and rho(u) >= t exactly when
     S(u) >= T for the integer T = ceil(L*t), or T = floor(L*t) + 1 when
-    strict.  Since S(u - e_i) = S(u) - W_i, a qualifying u is minimal
-    exactly when S(u) - W_i < T for every i with u_i > 0.
+    strict.  The generators are found by ``_minimal_monomials``.
     """
     if weights.arity != ring.arity:
         raise ValueError("weight system arity does not match the ring")
     threshold = Fraction(threshold)
-    ws, scale = integer_weights(weights)
+    scale = integer_weights(weights)[1]
     bar = math.floor(threshold * scale) + 1 if strict else math.ceil(threshold * scale)
+    return Ideal(ring, _minimal_monomials(ring, weights, (bar,))[0])
+
+
+def _minimal_monomials(
+    ring: RingContext, weights: WeightSystem, bars: tuple[int, ...]
+) -> list[list[Polynomial]]:
+    """For each integer bar T, the minimal monomials x^u with S(u) >= T, in lex order.
+
+    Since S(u - e_i) = S(u) - W_i, a qualifying u is minimal exactly when
+    S(u) - W_i < T for every i with u_i > 0.  So a minimal u other than 0
+    has S(u) < T + max(W), and one sweep over the u with S(u) below the
+    largest bar plus max(W), and u = 0, finds the generators of every bar.
+    The sweep runs over the weighted degrees sum_i u_i W_i below that
+    bound, and lex order keeps the generators in the order of the box.
+    """
+    ws = integer_weights(weights)[0]
     base = sum(ws)
-    w_max = max(weights)
-    bounds = [max(0, math.ceil((threshold + w_max) / w)) + 1 for w in weights]
-    gens: list[Polynomial] = []
-    for u in exponent_box(bounds):
+    budget = max(max(bars) + max(ws) - base, 1)
+    region = sorted(u for d in range(budget) for u in _exponents_of_degree(ws, d))
+    out: list[list[Polynomial]] = [[] for _ in bars]
+    for u in region:
         s = base + sum(map(mul, u, ws))
-        if s < bar or any(e and s - w >= bar for e, w in zip(u, ws)):
-            continue
-        gens.append(Polynomial.monomial(ring, u))
-    if not gens:
-        raise AssertionError("threshold admits no qualifying monomials in the search box")
-    return Ideal(ring, gens)
+        for gens, bar in zip(out, bars):
+            if s >= bar and not any(e and s - w >= bar for e, w in zip(u, ws)):
+                gens.append(Polynomial.monomial(ring, u))
+    return out
 
 
 @dataclass(frozen=True)
@@ -192,9 +210,10 @@ def genus_weighted(f: Polynomial | Germ, weights: WeightSystem | None = None) ->
             raise ValueError("no weight system found; weighted route does not apply")
     if not euler_check(germ.f, weights):
         raise ValueError("weights do not satisfy the Euler identity for f")
-    one = Fraction(1)
-    multiplier = multiplier_span_generators(ring, weights, one, strict=False)
-    adjoint = multiplier_span_generators(ring, weights, one, strict=True)
+    # rho(u) >= 1 and rho(u) > 1 are S(u) >= L and S(u) >= L + 1
+    scale = integer_weights(weights)[1]
+    i0, adj = _minimal_monomials(ring, weights, (scale, scale + 1))
+    multiplier, adjoint = Ideal(ring, i0), Ideal(ring, adj)
     g = quotient_dimension(multiplier, adjoint)
     lattice = _count_rho_equal_one(weights)
     if g != lattice:

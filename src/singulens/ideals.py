@@ -100,13 +100,17 @@ the products m*g_i with wdeg(m) = D - wdeg(g_i), the rows of the Macaulay
 matrix of the generators in that degree (Lazard, Groebner bases, Gaussian
 elimination and resolution of systems of algebraic equations, 1983).
 Those rows are built from the primitive integer forms of the generators,
-which an Ideal caches beside them (an ideal built from integer numerators,
-as ``jk_ideal`` does, receives them in place of its generators), packed
-by the lex packing, which is P alone, and brought to
-row echelon form fraction-free by ``_pivot_reduce``.  All rows share one
-weighted degree, so a row head divides a monomial only when the two are
-equal: the kept rows sit in a dict keyed by pivot monomial, and finding a
-row's reducer is one lookup, with no divisor scan and no Groebner basis.
+packed by the weighted packing M(e) = (wdeg(e) << pbits) + P(e) of the
+weights (the grlex packing for all-ones weights), and brought to row
+echelon form fraction-free by ``_pivot_reduce``.  An Ideal caches its
+packed generators per packing; an ideal built from packed integer
+numerators, as ``jk_ideal`` does, receives them in place of its
+generators.  A term's weighted degree is its top bits, m >> pbits, so the
+homogeneity checks compare the least and the largest packed term.  All
+rows share one weighted degree, so they compare by P alone, and a row
+head divides a monomial only when the two are equal: the kept rows sit in
+a dict keyed by pivot monomial, and finding a row's reducer is one
+lookup, with no divisor scan and no Groebner basis.
 Arithmetic stays in exact integers, so a target left with a monomial
 outside the pivots proves non-membership.
 """
@@ -123,7 +127,6 @@ from typing import Iterable, Iterator
 from .polyring import (
     GREVLEX,
     GRLEX,
-    LEX,
     Exponent,
     MonomialOrder,
     Polynomial,
@@ -240,6 +243,17 @@ class _Packing:
     def unpack(self, m: int) -> Exponent:
         return tuple((m >> s) & (EXPONENT_LIMIT - 1) for s in self._shifts)
 
+    def partial(self, p: dict, i: int) -> dict:
+        """The partial derivative in x_i of a packed polynomial.
+
+        Each term reads its exponent of x_i off field i and, when it is
+        positive, moves down by the packed x_i.
+        """
+        s = self._shifts[i]
+        unit = self.units[i]
+        mask = EXPONENT_LIMIT - 1
+        return {m - unit: c * e for m, c in p.items() if (e := (m >> s) & mask)}
+
     def lcm(self, a: int, b: int) -> int:
         """The fieldwise max of two exponent parts P."""
         guard = self.guard
@@ -248,7 +262,7 @@ class _Packing:
         return b ^ ((a ^ b) & (g - (g >> _FIELD_BITS)))
 
 
-_PACKINGS: dict[tuple[int, str], _Packing] = {}
+_PACKINGS: dict[tuple, _Packing] = {}
 
 
 def _packing(arity: int, order: MonomialOrder) -> _Packing:
@@ -257,6 +271,21 @@ def _packing(arity: int, order: MonomialOrder) -> _Packing:
     pk = _PACKINGS.get(slot)
     if pk is None:
         pk = _PACKINGS[slot] = _Packing(arity, order.key)
+    return pk
+
+
+def _weighted_packing(ws: tuple[int, ...]) -> _Packing:
+    """The packing (wdeg(e) << pbits) + P(e) for positive integer weights.
+
+    Its one key field is the weighted degree, so a term's weighted degree
+    is ``m >> pbits``.  All-ones weights give the grlex packing itself.
+    """
+    if all(w == 1 for w in ws):
+        return _packing(len(ws), GRLEX)
+    slot = (len(ws), ws)
+    pk = _PACKINGS.get(slot)
+    if pk is None:
+        pk = _PACKINGS[slot] = _Packing(len(ws), lambda e: (sum(map(mul, e, ws)), *e))
     return pk
 
 
@@ -391,18 +420,23 @@ def _reducer(p: _IntPoly, lm: int) -> tuple:
     return (lm, p[lm], tuple((e, c) for e, c in p.items() if e != lm))
 
 
-def _weighted_degree(p: _IntPoly, weights: tuple[int, ...]) -> int | None:
-    """The weighted degree of p when p is weighted homogeneous, else None."""
-    degs = {sum(map(mul, e, weights)) for e in p}
-    return degs.pop() if len(degs) == 1 else None
+def _packed_degree(p: _IntPoly, pk: _Packing) -> int | None:
+    """The degree of a packed p in pk's key field when p is homogeneous in it, else None.
+
+    With a weighted packing the key field is the weighted degree, the top
+    bits of every term, so the least and the largest term bound it.
+    """
+    d = max(p) >> pk.pbits
+    return d if min(p) >> pk.pbits == d else None
 
 
 def _pivot_reduce(work: dict, pivots: dict) -> tuple | None:
     """Eliminate the pivots of an echelon form from a row.
 
-    The rows are dicts from packed monomials to integers: the lex packing,
-    which is P alone, for the rows of one weighted degree, and the grlex
-    packing, whose key field is the degree, for the local echelon.
+    The rows are dicts from packed monomials to integers: the weighted
+    packing, whose key field is the weighted degree, for the rows of one
+    weighted degree, and the grlex packing, whose key field is the degree,
+    for the local echelon.
     ``pivots`` maps each kept row's pivot, its least monomial, to
     (coefficient, tail).  ``work`` is consumed in ascending order off a
     heap of ints, each pivot monomial met is cancelled fraction-free as in
@@ -628,20 +662,22 @@ class Ideal:
         object.__setattr__(self, "_cache", {})
 
     @classmethod
-    def _from_numerators(cls, ring: RingContext, numerators: Iterable[_IntPoly], den: int):
-        """The ideal of the polynomials num / den, from integer numerator dicts.
+    def _from_numerators(
+        cls, ring: RingContext, numerators: Iterable[_IntPoly], den: int, pk: _Packing
+    ):
+        """The ideal of the polynomials num / den, from integer numerators packed by pk.
 
-        For callers that already hold the integers: zero numerators are
-        skipped, and the primitive integer forms num // content(num) are
-        cached as those of the generators, in the same order.  The
-        generators themselves are built on first access to ``generators``,
-        without re-validation; the level tests read only the integers.
+        For callers that already hold the packed integers: zero numerators
+        are skipped, and the primitive forms num // content(num) are cached
+        as the generators packed by pk, in the same order.  The generators
+        themselves are unpacked on first access to ``generators``, without
+        re-validation; the level tests read only the packed integers.
         """
         nums = [num for num in numerators if num]
         ideal = cls(ring)
         object.__setattr__(ideal, "_generators", None)
-        ideal._cache["numerators"] = (nums, den)
-        ideal._cache["ints"] = [_primitive(num) for num in nums]
+        ideal._cache["numerators"] = (nums, den, pk)
+        ideal._cache[pk] = [_primitive(num) for num in nums]
         return ideal
 
     @property
@@ -650,22 +686,35 @@ class Ideal:
         gens = self._generators
         if gens is None:
             # idempotent: a concurrent reader builds an equal tuple
-            nums, den = self._cache["numerators"]
+            nums, den, pk = self._cache["numerators"]
             ring = self.ring
-            gens = tuple(_raw(ring, {e: Fraction(v, den) for e, v in num.items()}) for num in nums)
+            gens = tuple(
+                _raw(ring, {pk.unpack(m): Fraction(v, den) for m, v in num.items()})
+                for num in nums
+            )
             object.__setattr__(self, "_generators", gens)
         return gens
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
 
-    def _int_generators(self) -> list[_IntPoly]:
-        """The primitive integer forms of the generators, in order, cached."""
-        ints = self._cache.get("ints")
-        if ints is None:
-            ints = [_int_poly(g) for g in self.generators]
-            self._cache["ints"] = ints
-        return ints
+    def _packed_generators(self, pk: _Packing) -> list[_IntPoly]:
+        """The primitive integer forms of the generators packed by pk, in order.
+
+        Cached per packing.  An ideal built from packed numerators repacks
+        the forms it was built with, and never builds its generators.
+        """
+        packed = self._cache.get(pk)
+        if packed is None:
+            built = self._cache.get("numerators")
+            if built is None:
+                packed = [pk.pack_poly(_int_poly(g)) for g in self.generators]
+            else:
+                src = built[2]
+                unpack, pack = src.unpack, pk.pack
+                packed = [{pack(unpack(m)): c for m, c in g.items()} for g in self._cache[src]]
+            self._cache[pk] = packed
+        return packed
 
     def __repr__(self) -> str:
         inside = ", ".join(str(g) for g in self.generators) or "0"
@@ -693,8 +742,7 @@ class Ideal:
         cached = self._cache.get(order.name)
         if cached is None:
             pk = _packing(self.ring.arity, order)
-            gens = [pk.pack_poly(g) for g in self._int_generators()]
-            ints = _reduced_basis(_buchberger(gens, pk), pk.guard)
+            ints = _reduced_basis(_buchberger(self._packed_generators(pk), pk), pk.guard)
             basis = tuple(
                 Polynomial(self.ring, {pk.unpack(e): Fraction(c, r[lm]) for e, c in r.items()})
                 for r, lm in zip(ints, map(max, ints))
@@ -824,8 +872,8 @@ class Ideal:
             verdict = self._graded_member(p, weights)
             if verdict is not None:
                 return verdict
-        zero = self.ring.zero_exponent()
-        if any(zero in g for g in self._int_generators()):
+        pk = _packing(self.ring.arity, GRLEX)
+        if any(0 in g for g in self._packed_generators(pk)):  # 0 packs the exponent 0
             return True
         if p.constant_term:
             return False
@@ -833,7 +881,6 @@ class Ideal:
             n, pivots = _local_echelon(self, DEFAULT_DEGREE_CAP)
         except DegreeCapExceeded:
             return self._quotient_member(p)
-        pk = _packing(self.ring.arity, GRLEX)
         bound = n << pk.pbits  # the least packed monomial of degree n
         row = {m: c for m, c in pk.pack_poly(_int_poly(p)).items() if m < bound}
         return _pivot_reduce(row, pivots) is None
@@ -861,47 +908,50 @@ class Ideal:
         held in a dict from pivot (least monomial, lex) to row, and each new
         row, and finally p, is reduced fraction-free by ``_pivot_reduce``.
         A row that keeps a monomial outside the dict becomes a new pivot.
-        The rows come from the cached integer generators, packed by the lex
-        packing, so that a shift by m is one addition.  Every exponent of
+        The rows come from the generators packed by the weighted packing
+        (see ``_graded_degrees``), so that a shift by m is one addition and
+        a term's weighted degree is its top bits.  Every exponent of
         weighted degree wdeg(p) is at most wdeg(p) // min(weights), which
         must stay below the limit, else ``ExponentOverflow`` is raised.
         """
         graded = self._graded_degrees(weights)
         if graded is None:
             return None
-        ws, degs = graded
-        target = _int_poly(p)
-        top = _weighted_degree(target, ws)
+        ws, pk, degs = graded
+        target = pk.pack_poly(_int_poly(p))
+        top = _packed_degree(target, pk)
         if top is None:
             return None
         if top // min(ws) >= EXPONENT_LIMIT:
             raise _overflow()
-        pk = _packing(self.ring.arity, LEX)
         pivots: dict[int, tuple[int, list]] = {}
         shifts: dict[int, list[int]] = {}
-        for g, d in zip(self._int_generators(), degs):
+        for g, d in zip(self._packed_generators(pk), degs):
             if d not in shifts:
                 shifts[d] = [pk.pack(m) for m in _exponents_of_degree(ws, top - d)]
-            row0 = pk.pack_poly(g)
             for m in shifts[d]:
-                row = {e + m: c for e, c in row0.items()}
+                row = {e + m: c for e, c in g.items()}
                 head = _pivot_reduce(row, pivots)
                 if head is not None:
                     pivots[head[0]] = head[1:]
-        return _pivot_reduce(pk.pack_poly(target), pivots) is None
+        return _pivot_reduce(target, pivots) is None
 
-    def _graded_degrees(self, weights: Iterable) -> tuple[tuple[int, ...], list[int]] | None:
-        """The integer weights and the weighted degrees of the generators.
+    def _graded_degrees(
+        self, weights: Iterable
+    ) -> tuple[tuple[int, ...], _Packing, list[int]] | None:
+        """The integer weights, their packing and the weighted degrees of the generators.
 
-        None when some generator is not weighted homogeneous for
-        ``weights``; nonpositive weights or a wrong weight count raise
-        ``ValueError``.
+        The generators are read packed by ``_weighted_packing``, whose key
+        field is the weighted degree.  None when some generator is not
+        weighted homogeneous for ``weights``; nonpositive weights or a
+        wrong weight count raise ``ValueError``.
         """
         ws = integer_weights(weights)[0]
         if len(ws) != self.ring.arity:
             raise ValueError("weight count does not match the ring")
-        degs = [_weighted_degree(g, ws) for g in self._int_generators()]
-        return None if None in degs else (ws, degs)
+        pk = _weighted_packing(ws)
+        degs = [_packed_degree(g, pk) for g in self._packed_generators(pk)]
+        return None if None in degs else (ws, pk, degs)
 
     # -- finiteness and counting ----------------------------------------
 
@@ -1020,7 +1070,8 @@ def _local_echelon(ideal: Ideal, degree_cap: int) -> tuple[int, dict]:
     """
     cached = ideal._cache.get("echelon")
     if cached is None:
-        cached = _nakayama_echelon(ideal._int_generators(), ideal.ring.arity, degree_cap)
+        pk = _packing(ideal.ring.arity, GRLEX)
+        cached = _nakayama_echelon(ideal._packed_generators(pk), pk, degree_cap)
         if cached is not None:
             ideal._cache["echelon"] = cached
     if cached is None or cached[0] > degree_cap:
@@ -1028,25 +1079,26 @@ def _local_echelon(ideal: Ideal, degree_cap: int) -> tuple[int, dict]:
     return cached
 
 
-def _nakayama_echelon(gens: list[_IntPoly], arity: int, cap: int) -> tuple[int, dict] | None:
+def _nakayama_echelon(gens: list[_IntPoly], pk: _Packing, cap: int) -> tuple[int, dict] | None:
     """The least N <= cap with m^N inside (gens) + m^(N+1), and the echelon form below N.
 
     The rows, truncated above degree ``cap``, are eliminated degree by
-    degree as in the module docstring.  They are keyed by the grlex
-    packing, (deg << pbits) + P(e), so x_i times a monomial adds the packed
-    x_i, and a degree bound is one comparison.  The returned pivots are the
-    pivot rows of degree below N, with their tails cut below N: they span
-    ((gens) + m^N)/m^N.  None when no N up to the cap exists.  The pivots
-    of degree d do not depend on the truncation as long as it is at least
-    d, so the rows are truncated below the exponent limit too; only a cap
-    at the limit that the search reaches raises ``ExponentOverflow``.
+    degree as in the module docstring.  ``gens`` and the rows are packed
+    by the grlex packing pk, (deg << pbits) + P(e), so x_i times a
+    monomial adds the packed x_i, and a degree bound is one comparison.
+    The returned pivots are the pivot rows of degree below N, with their
+    tails cut below N: they span ((gens) + m^N)/m^N.  None when no N up to
+    the cap exists.  The pivots of degree d do not depend on the
+    truncation as long as it is at least d, so the rows are truncated
+    below the exponent limit too; only a cap at the limit that the search
+    reaches raises ``ExponentOverflow``.
     """
-    pk = _packing(arity, GRLEX)
+    arity = len(pk.units)
     dshift = pk.pbits
     top = min(cap, EXPONENT_LIMIT - 1)
     pending: dict[int, list[dict]] = {}
     for g in gens:
-        row = {m: c for m, c in pk.pack_poly(g).items() if m >> dshift <= top}
+        row = {m: c for m, c in g.items() if m >> dshift <= top}
         if row:
             pending.setdefault(min(row) >> dshift, []).append(row)
     below_top = top << dshift

@@ -35,7 +35,6 @@ from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
-    "ELIMINATION_VARIABLE",
     "GREVLEX",
     "GRLEX",
     "LEX",
@@ -71,13 +70,8 @@ def integer_weights(weights: Iterable) -> tuple[tuple[int, ...], int]:
     if any(w <= 0 for w in ws):
         raise ValueError("weights must be positive")
     scale = math.lcm(*(w.denominator for w in ws))
-    return tuple(int(w * scale) for w in ws), scale
+    return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
 
-
-# Name reserved for the auxiliary variable of ideal-quotient elimination.
-# RingContext accepts it (the quotient machinery builds such rings) but the
-# parser rejects it, so user input can never collide with it.
-ELIMINATION_VARIABLE = "t__elim"
 
 # Exponents are meant to stay tiny; anything approaching this bound is a bug.
 _EXPONENT_LIMIT = 2**31
@@ -447,7 +441,7 @@ def _raw(ring: RingContext, coeffs: dict[Exponent, Fraction]) -> Polynomial:
 def clear_denominators(p: Polynomial) -> tuple[dict[Exponent, int], int]:
     """(den * p, den) with den the lcm of the denominators of p, as an int dict."""
     den = math.lcm(*(q.denominator for q in p._c.values()))
-    return {e: int(q * den) for e, q in p._c.items()}, den
+    return {e: q.numerator * (den // q.denominator) for e, q in p._c.items()}, den
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial | None:
@@ -583,8 +577,6 @@ class _Parser:
                 return Polynomial.constant(self.ring, Fraction(numerator, int(den.text)))
             return Polynomial.constant(self.ring, numerator)
         if tok.kind == "ident":
-            if tok.text == ELIMINATION_VARIABLE:
-                raise ParseError(f"variable name {tok.text!r} is reserved", tok.pos)
             if tok.text not in self.ring.names:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
             return Polynomial.variable(self.ring, tok.text)
@@ -612,8 +604,6 @@ def parse(text: str, ring: RingContext) -> Polynomial:
     ParseError
         On any malformed input, with the offending position attached.
     """
-    if ELIMINATION_VARIABLE in ring.names:
-        raise ParseError(f"ring uses reserved variable {ELIMINATION_VARIABLE!r}", 0)
     parser = _Parser(_tokenize(text), ring)
     p = parser.expr()
     trailing = parser.peek()

@@ -15,13 +15,21 @@ N_(b+e_i) = d_i(N_b) * F - (|b| + 1) * N_b * d_i(F) from N_0 = G, and the
 generator is F^(k-|b|) * N_b / (d * c^k).  A section cancels common
 factors of f from its numerator and pole, but f^(k+1-pole) * numerator
 does not change under that cancellation, so both ways give the same
-polynomial.  Sections, operators and the descent replays below stay
-exact rational code: they verify, they are not the hot path.
+polynomial.  The numerators are packed integers (one int per monomial,
+see ``ideals``), in the weighted-degree packing of the germ's weights
+when the caller has them, so that its graded level tests read them as
+they are.  Sections and operators stay exact rational code for
+verification; no level test and no descent replay uses them.
 
 The Euler layer certifies, for f weighted homogeneous with weights w, the
 rewriting of a monomial section x^u / f^(k+1) as a weighted sum of first
 partials of sections x^(u+e_i) / f^(k+1).  Each step stores its scale
-1 / (rho(u) - (k+1)) and is replayed exactly on construction.
+1 / (rho(u) - (k+1)).  Its replay re-derives both sides exactly, as one
+identity between integer polynomials: both sections times f^(k+2), the
+common pole of the partials, with the denominators of f and of the
+coefficients cleared.  A chain checks the Euler identity of f once and is
+replayed once, step by step on one packed integer form of f, before it
+is returned.
 """
 
 from __future__ import annotations
@@ -29,12 +37,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import Iterable
 
-from .ideals import Ideal
+from .ideals import (
+    EXPONENT_LIMIT,
+    Ideal,
+    _overflow,
+    _packing,
+    _Packing,
+    _weighted_packing,
+)
 from .invariants import WeightSystem
 from .polyring import (
+    GRLEX,
     Exponent,
     Polynomial,
     RingContext,
@@ -285,21 +301,16 @@ class DiffOp:
 
 
 def _mul(a: dict, b: dict) -> dict:
-    """Product of two integer polynomials given as exponent -> int dicts."""
-    out: dict[Exponent, int] = {}
+    """Product of two packed integer polynomials (monomial -> int dicts)."""
+    out: dict[int, int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
 
-def _partial(p: dict, i: int) -> dict:
-    """Partial derivative in x_i of an integer polynomial."""
-    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in p.items() if e[i]}
-
-
-def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
+def jk_ideal(f: Polynomial, ideal: Ideal, k: int, weights: Iterable | None = None) -> Ideal:
     """Order-k numerator ideal of the sections d^b(g / f), |b| <= k, g in I.
 
     Each generator is the polynomial f^(k+1) * d^b(g / f).  It is built on
@@ -315,8 +326,16 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
     non-decreasing variable order.  One d, the lcm of the denominators
     over all generators of I, serves every g, so equal generators have
     equal integer numerators and are kept once, at their first occurrence.
-    The numerators go to the ideal with its generators, so its level tests
-    and bases start from their primitive integer forms.
+
+    The numerators are packed integers throughout, in the weighted packing
+    (wdeg(e) << pbits) + P(e) of ``weights`` (all ones when None, which is
+    the grlex packing of the local echelon): a product is ``+`` and a
+    partial reads the exponent field and subtracts the packed variable.
+    They go to the ideal packed, so its level tests for the same weights
+    start from them without repacking.  The weights choose only the
+    packing, never the generators.  Every exponent of a generator is at
+    most k times the largest exponent of F plus the largest of a G; when
+    that reaches ``EXPONENT_LIMIT``, ``ExponentOverflow`` is raised.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -326,12 +345,20 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
         raise ValueError("ideal and polynomial live in different rings")
     ring = f.ring
     n = ring.arity
+    ws = (1,) * n if weights is None else integer_weights(weights)[0]
+    if len(ws) != n:
+        raise ValueError("weight count does not match the ring")
+    pk = _weighted_packing(ws)
     big_f, c = clear_denominators(f)
-    partials = [_partial(big_f, i) for i in range(n)]
-    powers = [{ring.zero_exponent(): 1}]
+    numerators = [clear_denominators(g) for g in ideal.generators]
+    top = max((max(e) for big_g, _ in numerators for e in big_g), default=0)
+    if k * max(map(max, big_f)) + top >= EXPONENT_LIMIT:
+        raise _overflow()
+    big_f = pk.pack_poly(big_f)
+    partials = [pk.partial(big_f, i) for i in range(n)]
+    powers = [{0: 1}]  # 0 packs the exponent 0
     for _ in range(k):
         powers.append(_mul(powers[-1], big_f))
-    numerators = [clear_denominators(g) for g in ideal.generators]
     d = math.lcm(*(den for _, den in numerators))
     out: list[dict] = []
     seen: set[frozenset] = set()
@@ -348,25 +375,40 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
         if order == k or not num:
             return
         for i in range(start, n):
-            high = _mul(_partial(num, i), big_f)
+            high = _mul(pk.partial(num, i), big_f)
             for e, v in _mul(num, partials[i]).items():
                 high[e] = high.get(e, 0) - (order + 1) * v
             walk({e: v for e, v in high.items() if v}, order + 1, i)
 
     for big_g, d_g in numerators:
-        walk({e: v * (d // d_g) for e, v in big_g.items()}, 0, 0)
-    return Ideal._from_numerators(ring, out, d * c**k)
+        walk({pk.pack(e): v * (d // d_g) for e, v in big_g.items()}, 0, 0)
+    return Ideal._from_numerators(ring, out, d * c**k, pk)
+
+
+def _integer_form(f: Polynomial) -> tuple[_Packing, dict, list[dict]]:
+    """F = c*f with integer coefficients, packed by grlex, and its partials."""
+    pk = _packing(f.ring.arity, GRLEX)
+    big_f = pk.pack_poly(clear_denominators(f)[0])
+    return pk, big_f, [pk.partial(big_f, i) for i in range(f.ring.arity)]
 
 
 def euler_check(f: Polynomial, weights: WeightSystem) -> bool:
-    """Whether sum_i w_i x_i df/dx_i equals f exactly."""
-    ring = f.ring
-    if weights.arity != ring.arity:
+    """Whether sum_i w_i x_i df/dx_i equals f exactly.
+
+    Checked on integers: with f = F / c and W = L*w the weights scaled by
+    their common denominator, the identity reads
+    sum_i W_i x_i dF/dx_i = L*F on F packed.
+    """
+    if weights.arity != f.ring.arity:
         raise ValueError("weight system arity does not match the ring")
-    total = ring.zero()
-    for i, w in enumerate(weights):
-        total = total + ring.gens()[i] * f.partial_derivative(i) * w
-    return total == f
+    pk, big_f, partials = _integer_form(f)
+    ws, scale = integer_weights(weights)
+    total: dict[int, int] = {}
+    for w, unit, df in zip(ws, pk.units, partials):
+        for m, v in df.items():
+            t = m + unit
+            total[t] = total.get(t, 0) + w * v
+    return {m: v for m, v in total.items() if v} == {m: scale * v for m, v in big_f.items()}
 
 
 @dataclass(frozen=True)
@@ -392,13 +434,42 @@ class DescentStep:
         )
 
     def replay(self, f: Polynomial) -> bool:
-        ring = f.ring
-        target = RationalSection(f, Polynomial.monomial(ring, self.u), self.level + 1)
-        total = RationalSection(f, ring.zero(), 0)
-        for i, u_plus in enumerate(self.inputs()):
-            section = RationalSection(f, Polynomial.monomial(ring, u_plus), self.level + 1)
-            total = total + section.derive(i) * (self.scale * self.weights[i])
-        return total == target
+        """Whether the step's identity holds, re-derived on integer numerators.
+
+        With f = F / c, both sides times f^(k+2) / c^(k+1) are polynomials:
+        d_i (x^(u+e_i) / F^(k+1)) = ((u_i+1) x^u F - (k+1) x^(u+e_i) d_iF) / F^(k+2),
+        so the identity reads
+        scale * sum_i w_i ((u_i+1) x^u F - (k+1) x^(u+e_i) d_iF) = x^u F.
+        Both sides are built on F packed, the coefficients scale * w_i
+        brought to one denominator, and compared term by term.  Multiplying
+        by the nonzero f^(k+2) / c^(k+1) is injective, so this is the
+        identity of the sections.
+        """
+        return self._holds(*_integer_form(f))
+
+    def _holds(self, pk: _Packing, big_f: dict, partials: list[dict]) -> bool:
+        """``replay`` on the packed integer form of f from ``_integer_form``."""
+        n = len(partials)
+        if len(self.u) != n or min(self.u) < 0:
+            raise ValueError(f"bad exponent {self.u}")
+        coeffs = [self.scale * w for w in self.weights]
+        if len(coeffs) != n:
+            raise ValueError("weight system arity does not match the ring")
+        den = math.lcm(*(a.denominator for a in coeffs))
+        x_u = pk.pack(self.u)
+        pole = self.level + 1
+        lhs: dict[int, int] = {}
+        for i, a in enumerate(coeffs):
+            a = a.numerator * (den // a.denominator)
+            for shift, q, p in (
+                (x_u, a * (self.u[i] + 1), big_f),
+                (x_u + pk.units[i], -a * pole, partials[i]),
+            ):
+                for m, v in p.items():
+                    t = m + shift
+                    lhs[t] = lhs.get(t, 0) + q * v
+        rhs = {x_u + m: den * v for m, v in big_f.items()}
+        return {m: v for m, v in lhs.items() if v} == rhs
 
     def to_dict(self) -> dict:
         return {
@@ -410,6 +481,16 @@ class DescentStep:
             ],
             "verified": True,
         }
+
+
+def _descent_step(weights: WeightSystem, u: Exponent, k: int) -> DescentStep:
+    """The unreplayed rewriting step for x^u / f^(k+1), which needs rho(u) < k + 1."""
+    r = weights.rho(u)
+    if r == k + 1:
+        raise ValueError("base case: rho(u) equals k + 1, scale undefined")
+    if r > k + 1:
+        raise ValueError("base case: rho(u) exceeds k + 1, no rewriting needed")
+    return DescentStep(u=tuple(u), level=k, scale=1 / (r - (k + 1)), weights=weights)
 
 
 def euler_descent_witness(
@@ -426,12 +507,7 @@ def euler_descent_witness(
         raise ValueError("bad exponent")
     if not euler_check(f, weights):
         raise ValueError("weights do not satisfy the Euler identity for f")
-    r = weights.rho(u)
-    if r == k + 1:
-        raise ValueError("base case: rho(u) equals k + 1, scale undefined")
-    if r > k + 1:
-        raise ValueError("base case: rho(u) exceeds k + 1, no rewriting needed")
-    step = DescentStep(u=tuple(u), level=k, scale=1 / (r - (k + 1)), weights=weights)
+    step = _descent_step(weights, u, k)
     if not step.replay(f):
         raise AssertionError("descent step failed its replay")
     return step
@@ -455,7 +531,9 @@ class DescentChain:
         return len(self.steps)
 
     def replay(self) -> bool:
-        return all(step.replay(self.f) for step in self.steps)
+        """Whether every step replays on f, whose integer form is built once."""
+        form = _integer_form(self.f)
+        return all(step._holds(*form) for step in self.steps)
 
     def to_dict(self) -> dict:
         return {
@@ -474,7 +552,9 @@ def generation_descent(f: Polynomial, weights: WeightSystem, k: int = 0) -> Desc
     enumeration is finite: rho(u) < k + 1 forces u_i < (k + 1) / w_i.  The
     filter compares integers: with W = L*w the weights scaled by their
     common denominator L, rho(u) < k + 1 exactly when
-    sum_i u_i W_i < (k + 1) L - sum_i W_i.
+    sum_i u_i W_i < (k + 1) L - sum_i W_i.  The Euler identity is checked
+    once, and the chain is replayed once, as a whole, before it is
+    returned: each step counts only after its identity is re-derived.
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
@@ -485,5 +565,8 @@ def generation_descent(f: Polynomial, weights: WeightSystem, k: int = 0) -> Desc
     bounds = [math.ceil(Fraction(k + 1) / w) + 1 for w in weights]
     targets = [u for u in exponent_box(bounds) if sum(map(mul, u, ws)) < bar]
     targets.sort(key=lambda u: (-sum(u), u))
-    steps = tuple(euler_descent_witness(f, weights, u, k) for u in targets)
-    return DescentChain(f=f, weights=weights, level=k, steps=steps)
+    steps = tuple(_descent_step(weights, u, k) for u in targets)
+    chain = DescentChain(f=f, weights=weights, level=k, steps=steps)
+    if not chain.replay():
+        raise AssertionError("descent chain failed its replay")
+    return chain

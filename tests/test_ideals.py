@@ -14,7 +14,7 @@ import math
 import threading
 from bisect import insort
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 import pytest
 import sympy
@@ -565,6 +565,12 @@ def test_graded_membership_matches_global_on_homogeneous_ideals(rng, ring, syste
         assert not _ff_reduce_graded_member(Ideal(ring, gens), p, weights)
 
 
+def _weighted_degree(p, ws):
+    """The weighted degree of an exponent-tuple dict p when it is homogeneous, else None."""
+    degs = {sum(map(mul, e, ws)) for e in p}
+    return degs.pop() if len(degs) == 1 else None
+
+
 def _ff_reduce_graded_member(ideal, p, weights):
     """The Macaulay row loop that the pivot dict replaced, kept as a reference.
 
@@ -575,9 +581,9 @@ def _ff_reduce_graded_member(ideal, p, weights):
         return True
     ws = ideals.integer_weights(weights)[0]
     target = ideals._int_poly(p)
-    top = ideals._weighted_degree(target, ws)
+    top = _weighted_degree(target, ws)
     gens = [ideals._int_poly(g) for g in ideal.generators]
-    degs = [ideals._weighted_degree(g, ws) for g in gens]
+    degs = [_weighted_degree(g, ws) for g in gens]
     assert top is not None and None not in degs
     key = GREVLEX.key
     reds = []

@@ -61,7 +61,7 @@ def test_parse_errors_carry_positions(ring):
         parse("x y", ring)
     with pytest.raises(ParseError):
         parse("", ring)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="unknown variable 't__elim'"):
         parse("t__elim + x", ring)
 
 

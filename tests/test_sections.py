@@ -1,12 +1,16 @@
 """Rational sections, differential operators, derivative ideals, descent."""
 
+from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+import singulens.ideals as ideals
+from singulens.genus import classify, compute_genus
 from singulens.ideals import Ideal, _int_poly, maximal_ideal
 from singulens.invariants import WeightSystem, jacobian_ideal
-from singulens.polyring import Polynomial, parse
+from singulens.polyring import GRLEX, LEX, Polynomial, integer_weights, parse
 from singulens.sections import (
     DescentStep,
     DiffOp,
@@ -22,6 +26,8 @@ from conftest import random_polynomial
 CASES = 220
 
 QUARTER = WeightSystem((Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)))
+
+GRLEX_3 = ideals._packing(3, GRLEX)
 
 
 def _random_section(rng, ring, base):
@@ -231,8 +237,9 @@ def test_jk_generators_match_the_cancelled_section_walk(rng, ring, P):
     for f, ideal, k in cases:
         jk = jk_ideal(f, ideal, k)
         assert jk.generators == _reference_jk_generators(f, ideal, k)
-        # the integer forms handed over with the generators, before any lazy fill
-        assert jk._cache["ints"] == [_int_poly(g) for g in jk.generators]
+        # the packed integer forms handed over with the generators, before any
+        # lazy fill: the grlex packing without weights
+        assert jk._cache[GRLEX_3] == [GRLEX_3.pack_poly(_int_poly(g)) for g in jk.generators]
         cancelled += any(RationalSection(f, g, 1).pole == 0 for g in ideal.generators if g)
     assert cancelled >= 10
 
@@ -374,3 +381,118 @@ def test_replay_detects_tampering(ring, P):
     good = euler_descent_witness(f, QUARTER, (0, 0, 0), 0)
     bad = DescentStep(u=good.u, level=good.level, scale=good.scale + 1, weights=good.weights)
     assert not bad.replay(f)
+
+
+def _graded_germ(rng, P):
+    """A Brieskorn-Pham germ a*x^p + b*y^q + c*z^r or a chain a*x^p*y + b*y^q + c*z^r."""
+    p, q, r = (rng.randint(2, 5) for _ in range(3))
+    a, b, c = (rng.choice((1, -1, 2, -3)) for _ in range(3))
+    lead = P(f"x^{p}") if rng.random() < 0.5 else P(f"x^{p}*y")
+    return lead * a + P(f"y^{q}") * b + P(f"z^{r}") * c
+
+
+def _section_replay(step, f):
+    """The step's identity re-derived with ``RationalSection`` arithmetic, as a reference."""
+    ring = f.ring
+    target = RationalSection(f, Polynomial.monomial(ring, step.u), step.level + 1)
+    total = RationalSection(f, ring.zero(), 0)
+    for i, u_plus in enumerate(step.inputs()):
+        section = RationalSection(f, Polynomial.monomial(ring, u_plus), step.level + 1)
+        total = total + section.derive(i) * (step.scale * step.weights[i])
+    return total == target
+
+
+def _tampered(step):
+    """Copies of a step with its scale, one weight, u or level changed."""
+    ws = list(step.weights)
+    ws[0] *= 2
+    u = (step.u[0] + 1,) + step.u[1:]
+    return [
+        replace(step, scale=step.scale + 1),
+        replace(step, weights=WeightSystem(tuple(ws))),
+        replace(step, u=u),
+        replace(step, level=step.level + 1),
+    ]
+
+
+def test_integer_replay_matches_the_section_replay(rng, P):
+    """Seeded weighted homogeneous germs, levels 0-2: both replays give one verdict."""
+    steps = 0
+    for _ in range(6):
+        f = _graded_germ(rng, P)
+        weights = classify(f).weights
+        for k in range(3):
+            chain = generation_descent(f, weights, k)
+            for step in rng.sample(chain.steps, min(len(chain), 4)):
+                assert step.replay(f) and _section_replay(step, f)
+                for bad in _tampered(step):
+                    assert not bad.replay(f) and not _section_replay(bad, f)
+                steps += 1
+    assert steps >= 30
+
+
+def test_replay_rejects_tampered_steps(ring, P):
+    """A changed scale, weight, u or level fails the step and its chain."""
+    f = P("x^3*y + y^5 + z^6")
+    chain = generation_descent(f, classify(f).weights, 1)
+    assert chain.replay()
+    for i in (0, len(chain) // 2, len(chain) - 1):
+        for bad in _tampered(chain.steps[i]):
+            assert not bad.replay(f)
+            steps = chain.steps[:i] + (bad,) + chain.steps[i + 1 :]
+            assert not replace(chain, steps=steps).replay()
+
+
+def test_jk_ideal_generators_do_not_depend_on_weights(rng, P):
+    """The weights choose the packing of the numerators, never the generators."""
+    for _ in range(4):
+        f = _graded_germ(rng, P)
+        weights = classify(f).weights
+        multiplier = compute_genus(f).multiplier
+        pk = ideals._weighted_packing(integer_weights(weights)[0])
+        for k in range(3):
+            plain = jk_ideal(f, multiplier, k)
+            weighted = jk_ideal(f, multiplier, k, weights)
+            assert weighted.generators == plain.generators
+            assert weighted._cache[pk] == [pk.pack_poly(_int_poly(g)) for g in plain.generators]
+
+
+def _tuple_weighted_degree(p, ws):
+    degs = {sum(map(mul, e, ws)) for e in p}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def _tuple_graded_member(ideal, p, weights):
+    """The graded level test on exponent tuples, lex-packed per row, as a reference."""
+    ws = integer_weights(weights)[0]
+    gens = [_int_poly(g) for g in ideal.generators]
+    degs = [_tuple_weighted_degree(g, ws) for g in gens]
+    target = _int_poly(p)
+    top = _tuple_weighted_degree(target, ws)
+    assert top is not None and None not in degs
+    pk = ideals._packing(len(ws), LEX)
+    pivots, shifts = {}, {}
+    for g, d in zip(gens, degs):
+        if d not in shifts:
+            shifts[d] = [pk.pack(m) for m in ideals._exponents_of_degree(ws, top - d)]
+        row0 = pk.pack_poly(g)
+        for m in shifts[d]:
+            head = ideals._pivot_reduce({e + m: c for e, c in row0.items()}, pivots)
+            if head is not None:
+                pivots[head[0]] = head[1:]
+    return ideals._pivot_reduce(pk.pack_poly(target), pivots) is None
+
+
+def test_graded_level_verdicts_match_the_tuple_member(rng, P):
+    """Levels 0-3 of seeded graded germs: packed verdicts = the tuple-based test's."""
+    verdicts = []
+    for _ in range(5):
+        f = _graded_germ(rng, P)
+        weights = classify(f).weights
+        multiplier = compute_genus(f).multiplier
+        for k in range(4):
+            jk = jk_ideal(f, multiplier, k, weights)
+            verdict = jk.local_member(f**k, weights)
+            assert verdict == _tuple_graded_member(jk, f**k, weights), (f, k)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
