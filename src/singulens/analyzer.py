@@ -39,7 +39,7 @@ from .invariants import (
     tjurina_number,
 )
 from .polyring import Polynomial, RingContext, parse
-from .sections import euler_check, generation_descent, jk_ideal
+from .sections import euler_check, generation_descent, graded_levels, jk_ideal
 
 __all__ = [
     "AnalysisReport",
@@ -165,7 +165,14 @@ def equality_certificate(
     proves equality for the weighted homogeneous case.  Weights satisfying
     the Euler identity also make each level test one linear system in the
     weighted degree of f^k, with no Groebner basis (see
-    ``Ideal.local_member``), on numerators packed by those weights.
+    ``Ideal.local_member``), on numerators packed by those weights.  Level
+    0 is tested on J_0 itself.  When every generator of the multiplier
+    ideal is weighted homogeneous too, levels 1..max_level climb the graded
+    ladder of ``graded_levels``: level k starts from F times the echelon
+    form of level k - 1 (F * J_(k-1) lies in J_k, and F times an echelon
+    form is one) and adds only rows of the numerators of order exactly k,
+    pruned to those that can have rows by ``max_level``.  Otherwise every
+    level builds its own J_k.
     """
     if max_level < 0:
         raise ValueError("maximum level must be nonnegative")
@@ -176,13 +183,17 @@ def equality_certificate(
 
     if weights is not None and not euler_check(f, weights):
         weights = None
+    ladder = None if weights is None else graded_levels(f, multiplier, weights, max_level)
     for k in range(max_level + 1):
-        jk = jk_ideal(f, multiplier, k, weights)
-        # J_0: keep the bases the genus route filled.  For k >= 1 the
-        # generators of J_k are left unbuilt: the level test reads integers.
-        if k == 0 and jk == multiplier:
-            jk = multiplier
-        ok = jk.local_member(f**k, weights)
+        if k and ladder is not None:
+            ok = next(ladder)
+        else:
+            jk = jk_ideal(f, multiplier, k, weights)
+            # J_0: keep the bases the genus route filled.  For k >= 1 the
+            # generators of J_k are left unbuilt: the level test reads integers.
+            if k == 0 and jk == multiplier:
+                jk = multiplier
+            ok = jk.local_member(f**k, weights)
         results.append((k, ok))
         if ok:
             return EqualityVerdict(

@@ -484,6 +484,36 @@ def _pivot_reduce(work: dict, pivots: dict) -> tuple | None:
     return None
 
 
+def _add_rows(
+    pivots: dict,
+    g: _IntPoly,
+    gap: int,
+    ws: tuple[int, ...],
+    pk: _Packing,
+    shifts: dict,
+    free: int | None = None,
+) -> None:
+    """Reduce the rows m*g with wdeg(m) = gap into the echelon form ``pivots``.
+
+    g is packed by pk, the weighted packing of the integer weights ws, so
+    a shift by m is one addition; there are no rows when gap < 0.  With
+    ``free`` = i only the m free of x_i are taken.  Each row that keeps a
+    monomial without a pivot joins ``pivots`` keyed by it.  ``shifts``
+    caches the packed shifts for the caller's sequence of calls.
+    """
+    if gap < 0:
+        return
+    ms = shifts.get((gap, free))
+    if ms is None:
+        ms = shifts[gap, free] = [
+            pk.pack(m) for m in _exponents_of_degree(ws, gap) if free is None or not m[free]
+        ]
+    for m in ms:
+        head = _pivot_reduce({e + m: c for e, c in g.items()}, pivots)
+        if head is not None:
+            pivots[head[0]] = head[1:]
+
+
 def _buchberger(gens: list[_IntPoly], pk: _Packing) -> list[_IntPoly]:
     """Groebner basis of the ideal spanned by packed ``gens`` for pk's order.
 
@@ -906,7 +936,8 @@ class Ideal:
         monomial of theirs only when the two are equal, and the rows are
         eliminated without ``_ff_reduce``'s divisor scan: the kept rows are
         held in a dict from pivot (least monomial, lex) to row, and each new
-        row, and finally p, is reduced fraction-free by ``_pivot_reduce``.
+        row (``_add_rows``, which the graded ladder of ``sections`` shares),
+        and finally p, is reduced fraction-free by ``_pivot_reduce``.
         A row that keeps a monomial outside the dict becomes a new pivot.
         The rows come from the generators packed by the weighted packing
         (see ``_graded_degrees``), so that a shift by m is one addition and
@@ -925,15 +956,9 @@ class Ideal:
         if top // min(ws) >= EXPONENT_LIMIT:
             raise _overflow()
         pivots: dict[int, tuple[int, list]] = {}
-        shifts: dict[int, list[int]] = {}
+        shifts: dict[tuple, list[int]] = {}
         for g, d in zip(self._packed_generators(pk), degs):
-            if d not in shifts:
-                shifts[d] = [pk.pack(m) for m in _exponents_of_degree(ws, top - d)]
-            for m in shifts[d]:
-                row = {e + m: c for e, c in g.items()}
-                head = _pivot_reduce(row, pivots)
-                if head is not None:
-                    pivots[head[0]] = head[1:]
+            _add_rows(pivots, g, top - d, ws, pk, shifts)
         return _pivot_reduce(target, pivots) is None
 
     def _graded_degrees(
@@ -941,8 +966,9 @@ class Ideal:
     ) -> tuple[tuple[int, ...], _Packing, list[int]] | None:
         """The integer weights, their packing and the weighted degrees of the generators.
 
-        The generators are read packed by ``_weighted_packing``, whose key
-        field is the weighted degree.  None when some generator is not
+        A ``WeightSystem`` carries its integer weights, which are read off
+        it.  The generators are read packed by ``_weighted_packing``, whose
+        key field is the weighted degree.  None when some generator is not
         weighted homogeneous for ``weights``; nonpositive weights or a
         wrong weight count raise ``ValueError``.
         """

@@ -12,7 +12,7 @@ pieces with h outside the Jacobian ideal of g certifies the negative case.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -26,7 +26,7 @@ from .ideals import (
     Ideal,
     local_colength,
 )
-from .polyring import Exponent, Polynomial
+from .polyring import Exponent, Polynomial, integer_weights
 
 __all__ = [
     "Germ",
@@ -44,9 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """Positive rational weights, one per ring variable."""
+    """Positive rational weights, one per ring variable.
+
+    ``integers`` is their integer form (W, L), W = L*w with L the lcm of
+    the denominators, computed once; ``integer_weights`` returns it.
+    """
 
     weights: tuple[Fraction, ...]
+    integers: tuple[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.weights:
@@ -55,6 +60,7 @@ class WeightSystem:
         if any(w <= 0 for w in ws):
             raise ValueError("weights must be positive")
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "integers", integer_weights(ws))
 
     @property
     def arity(self) -> int:

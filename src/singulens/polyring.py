@@ -64,8 +64,12 @@ def integer_weights(weights: Iterable) -> tuple[tuple[int, ...], int]:
 
     L is the lcm of the denominators, so a weighted sum of an exponent
     compares with a rational bound t exactly when L times that sum, an
-    integer, compares with L*t.
+    integer, compares with L*t.  Weights that carry this form as
+    ``integers`` (a ``WeightSystem``, which computes it once) return it.
     """
+    form = getattr(weights, "integers", None)
+    if form is not None:
+        return form
     ws = [Fraction(w) for w in weights]
     if any(w <= 0 for w in ws):
         raise ValueError("weights must be positive")

@@ -21,6 +21,19 @@ when the caller has them, so that its graded level tests read them as
 they are.  Sections and operators stay exact rational code for
 verification; no level test and no descent replay uses them.
 
+For weighted homogeneous f and I the levels k >= 1 climb one graded
+ladder (``graded_levels``) instead of rebuilding J_k: the rows of J_k in
+weighted degree k * wdeg(F) span F times those of J_(k-1) plus the
+shifts of the new numerators N_b, |b| = k, and F times an echelon form is
+again one, since the least monomial of F*r is the least of F times the
+least of r.  So each level starts from F times the previous pivot rows
+and eliminates only new rows; the Euler identity relates the numerators
+of one level to F times those of the level below, which drops the rows
+of N_b' shifted by a multiple of the last variable whenever b' holds it.
+A numerator is derived only when some node below it in the walk, within
+the last level asked for, has rows (N_b has rows exactly when
+wdeg(G) <= b.W for the integer weights W).
+
 The Euler layer certifies, for f weighted homogeneous with weights w, the
 rewriting of a monomial section x^u / f^(k+1) as a weighted sum of first
 partials of sections x^(u+e_i) / f^(k+1).  Each step stores its scale
@@ -38,14 +51,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .ideals import (
     EXPONENT_LIMIT,
     Ideal,
+    _add_rows,
+    _int_poly,
     _overflow,
+    _packed_degree,
     _packing,
     _Packing,
+    _pivot_reduce,
     _weighted_packing,
 )
 from .invariants import WeightSystem
@@ -68,6 +85,7 @@ __all__ = [
     "euler_check",
     "euler_descent_witness",
     "generation_descent",
+    "graded_levels",
     "jk_ideal",
 ]
 
@@ -310,6 +328,24 @@ def _mul(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def _derive(num: dict, i: int, order: int, big_f: dict, df: dict, pk: _Packing) -> dict:
+    """N_(b+e_i) = d_i(N_b) * F - (|b| + 1) * N_b * d_i(F) from N_b with |b| = order.
+
+    All packed by pk; ``df`` is d_i(F).
+    """
+    out: dict[int, int] = {}
+    for ea, ca in pk.partial(num, i).items():
+        for eb, cb in big_f.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) + ca * cb
+    for ea, ca in num.items():
+        ca *= order + 1
+        for eb, cb in df.items():
+            e = ea + eb
+            out[e] = out.get(e, 0) - ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
 def jk_ideal(f: Polynomial, ideal: Ideal, k: int, weights: Iterable | None = None) -> Ideal:
     """Order-k numerator ideal of the sections d^b(g / f), |b| <= k, g in I.
 
@@ -375,14 +411,107 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int, weights: Iterable | None = Non
         if order == k or not num:
             return
         for i in range(start, n):
-            high = _mul(pk.partial(num, i), big_f)
-            for e, v in _mul(num, partials[i]).items():
-                high[e] = high.get(e, 0) - (order + 1) * v
-            walk({e: v for e, v in high.items() if v}, order + 1, i)
+            walk(_derive(num, i, order, big_f, partials[i], pk), order + 1, i)
 
     for big_g, d_g in numerators:
         walk({pk.pack(e): v * (d // d_g) for e, v in big_g.items()}, 0, 0)
     return Ideal._from_numerators(ring, out, d * c**k, pk)
+
+
+def graded_levels(
+    f: Polynomial, ideal: Ideal, weights: Iterable, max_level: int
+) -> Iterator[bool] | None:
+    """The verdicts f^k in J_k for k = 1..max_level, one level per step; None when not graded.
+
+    Applies when f and every generator of I are weighted homogeneous for
+    ``weights``; each verdict then equals
+    ``jk_ideal(f, I, k, weights).local_member(f**k, weights)``, decided as
+    one linear system in weighted degree D_k = k * wdeg(F), with f = F / c
+    and integer weights W.  The rows of degree D_k of J_k (see
+    ``Ideal._graded_member``) span R_k = F * R_(k-1) + span{m * N_b : |b| = k},
+    where N_b are the uncancelled numerators of ``jk_ideal``: a generator
+    F^(k-|b|) * N_b with |b| < k is F times one of J_(k-1), and its shifts
+    of degree D_k are F times those of degree D_(k-1).  F times an echelon
+    form is again one: the packing is linear, so min(F*r) = min(F) + min(r),
+    and distinct pivots stay distinct.  So level k starts from F times the
+    pivot rows of level k - 1, with no reduction, and reduces into them
+    only rows of the new numerators; level 0 holds the rows of the
+    generators of weighted degree 0.
+
+    N_b has weighted degree |b| * wdeg(F) + wdeg(G) - b.W, so it has rows at
+    level |b| exactly when wdeg(G) <= b.W.  For such b the Euler identity
+    sum_i W_i x_i d_i(P) = wdeg(P) * P gives
+    sum_i W_i x_i N_(b+e_i) = (wdeg(G) - b.W - wdeg(F)) * F * N_b, with a
+    nonzero factor, so each row m * x_n * N_(b+e_n) (x_n the last variable)
+    lies in the span of F * m * N_b and the rows m * x_i * N_(b+e_i), i < n;
+    by induction on the exponent of x_n in b, the rows of N_b' shifted by a
+    multiple of x_n are dropped for every b' that holds x_n.  The
+    numerators are derived one level per step, in ``jk_ideal``'s walk order
+    (a node takes derivatives in its own variable and later ones), and a
+    node is derived only when some node of its subtree within
+    ``max_level`` has rows: b + e_i qualifies when wdeg(G) <=
+    b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).  A level stops
+    adding rows once f^k reduces to zero: f^(k+1) then lies in F times the
+    rows kept, and every later level is positive.  Level k raises
+    ``ExponentOverflow`` where ``jk_ideal`` or the level test would.
+    """
+    ws = integer_weights(weights)[0]
+    n = f.ring.arity
+    if len(ws) != n:
+        raise ValueError("weight count does not match the ring")
+    pk = _weighted_packing(ws)
+    big_f = pk.pack_poly(_int_poly(f))
+    gens = ideal._packed_generators(pk)
+    degs = [_packed_degree(g, pk) for g in gens]
+    deg_f = _packed_degree(big_f, pk)
+    if deg_f is None or None in degs:
+        return None
+    top_f = max(map(max, map(pk.unpack, big_f)))
+    top_g = max((max(pk.unpack(m)) for g in gens for m in g), default=0)
+    # reach[i]: the most b.W grows by one derivative in x_i or a later variable
+    reach = [max(ws[i:]) for i in range(n)]
+    partials = [pk.partial(big_f, i) for i in range(n)]
+    low = min(big_f)
+    last = n - 1
+
+    def climb() -> Iterator[bool]:
+        # (N_b, b.W, first variable left to derive in, wdeg(G)) of the kept nodes
+        nodes = [(g, 0, 0, d) for g, d in zip(gens, degs)]
+        pivots: dict[int, tuple[int, list]] = {}
+        shifts: dict[tuple, list[int]] = {}
+        for g, _, _, d in nodes:
+            _add_rows(pivots, g, -d, ws, pk, shifts)
+        power = {0: 1}  # 0 packs the exponent 0
+        for k in range(1, max_level + 1):
+            if k * top_f + top_g >= EXPONENT_LIMIT or k * deg_f // min(ws) >= EXPONENT_LIMIT:
+                raise _overflow()
+            lifted = {}
+            for p, (lc, tail) in pivots.items():
+                row = _mul(big_f, {p: lc, **dict(tail)})
+                lifted[p + low] = (row.pop(p + low), list(row.items()))
+            pivots = lifted
+            power = _mul(power, big_f)
+            slack = max_level - k
+            nodes = [
+                (child, bw + ws[i], i, d)
+                for num, bw, start, d in nodes
+                for i in range(start, n)
+                if d <= bw + ws[i] + slack * reach[i]
+                and (child := _derive(num, i, k - 1, big_f, partials[i], pk))
+            ]
+            left = _pivot_reduce(dict(power), pivots)
+            if left is not None:
+                for num, bw, i, d in nodes:
+                    _add_rows(pivots, num, bw - d, ws, pk, shifts, last if i == last else None)
+                    head, lc, tail = left
+                    # the remainder's least monomial decides: a span member's is a pivot
+                    if head in pivots:
+                        left = _pivot_reduce({head: lc, **dict(tail)}, pivots)
+                        if left is None:
+                            break
+            yield left is None
+
+    return climb()
 
 
 def _integer_form(f: Polynomial) -> tuple[_Packing, dict, list[dict]]:

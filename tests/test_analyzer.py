@@ -107,6 +107,56 @@ def test_equality_unknown_for_witness(ring):
         equality_certificate(f, genus.multiplier, max_level=-1)
 
 
+def _record_levels(monkeypatch):
+    """Wrap the analyzer's jk_ideal; list the levels it is asked for."""
+    levels = []
+    real = analyzer_module.jk_ideal
+
+    def recording(f, ideal, k, weights=None):
+        levels.append(k)
+        return real(f, ideal, k, weights)
+
+    monkeypatch.setattr(analyzer_module, "jk_ideal", recording)
+    return levels
+
+
+def _level_by_level(f, multiplier, max_level, weights):
+    """Each level tested on its own J_k, as the reference."""
+    out = []
+    for k in range(max_level + 1):
+        out.append((k, jk_ideal(f, multiplier, k, weights).local_member(f**k, weights)))
+        if out[-1][1]:
+            break
+    return tuple(out)
+
+
+@pytest.mark.parametrize("text", GRADED_GERMS + ("x^7 + y^7 + z^7",))
+def test_graded_equality_climbs_the_ladder_from_level_one(ring, P, monkeypatch, text):
+    f = P(text)
+    cls = classify(f)
+    multiplier = compute_genus(f, cls).multiplier
+    expected = _level_by_level(f, multiplier, 5, cls.weights)
+    levels = _record_levels(monkeypatch)
+    verdict = equality_certificate(f, multiplier, 5, cls.weights)
+    assert verdict.level_results == expected
+    assert levels == [0]
+
+
+def test_ungraded_multiplier_falls_back_to_level_by_level(ring, P, monkeypatch):
+    f = P("x^4 + y^4 + z^4")
+    cls = classify(f)
+    # x^2 + y^3 is not weighted homogeneous for the weights (1/4, 1/4, 1/4)
+    multiplier = compute_genus(f, cls).multiplier + Ideal(ring, [P("x^2 + y^3")])
+    expected = _level_by_level(f, multiplier, 2, cls.weights)
+    levels = _record_levels(monkeypatch)
+    verdict = equality_certificate(f, multiplier, 2, cls.weights)
+    assert verdict.level_results == expected
+    assert levels == [k for k, _ in expected]
+    levels.clear()
+    equality_certificate(f, compute_genus(f, cls).multiplier, 2)
+    assert levels == [0, 1]
+
+
 def test_analyze_quasi_homogeneous_surface(ring, P):
     report = analyze(P("x^3 + y^3 + z^3"), max_level=1)
     assert report.mu == report.tau == 8

@@ -19,7 +19,8 @@ from singulens.invariants import (
     sqh_obstruction,
     tjurina_number,
 )
-from singulens.polyring import Polynomial, parse
+import singulens.polyring as polyring
+from singulens.polyring import Polynomial, integer_weights, parse
 from singulens.sections import euler_check
 
 from conftest import random_polynomial
@@ -48,6 +49,20 @@ def test_weight_system_basics():
         WeightSystem((Fraction(0), Fraction(1, 2)))
     with pytest.raises(ValueError):
         w.rho((1, 2))
+
+
+def test_weight_system_carries_its_integer_form(monkeypatch):
+    """(W, L) is computed once, at construction, and integer_weights returns it."""
+    w = WeightSystem((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+    assert w.integers == ((15, 10, 6), 30) == integer_weights(tuple(w))
+    assert "integers" not in repr(w)
+    assert w == WeightSystem((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)))
+
+    def no_fractions(*args):
+        raise AssertionError("integer weights re-derived")
+
+    monkeypatch.setattr(polyring, "Fraction", no_fractions)
+    assert integer_weights(w) is w.integers
 
 
 def test_jacobian_ideal(ring, P):

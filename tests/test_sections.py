@@ -1,14 +1,17 @@
 """Rational sections, differential operators, derivative ideals, descent."""
 
+import importlib
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from operator import mul
+from pathlib import Path
 
 import pytest
 
 import singulens.ideals as ideals
 from singulens.genus import classify, compute_genus
-from singulens.ideals import Ideal, _int_poly, maximal_ideal
+from singulens.ideals import ExponentOverflow, Ideal, _int_poly, maximal_ideal
 from singulens.invariants import WeightSystem, jacobian_ideal
 from singulens.polyring import GRLEX, LEX, Polynomial, integer_weights, parse
 from singulens.sections import (
@@ -18,6 +21,7 @@ from singulens.sections import (
     euler_check,
     euler_descent_witness,
     generation_descent,
+    graded_levels,
     jk_ideal,
 )
 
@@ -496,3 +500,139 @@ def test_graded_level_verdicts_match_the_tuple_member(rng, P):
             assert verdict == _tuple_graded_member(jk, f**k, weights), (f, k)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+
+
+def _corpus_graded_pool(seed, monkeypatch):
+    """The germ texts of the benchmark's corpus-graded pool for ``seed``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return [item.text for item in importlib.import_module("workloads").corpus_graded(seed)]
+
+
+def _ladder_cases(rng, P, monkeypatch):
+    texts = {str(_graded_germ(rng, P)) for _ in range(8)}
+    for seed in (1, 2, 21):
+        texts.update(_corpus_graded_pool(seed, monkeypatch))
+    for text in sorted(texts):
+        f = P(text)
+        cls = classify(f)
+        if cls.weights is not None:
+            yield f, cls.weights, compute_genus(f, cls).multiplier
+
+
+def test_graded_ladder_matches_the_level_tests(rng, P, monkeypatch):
+    """Levels 0-5: the ladder's verdicts = jk_ideal's level tests = the tuple-based test's.
+
+    Level 0 stays on jk_ideal; the ladder answers from level 1.
+    """
+    germs = 0
+    for f, weights, multiplier in _ladder_cases(rng, P, monkeypatch):
+        ladder = graded_levels(f, multiplier, weights, 5)
+        verdicts = [jk_ideal(f, multiplier, 0, weights).local_member(f**0, weights)]
+        verdicts += list(ladder)
+        for k, verdict in enumerate(verdicts):
+            jk = jk_ideal(f, multiplier, k, weights)
+            assert verdict == jk.local_member(f**k, weights), (f, k)
+            assert verdict == _tuple_graded_member(jk, f**k, weights), (f, k)
+        germs += 1
+    assert germs >= 50
+
+
+def test_graded_ladder_matches_on_monomial_ideals(rng, ring, P):
+    """Any weighted homogeneous ideal climbs the ladder, not only multiplier ideals."""
+    verdicts = []
+    for _ in range(40):
+        f = _graded_germ(rng, P)
+        weights = classify(f).weights
+        exponents = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(1, 3))]
+        ideal = Ideal(ring, [Polynomial.monomial(ring, e) for e in exponents])
+        expected = [jk_ideal(f, ideal, k, weights).local_member(f**k, weights) for k in (1, 2, 3)]
+        assert list(graded_levels(f, ideal, weights, 3)) == expected, (f, exponents)
+        verdicts += expected
+    assert True in verdicts and False in verdicts
+
+
+def test_graded_ladder_declines_ungraded_ideals(ring, P):
+    f = P("x^4 + y^4 + z^4")
+    weights = classify(f).weights
+    assert graded_levels(f, Ideal(ring, [P("x"), P("y + z^2")]), weights, 3) is None
+    assert graded_levels(P("x^4 + y^4 + z^4 + x*y^2*z^2"), maximal_ideal(ring), weights, 3) is None
+
+
+def _alive_nodes(ws, degree, max_level):
+    """#{b : 1 <= |b| <= max_level} whose subtree of jk_ideal's walk has a node with rows.
+
+    A node b is reached through derivatives in non-decreasing variable
+    order, so its subtree adds derivatives in its last variable and later
+    ones; a node has rows when b.W reaches the generator's degree.  Every
+    extension is enumerated, with no bound on how far b.W can grow.
+    """
+    n = len(ws)
+    count = 0
+    for size in range(1, max_level + 1):
+        for seq in combinations_with_replacement(range(n), size):
+            b_w = sum(ws[i] for i in seq)
+            more = max_level - size
+            if any(
+                b_w + sum(ws[i] for i in ext) >= degree
+                for m in range(more + 1)
+                for ext in combinations_with_replacement(range(seq[-1], n), m)
+            ):
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize(
+    "text, max_level",
+    [
+        ("x^7 + y^7 + z^7", 3),
+        ("x^3*y + y^5 + z^6", 4),
+        ("x^2 + y^3 + z^7", 3),
+        ("x^5*y + y^3 + z^4", 4),
+        ("x^6*y + y^2 + z^5", 3),
+    ],
+)
+def test_graded_ladder_derives_only_numerators_that_reach_rows(P, monkeypatch, text, max_level):
+    """The numerators the ladder derives are exactly the nodes whose subtree has rows."""
+    import singulens.sections as sections
+
+    f = P(text)
+    cls = classify(f)
+    multiplier = compute_genus(f, cls).multiplier
+    ws = integer_weights(cls.weights)[0]
+    pk = ideals._weighted_packing(ws)
+    derived = []
+    real = sections._derive
+
+    def counting(*args):
+        derived.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(sections, "_derive", counting)
+    list(graded_levels(f, multiplier, cls.weights, max_level))
+    expected = sum(
+        _alive_nodes(ws, ideals._packed_degree(g, pk), max_level)
+        for g in multiplier._packed_generators(pk)
+    )
+    assert len(derived) == expected
+    if text == "x^7 + y^7 + z^7":
+        assert expected == 0
+
+
+def test_graded_ladder_overflows_at_the_level_of_the_level_tests(ring, P):
+    """F^k packed overflows at k = 3 (3 * 12000 >= 2^15): both paths raise there."""
+    f = P("x^2 + y^2 + z^12000")
+    weights = WeightSystem((Fraction(1, 2), Fraction(1, 2), Fraction(1, 12000)))
+    ideal = maximal_ideal(ring)
+
+    def until_overflow(levels):
+        out = []
+        with pytest.raises(ExponentOverflow, match="an exponent reached the kernel limit"):
+            for verdict in levels:
+                out.append(verdict)
+        return out
+
+    ladder = until_overflow(graded_levels(f, ideal, weights, 5))
+    parent = until_overflow(
+        jk_ideal(f, ideal, k, weights).local_member(f**k, weights) for k in range(1, 6)
+    )
+    assert ladder == parent and len(ladder) == 2
