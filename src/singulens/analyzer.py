@@ -39,7 +39,7 @@ from .invariants import (
     tjurina_number,
 )
 from .polyring import Polynomial, RingContext, parse
-from .sections import euler_check, generation_descent, graded_levels, jk_ideal
+from .sections import euler_check, generation_descent, jk_ideal, level_ladder
 
 __all__ = [
     "AnalysisReport",
@@ -151,7 +151,7 @@ class EqualityVerdict:
 
 
 def equality_certificate(
-    f: Polynomial,
+    f: Polynomial | Germ,
     multiplier: Ideal,
     max_level: int = 3,
     weights=None,
@@ -159,53 +159,37 @@ def equality_certificate(
     """Try to certify that the length equals its lower bound.
 
     Levelwise: for k = 0..max_level test whether f^k lies, locally at the
-    origin, in the order-k numerator ideal of the multiplier ideal.  The
-    first success proves equality.  If every level fails and weights are
-    supplied, a level-0 descent chain, replayed once as it is built,
-    proves equality for the weighted homogeneous case.  Weights satisfying
-    the Euler identity also make each level test one linear system in the
-    weighted degree of f^k, with no Groebner basis (see
-    ``Ideal.local_member``), on numerators packed by those weights.  Level
-    0 is tested on J_0 itself.  When every generator of the multiplier
-    ideal is weighted homogeneous too, levels 1..max_level climb the graded
-    ladder of ``graded_levels``: level k starts from F times the echelon
-    form of level k - 1 (F * J_(k-1) lies in J_k, and F times an echelon
-    form is one) and adds only rows of the numerators of order exactly k,
-    pruned to those that can have rows by ``max_level``.  Otherwise every
-    level builds its own J_k.
+    origin, in the order-k numerator ideal J_k of the multiplier ideal.
+    The first success proves equality.  If every level fails and weights
+    are supplied, a level-0 descent chain, replayed once as it is built,
+    proves equality for the weighted homogeneous case.  Level 0 holds when
+    a generator of ``jk_ideal(f, I, 0)`` is a local unit; levels
+    1..max_level climb ``level_ladder``, to which a germ ``f`` lends its
+    Milnor number and Euler-checked weights their grading.
     """
     if max_level < 0:
         raise ValueError("maximum level must be nonnegative")
-    results: list[tuple[int, bool]] = []
-
-    def refuted() -> bool:
-        return any(k == 1 and not ok for k, ok in results)
-
+    germ = as_germ(f)
+    f = germ.f
     if weights is not None and not euler_check(f, weights):
         weights = None
-    ladder = None if weights is None else graded_levels(f, multiplier, weights, max_level)
-    for k in range(max_level + 1):
-        if k and ladder is not None:
-            ok = next(ladder)
-        else:
-            jk = jk_ideal(f, multiplier, k, weights)
-            # J_0: keep the bases the genus route filled.  For k >= 1 the
-            # generators of J_k are left unbuilt: the level test reads integers.
-            if k == 0 and jk == multiplier:
-                jk = multiplier
-            ok = jk.local_member(f**k, weights)
-        results.append((k, ok))
-        if ok:
-            return EqualityVerdict(
-                "proven_at_level", k, refuted(), tuple(results)
-            )
+    ok = jk_ideal(f, multiplier, 0).local_member(f.ring.one())
+    results = [(0, ok)]
+    if not ok and max_level:
+        for k, ok in enumerate(level_ladder(germ, multiplier, max_level, weights), 1):
+            results.append((k, ok))
+            if ok:
+                break
+    refuted = any(k == 1 and not member for k, member in results)
+    if ok:
+        return EqualityVerdict("proven_at_level", len(results) - 1, refuted, tuple(results))
     if weights is not None:
         # generation_descent replays the chain before it returns it
         chain = generation_descent(f, weights, 0)
         return EqualityVerdict(
-            "proven_by_descent", None, refuted(), tuple(results), len(chain)
+            "proven_by_descent", None, refuted, tuple(results), len(chain)
         )
-    return EqualityVerdict("unknown_up_to", max_level, refuted(), tuple(results))
+    return EqualityVerdict("unknown_up_to", max_level, refuted, tuple(results))
 
 
 @dataclass(frozen=True)
@@ -349,7 +333,7 @@ def analyze(
             notes.extend(genus.notes)
             bound = length_bound(genus)
             citations.append(CITE_LOWER_BOUND)
-            equality = equality_certificate(f, genus.multiplier, max_level, cls.weights)
+            equality = equality_certificate(germ, genus.multiplier, max_level, cls.weights)
             citations.append(CITE_EQUALITY)
             if equality.status == "proven_by_descent":
                 citations.append(CITE_DESCENT)

@@ -76,19 +76,20 @@ exponent with m^N inside I*O_0.  The local colength is the number of
 non-pivot monomials of degree below N, and p lies in I*O_0 exactly when
 its terms of degree below N reduce to zero against the pivots.  Both are
 read off the echelon form below degree N, which is cached on I with N.
-The search is bounded by a degree cap: on an ideal whose zero locus is
-not isolated at the origin no N qualifies, ``local_colength`` raises
-``DegreeCapExceeded``, and ``Ideal.local_member`` falls back to the ideal
-quotient: p lies in I locally exactly when (I : p) contains an element
-with nonzero constant term.
+On an ideal whose zero locus is not isolated at the origin no N
+qualifies, so ``local_colength`` and the public ``Ideal.local_member``
+bound the search by a degree cap.  Past it ``local_colength`` raises
+``DegreeCapExceeded`` and ``local_member`` falls back to the ideal
+quotient, which C2 also takes on purpose: p lies in I locally exactly
+when (I : p) contains an element with nonzero constant term.  The level
+tests of ``sections.level_ladder`` need neither cap nor fallback.
 
 ``local_colength`` has two routes.  An ideal checked to be weighted
 homogeneous for positive weights (all ones by default) is measured
 globally: t*x = (t^w_i x_i) keeps its zero locus, so each point of it lies
 on a C*-orbit whose closure holds the origin, the origin is isolated
 exactly when the global quotient is finite, and then the global colength
-is the local one.  Every other ideal takes the echelon, and only there
-does the degree cap bound N.
+is the local one.  Every other ideal takes the capped echelon.
 
 Graded inputs also take a shortcut to local membership: when
 positive weights make every generator of I and the target p weighted
@@ -100,18 +101,15 @@ the products m*g_i with wdeg(m) = D - wdeg(g_i), the rows of the Macaulay
 matrix of the generators in that degree (Lazard, Groebner bases, Gaussian
 elimination and resolution of systems of algebraic equations, 1983).
 Those rows are built from the primitive integer forms of the generators,
-packed by the weighted packing M(e) = (wdeg(e) << pbits) + P(e) of the
-weights (the grlex packing for all-ones weights), and brought to row
-echelon form fraction-free by ``_pivot_reduce``.  An Ideal caches its
-packed generators per packing; an ideal built from packed integer
-numerators, as ``jk_ideal`` does, receives them in place of its
-generators.  A term's weighted degree is its top bits, m >> pbits, so the
-homogeneity checks compare the least and the largest packed term.  All
-rows share one weighted degree, so they compare by P alone, and a row
-head divides a monomial only when the two are equal: the kept rows sit in
-a dict keyed by pivot monomial, and finding a row's reducer is one
-lookup, with no divisor scan and no Groebner basis.
-Arithmetic stays in exact integers, so a target left with a monomial
+packed by the weighted packing M(e) = (wdeg(e) << pbits) + P(e) (grlex
+for all-ones weights), and brought to row echelon form fraction-free by
+``_pivot_reduce``.  An Ideal caches its packed generators per packing;
+``jk_ideal`` hands over packed numerators in place of generators.  A
+term's weighted degree is its top bits, m >> pbits, so a homogeneity
+check compares the least and the largest term.  The rows share one
+weighted degree, so a row head divides a monomial only when the two are
+equal: finding a row's reducer is one dict lookup by pivot, with no
+divisor scan.  Arithmetic stays exact, so a target left with a monomial
 outside the pivots proves non-membership.
 """
 
@@ -120,6 +118,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Iterable, Iterator
@@ -890,8 +889,8 @@ class Ideal:
         so I is the whole local ring; else I lies in the maximal ideal and
         a target with nonzero constant term, itself a local unit, lies
         outside.  Then the local echelon form of I (see the module
-        docstring), searched up to the default degree cap and cached on
-        I, decides: p lies in I locally exactly when its terms of degree
+        docstring), cached on I or else searched up to the default degree
+        cap, decides: p lies in I locally exactly when its terms of degree
         below the Nakayama exponent N reduce to zero against the pivots.
         Only when no N up to the cap exists does ``_quotient_member``
         decide.
@@ -908,7 +907,7 @@ class Ideal:
         if p.constant_term:
             return False
         try:
-            n, pivots = _local_echelon(self, DEFAULT_DEGREE_CAP)
+            n, pivots = self._cache.get("echelon") or _local_echelon(self, DEFAULT_DEGREE_CAP)
         except DegreeCapExceeded:
             return self._quotient_member(p)
         bound = n << pk.pbits  # the least packed monomial of degree n
@@ -1105,16 +1104,21 @@ def _local_echelon(ideal: Ideal, degree_cap: int) -> tuple[int, dict]:
     return cached
 
 
-def _nakayama_echelon(gens: list[_IntPoly], pk: _Packing, cap: int) -> tuple[int, dict] | None:
+def _nakayama_echelon(
+    gens: list[_IntPoly], pk: _Packing, cap: int, seed: dict | None = None
+) -> tuple[int, dict] | None:
     """The least N <= cap with m^N inside (gens) + m^(N+1), and the echelon form below N.
 
     The rows, truncated above degree ``cap``, are eliminated degree by
     degree as in the module docstring.  ``gens`` and the rows are packed
     by the grlex packing pk, (deg << pbits) + P(e), so x_i times a
     monomial adds the packed x_i, and a degree bound is one comparison.
-    The returned pivots are the pivot rows of degree below N, with their
-    tails cut below N: they span ((gens) + m^N)/m^N.  None when no N up to
-    the cap exists.  The pivots of degree d do not depend on the
+    A ``seed`` echelon form of rows of the ideal, whose products with the
+    variables lie in its span plus that of the other rows, is taken over
+    as the first pivots: the stop test counts them, and they are never
+    multiplied.  The returned pivots are the pivot rows of degree below N,
+    with their tails cut below N: they span ((gens) + m^N)/m^N.  None when
+    no N up to the cap exists.  The pivots of degree d do not depend on the
     truncation as long as it is at least d, so the rows are truncated
     below the exponent limit too; only a cap at the limit that the search
     reaches raises ``ExponentOverflow``.
@@ -1128,7 +1132,8 @@ def _nakayama_echelon(gens: list[_IntPoly], pk: _Packing, cap: int) -> tuple[int
         if row:
             pending.setdefault(min(row) >> dshift, []).append(row)
     below_top = top << dshift
-    pivots: dict[int, tuple[int, list]] = {}
+    pivots: dict[int, tuple[int, list]] = {} if seed is None else seed
+    seeded = Counter(key >> dshift for key in pivots)
     fresh: list[tuple] = []
     for d in range(top + 1):
         rows = pending.pop(d, [])
@@ -1152,7 +1157,7 @@ def _nakayama_echelon(gens: list[_IntPoly], pk: _Packing, cap: int) -> tuple[int
                 row = dict(tail)
                 row[key] = c
                 pending.setdefault(key >> dshift, []).append(row)
-        if len(fresh) == math.comb(d + arity - 1, arity - 1):
+        if len(fresh) + seeded[d] == math.comb(d + arity - 1, arity - 1):
             bound = d << dshift
             low = {
                 key: (c, [(t, v) for t, v in tail if t < bound])

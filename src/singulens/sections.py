@@ -5,34 +5,18 @@ the denominator divides the numerator exactly.  Differentiation follows
 the quotient rule and respects that normalization, so iterated partials
 of g / f stay exact at every step.
 
-The order-k numerator ideal of an ideal I collects, for each generator g
-and each multi-index b with |b| <= k, the polynomial f^(k+1) * d^b(g / f);
-membership of f^k in that ideal at the origin is the levelwise test used
-by the length certificates.  It is built fraction-free, on integer
-polynomials, without sections: with f = F / c and g = G / d, the
-numerators N_b = F^(|b|+1) * d^b(G / F) obey the recurrence
-N_(b+e_i) = d_i(N_b) * F - (|b| + 1) * N_b * d_i(F) from N_0 = G, and the
-generator is F^(k-|b|) * N_b / (d * c^k).  A section cancels common
-factors of f from its numerator and pole, but f^(k+1-pole) * numerator
-does not change under that cancellation, so both ways give the same
-polynomial.  The numerators are packed integers (one int per monomial,
-see ``ideals``), in the weighted-degree packing of the germ's weights
-when the caller has them, so that its graded level tests read them as
-they are.  Sections and operators stay exact rational code for
-verification; no level test and no descent replay uses them.
-
-For weighted homogeneous f and I the levels k >= 1 climb one graded
-ladder (``graded_levels``) instead of rebuilding J_k: the rows of J_k in
-weighted degree k * wdeg(F) span F times those of J_(k-1) plus the
-shifts of the new numerators N_b, |b| = k, and F times an echelon form is
-again one, since the least monomial of F*r is the least of F times the
-least of r.  So each level starts from F times the previous pivot rows
-and eliminates only new rows; the Euler identity relates the numerators
-of one level to F times those of the level below, which drops the rows
-of N_b' shifted by a multiple of the last variable whenever b' holds it.
-A numerator is derived only when some node below it in the walk, within
-the last level asked for, has rows (N_b has rows exactly when
-wdeg(G) <= b.W for the integer weights W).
+The order-k numerator ideal J_k of an ideal I collects, for each
+generator g and each multi-index b with |b| <= k, the polynomial
+f^(k+1) * d^b(g / f); membership of f^k in J_k at the origin is the
+levelwise test used by the length certificates.  ``jk_ideal`` builds it
+fraction-free from packed integer numerators N_b (one int per monomial,
+see ``ideals``), without sections: sections and operators stay exact
+rational code for verification, which no level test and no descent
+replay uses.  The levels k >= 1 climb one ladder (``level_ladder``)
+instead of rebuilding J_k: J_k = F * J_(k-1) + (N_b : |b| = k), so each
+level starts from F times the echelon form of the level below and adds
+only rows of the new numerators, as one linear system in the weighted
+degree of f^k for a graded germ, else on the local echelon.
 
 The Euler layer certifies, for f weighted homogeneous with weights w, the
 rewriting of a monomial section x^u / f^(k+1) as a weighted sum of first
@@ -54,10 +38,16 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .ideals import (
+    DEFAULT_DEGREE_CAP,
     EXPONENT_LIMIT,
+    INFINITE,
+    ExponentOverflow,
     Ideal,
     _add_rows,
+    _exponents_of_degree,
     _int_poly,
+    _local_echelon,
+    _nakayama_echelon,
     _overflow,
     _packed_degree,
     _packing,
@@ -65,7 +55,7 @@ from .ideals import (
     _pivot_reduce,
     _weighted_packing,
 )
-from .invariants import WeightSystem
+from .invariants import Germ, WeightSystem, _stage_colength, as_germ
 from .polyring import (
     GRLEX,
     Exponent,
@@ -85,8 +75,8 @@ __all__ = [
     "euler_check",
     "euler_descent_witness",
     "generation_descent",
-    "graded_levels",
     "jk_ideal",
+    "level_ladder",
 ]
 
 
@@ -346,7 +336,7 @@ def _derive(num: dict, i: int, order: int, big_f: dict, df: dict, pk: _Packing) 
     return {e: c for e, c in out.items() if c}
 
 
-def jk_ideal(f: Polynomial, ideal: Ideal, k: int, weights: Iterable | None = None) -> Ideal:
+def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
     """Order-k numerator ideal of the sections d^b(g / f), |b| <= k, g in I.
 
     Each generator is the polynomial f^(k+1) * d^b(g / f).  It is built on
@@ -363,15 +353,11 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int, weights: Iterable | None = Non
     over all generators of I, serves every g, so equal generators have
     equal integer numerators and are kept once, at their first occurrence.
 
-    The numerators are packed integers throughout, in the weighted packing
-    (wdeg(e) << pbits) + P(e) of ``weights`` (all ones when None, which is
-    the grlex packing of the local echelon): a product is ``+`` and a
+    The numerators are packed integers in the grlex packing of the local
+    echelon, which receives them as they are: a product is ``+`` and a
     partial reads the exponent field and subtracts the packed variable.
-    They go to the ideal packed, so its level tests for the same weights
-    start from them without repacking.  The weights choose only the
-    packing, never the generators.  Every exponent of a generator is at
-    most k times the largest exponent of F plus the largest of a G; when
-    that reaches ``EXPONENT_LIMIT``, ``ExponentOverflow`` is raised.
+    An exponent is at most k times the largest of F plus the largest of a
+    G; ``ExponentOverflow`` is raised when that reaches ``EXPONENT_LIMIT``.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -381,10 +367,7 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int, weights: Iterable | None = Non
         raise ValueError("ideal and polynomial live in different rings")
     ring = f.ring
     n = ring.arity
-    ws = (1,) * n if weights is None else integer_weights(weights)[0]
-    if len(ws) != n:
-        raise ValueError("weight count does not match the ring")
-    pk = _weighted_packing(ws)
+    pk = _packing(n, GRLEX)
     big_f, c = clear_denominators(f)
     numerators = [clear_denominators(g) for g in ideal.generators]
     top = max((max(e) for big_g, _ in numerators for e in big_g), default=0)
@@ -418,97 +401,125 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int, weights: Iterable | None = Non
     return Ideal._from_numerators(ring, out, d * c**k, pk)
 
 
-def graded_levels(
-    f: Polynomial, ideal: Ideal, weights: Iterable, max_level: int
-) -> Iterator[bool] | None:
-    """The verdicts f^k in J_k for k = 1..max_level, one level per step; None when not graded.
+def level_ladder(
+    f: Polynomial | Germ, ideal: Ideal, max_level: int, weights: Iterable | None = None
+) -> Iterator[bool]:
+    """The verdicts f^k in J_k at the origin for k = 1..max_level, one level per step.
 
-    Applies when f and every generator of I are weighted homogeneous for
-    ``weights``; each verdict then equals
-    ``jk_ideal(f, I, k, weights).local_member(f**k, weights)``, decided as
-    one linear system in weighted degree D_k = k * wdeg(F), with f = F / c
-    and integer weights W.  The rows of degree D_k of J_k (see
-    ``Ideal._graded_member``) span R_k = F * R_(k-1) + span{m * N_b : |b| = k},
-    where N_b are the uncancelled numerators of ``jk_ideal``: a generator
-    F^(k-|b|) * N_b with |b| < k is F times one of J_(k-1), and its shifts
-    of degree D_k are F times those of degree D_(k-1).  F times an echelon
-    form is again one: the packing is linear, so min(F*r) = min(F) + min(r),
-    and distinct pivots stay distinct.  So level k starts from F times the
-    pivot rows of level k - 1, with no reduction, and reduces into them
-    only rows of the new numerators; level 0 holds the rows of the
-    generators of weighted degree 0.
+    Each verdict equals ``jk_ideal(f, I, k).local_member(f**k)``.  With
+    f = F / c and N_b the uncancelled numerators of ``jk_ideal``,
+    J_k = F * J_(k-1) + (N_b : |b| = k).  So level k lifts the echelon form
+    of level k - 1 by F, unreduced (min(F*r) = min(F) + min(r) in a linear
+    packing, so distinct pivots stay distinct), derives only the N_b with
+    |b| = k, in ``jk_ideal``'s walk order, and multiplies the packed
+    F^(k-1) by F.  A ``Germ`` f lends its Milnor number.  Level k raises
+    ``ExponentOverflow``, naming it, where ``jk_ideal`` or the test would.
 
-    N_b has weighted degree |b| * wdeg(F) + wdeg(G) - b.W, so it has rows at
-    level |b| exactly when wdeg(G) <= b.W.  For such b the Euler identity
-    sum_i W_i x_i d_i(P) = wdeg(P) * P gives
-    sum_i W_i x_i N_(b+e_i) = (wdeg(G) - b.W - wdeg(F)) * F * N_b, with a
-    nonzero factor, so each row m * x_n * N_(b+e_n) (x_n the last variable)
-    lies in the span of F * m * N_b and the rows m * x_i * N_(b+e_i), i < n;
-    by induction on the exponent of x_n in b, the rows of N_b' shifted by a
-    multiple of x_n are dropped for every b' that holds x_n.  The
-    numerators are derived one level per step, in ``jk_ideal``'s walk order
-    (a node takes derivatives in its own variable and later ones), and a
-    node is derived only when some node of its subtree within
-    ``max_level`` has rows: b + e_i qualifies when wdeg(G) <=
-    b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).  A level stops
-    adding rows once f^k reduces to zero: f^(k+1) then lies in F times the
-    rows kept, and every later level is positive.  Level k raises
-    ``ExponentOverflow`` where ``jk_ideal`` or the level test would.
+    Graded germs (``weights`` make F and every generator of I weighted
+    homogeneous) take one linear system in weighted degree
+    D_k = k * wdeg(F) (see ``Ideal._graded_member``), whose rows span
+    F * R_(k-1) + span{m * N_b : |b| = k}.  N_b has rows exactly when
+    wdeg(G) <= b.W for the integer weights W, so b + e_i is derived only
+    when some node of its subtree has rows by ``max_level``:
+    wdeg(G) <= b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).  For
+    such b, sum_i W_i x_i N_(b+e_i) = (wdeg(G) - b.W - wdeg(F)) * F * N_b
+    (Euler), a nonzero factor, so by induction the rows of N_b' shifted by
+    a multiple of the last variable are dropped whenever b' holds it.  Once
+    f^k reduces to zero a level adds no more rows: later levels pass.
+
+    Other germs climb the local echelon (see ``ideals``) from that of I.
+    With N' the Nakayama exponent of level k - 1 and P' its pivot rows cut
+    below N', J_(k-1) * O = span(P') + m^N', so level k is seeded with
+    F * P': the stop test counts those pivots, and they are never
+    multiplied by a variable, as x_i * F * P' lies in
+    span(F * P') + F * m^N'.  The other rows are x^a * F with |a| = N' and
+    the N_b with |b| = k.  There is no degree cap: let f be isolated and I
+    m-primary at the origin, and p != 0 near it, so G(p) != 0 for some G
+    in I and grad F(p) != 0.  If F(p) != 0, F^k * G does not vanish at p.
+    If F(p) = 0, the recurrence reads N_(b+e_i)(p) =
+    -(|b| + 1) * N_b(p) * d_iF(p), so N_(k*e_i)(p) =
+    (-1)^k * k! * G(p) * (d_iF(p))^k != 0 for an i with d_iF(p) != 0.  So
+    J_k is m-primary at the origin and the search for N_k ends.  Before it
+    climbs, the local route refuses a germ of infinite Milnor number or an
+    I of infinite colength at the origin, or either test past the degree
+    cap, naming the stage.
     """
-    ws = integer_weights(weights)[0]
-    n = f.ring.arity
+    germ = as_germ(f)
+    n = germ.f.ring.arity
+    ws = (1,) * n if weights is None else integer_weights(weights)[0]
     if len(ws) != n:
         raise ValueError("weight count does not match the ring")
     pk = _weighted_packing(ws)
-    big_f = pk.pack_poly(_int_poly(f))
-    gens = ideal._packed_generators(pk)
-    degs = [_packed_degree(g, pk) for g in gens]
+    big_f = pk.pack_poly(_int_poly(germ.f))
     deg_f = _packed_degree(big_f, pk)
-    if deg_f is None or None in degs:
-        return None
+    degs = [_packed_degree(g, pk) for g in ideal._packed_generators(pk)]
+    graded = weights is not None and deg_f is not None and None not in degs
+    if not graded:
+        stage, cap = "equality level 1", DEFAULT_DEGREE_CAP
+        if _stage_colength(stage, "Jacobian ideal", germ.jacobian, cap, germ.weights) == INFINITE:
+            raise ValueError(f"{stage}: the germ is not isolated at the origin (mu = infinite)")
+        if _stage_colength(stage, "ideal I", ideal, cap, None) == INFINITE:
+            raise ValueError(f"{stage}: the ideal I is not m-primary at the origin")
+        ws = (1,) * n
+        pk = _weighted_packing(ws)
+        big_f = pk.pack_poly(_int_poly(germ.f))
+    gens = ideal._packed_generators(pk)
     top_f = max(map(max, map(pk.unpack, big_f)))
     top_g = max((max(pk.unpack(m)) for g in gens for m in g), default=0)
     # reach[i]: the most b.W grows by one derivative in x_i or a later variable
     reach = [max(ws[i:]) for i in range(n)]
     partials = [pk.partial(big_f, i) for i in range(n)]
     low = min(big_f)
-    last = n - 1
 
     def climb() -> Iterator[bool]:
         # (N_b, b.W, first variable left to derive in, wdeg(G)) of the kept nodes
         nodes = [(g, 0, 0, d) for g, d in zip(gens, degs)]
-        pivots: dict[int, tuple[int, list]] = {}
         shifts: dict[tuple, list[int]] = {}
-        for g, _, _, d in nodes:
-            _add_rows(pivots, g, -d, ws, pk, shifts)
+        if graded:
+            pivots: dict[int, tuple[int, list]] = {}
+            for g, _, _, d in nodes:
+                _add_rows(pivots, g, -d, ws, pk, shifts)
+        else:
+            nak, pivots = _local_echelon(ideal, EXPONENT_LIMIT)
         power = {0: 1}  # 0 packs the exponent 0
         for k in range(1, max_level + 1):
-            if k * top_f + top_g >= EXPONENT_LIMIT or k * deg_f // min(ws) >= EXPONENT_LIMIT:
-                raise _overflow()
-            lifted = {}
-            for p, (lc, tail) in pivots.items():
-                row = _mul(big_f, {p: lc, **dict(tail)})
-                lifted[p + low] = (row.pop(p + low), list(row.items()))
-            pivots = lifted
-            power = _mul(power, big_f)
-            slack = max_level - k
-            nodes = [
-                (child, bw + ws[i], i, d)
-                for num, bw, start, d in nodes
-                for i in range(start, n)
-                if d <= bw + ws[i] + slack * reach[i]
-                and (child := _derive(num, i, k - 1, big_f, partials[i], pk))
-            ]
-            left = _pivot_reduce(dict(power), pivots)
-            if left is not None:
-                for num, bw, i, d in nodes:
-                    _add_rows(pivots, num, bw - d, ws, pk, shifts, last if i == last else None)
-                    head, lc, tail = left
-                    # the remainder's least monomial decides: a span member's is a pivot
-                    if head in pivots:
-                        left = _pivot_reduce({head: lc, **dict(tail)}, pivots)
-                        if left is None:
-                            break
+            try:
+                # the largest exponent of a row: of degree D_k, or x^a * F with |a| = N'
+                top = k * deg_f // min(ws) if graded else nak + top_f
+                if max(k * top_f + top_g, top) >= EXPONENT_LIMIT:
+                    raise _overflow()
+                lifted = {}
+                for p, (lc, tail) in pivots.items():
+                    row = _mul(big_f, {p: lc, **dict(tail)})
+                    lifted[p + low] = (row.pop(p + low), list(row.items()))
+                pivots = lifted
+                power = _mul(power, big_f)
+                slack = max_level - k
+                nodes = [
+                    (child, bw + ws[i], i, d)
+                    for num, bw, start, d in nodes
+                    for i in range(start, n)
+                    if (not graded or d <= bw + ws[i] + slack * reach[i])
+                    and (child := _derive(num, i, k - 1, big_f, partials[i], pk))
+                ]
+                if not graded:
+                    rows = [num for num, *_ in nodes]
+                    for a in map(pk.pack, _exponents_of_degree(ws, nak)):
+                        rows.append({m + a: c for m, c in big_f.items()})
+                    nak, pivots = _nakayama_echelon(rows, pk, EXPONENT_LIMIT, pivots)
+                    bound = nak << pk.pbits  # the least packed monomial of degree N_k
+                    left = _pivot_reduce({m: c for m, c in power.items() if m < bound}, pivots)
+                elif (left := _pivot_reduce(dict(power), pivots)) is not None:
+                    for num, bw, i, d in nodes:
+                        _add_rows(pivots, num, bw - d, ws, pk, shifts, i if i == n - 1 else None)
+                        head, lc, tail = left
+                        # the remainder's least monomial decides: a span member's is a pivot
+                        if head in pivots:
+                            left = _pivot_reduce({head: lc, **dict(tail)}, pivots)
+                            if left is None:
+                                break
+            except ExponentOverflow as err:
+                raise ExponentOverflow(f"equality level {k}: {err}") from err
             yield left is None
 
     return climb()

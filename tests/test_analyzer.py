@@ -112,9 +112,9 @@ def _record_levels(monkeypatch):
     levels = []
     real = analyzer_module.jk_ideal
 
-    def recording(f, ideal, k, weights=None):
+    def recording(f, ideal, k):
         levels.append(k)
-        return real(f, ideal, k, weights)
+        return real(f, ideal, k)
 
     monkeypatch.setattr(analyzer_module, "jk_ideal", recording)
     return levels
@@ -124,7 +124,7 @@ def _level_by_level(f, multiplier, max_level, weights):
     """Each level tested on its own J_k, as the reference."""
     out = []
     for k in range(max_level + 1):
-        out.append((k, jk_ideal(f, multiplier, k, weights).local_member(f**k, weights)))
+        out.append((k, jk_ideal(f, multiplier, k).local_member(f**k, weights)))
         if out[-1][1]:
             break
     return tuple(out)
@@ -142,7 +142,7 @@ def test_graded_equality_climbs_the_ladder_from_level_one(ring, P, monkeypatch, 
     assert levels == [0]
 
 
-def test_ungraded_multiplier_falls_back_to_level_by_level(ring, P, monkeypatch):
+def test_ungraded_multiplier_climbs_the_local_ladder(ring, P, monkeypatch):
     f = P("x^4 + y^4 + z^4")
     cls = classify(f)
     # x^2 + y^3 is not weighted homogeneous for the weights (1/4, 1/4, 1/4)
@@ -150,11 +150,30 @@ def test_ungraded_multiplier_falls_back_to_level_by_level(ring, P, monkeypatch):
     expected = _level_by_level(f, multiplier, 2, cls.weights)
     levels = _record_levels(monkeypatch)
     verdict = equality_certificate(f, multiplier, 2, cls.weights)
-    assert verdict.level_results == expected
-    assert levels == [k for k, _ in expected]
+    assert verdict.level_results == expected == ((0, False), (1, True))
+    assert levels == [0]
     levels.clear()
-    equality_certificate(f, compute_genus(f, cls).multiplier, 2)
-    assert levels == [0, 1]
+    verdict = equality_certificate(f, compute_genus(f, cls).multiplier, 2)
+    assert verdict.level_results == expected
+    assert levels == [0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    (
+        "x^5 + y^5 + z^5",
+        "x^3*y + y^5 + z^6",
+        COUNTEREXAMPLE_TEXT,
+        "x^4 + y^4 + z^4 + x^3*y*z",
+        "x^5 + y^5 + z^5 + x^4*y^2",
+    ),
+)
+def test_analyze_builds_j_k_only_at_level_zero(ring, P, monkeypatch, text):
+    """Graded and ungraded germs alike: levels 1 and up climb the ladder, not jk_ideal."""
+    levels = _record_levels(monkeypatch)
+    report = analyze(P(text), max_level=4)
+    assert len(report.equality.level_results) >= 3
+    assert levels == [0]
 
 
 def test_analyze_quasi_homogeneous_surface(ring, P):

@@ -1,6 +1,10 @@
 """Rational sections, differential operators, derivative ideals, descent."""
 
 import importlib
+import math
+import signal
+import time
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -11,7 +15,16 @@ import pytest
 
 import singulens.ideals as ideals
 from singulens.genus import classify, compute_genus
-from singulens.ideals import ExponentOverflow, Ideal, _int_poly, maximal_ideal
+from singulens.analyzer import COUNTEREXAMPLE_TEXT, equality_certificate
+from singulens.ideals import (
+    DEFAULT_DEGREE_CAP,
+    DegreeCapExceeded,
+    ExponentOverflow,
+    Ideal,
+    _int_poly,
+    maximal_ideal,
+    maximal_ideal_power,
+)
 from singulens.invariants import WeightSystem, jacobian_ideal
 from singulens.polyring import GRLEX, LEX, Polynomial, integer_weights, parse
 from singulens.sections import (
@@ -21,8 +34,8 @@ from singulens.sections import (
     euler_check,
     euler_descent_witness,
     generation_descent,
-    graded_levels,
     jk_ideal,
+    level_ladder,
 )
 
 from conftest import random_polynomial
@@ -448,17 +461,18 @@ def test_replay_rejects_tampered_steps(ring, P):
 
 
 def test_jk_ideal_generators_do_not_depend_on_weights(rng, P):
-    """The weights choose the packing of the numerators, never the generators."""
+    """jk_ideal takes no weights: it packs by grlex, and a weighted test repacks the same forms."""
     for _ in range(4):
         f = _graded_germ(rng, P)
         weights = classify(f).weights
         multiplier = compute_genus(f).multiplier
         pk = ideals._weighted_packing(integer_weights(weights)[0])
         for k in range(3):
-            plain = jk_ideal(f, multiplier, k)
-            weighted = jk_ideal(f, multiplier, k, weights)
-            assert weighted.generators == plain.generators
-            assert weighted._cache[pk] == [pk.pack_poly(_int_poly(g)) for g in plain.generators]
+            jk = jk_ideal(f, multiplier, k)
+            assert list(jk._cache) == ["numerators", GRLEX_3]
+            assert jk._packed_generators(pk) == [pk.pack_poly(_int_poly(g)) for g in jk.generators]
+        with pytest.raises(TypeError):
+            jk_ideal(f, multiplier, 1, weights)
 
 
 def _tuple_weighted_degree(p, ws):
@@ -495,7 +509,7 @@ def test_graded_level_verdicts_match_the_tuple_member(rng, P):
         weights = classify(f).weights
         multiplier = compute_genus(f).multiplier
         for k in range(4):
-            jk = jk_ideal(f, multiplier, k, weights)
+            jk = jk_ideal(f, multiplier, k)
             verdict = jk.local_member(f**k, weights)
             assert verdict == _tuple_graded_member(jk, f**k, weights), (f, k)
             verdicts.append(verdict)
@@ -526,11 +540,11 @@ def test_graded_ladder_matches_the_level_tests(rng, P, monkeypatch):
     """
     germs = 0
     for f, weights, multiplier in _ladder_cases(rng, P, monkeypatch):
-        ladder = graded_levels(f, multiplier, weights, 5)
-        verdicts = [jk_ideal(f, multiplier, 0, weights).local_member(f**0, weights)]
+        ladder = level_ladder(f, multiplier, 5, weights)
+        verdicts = [jk_ideal(f, multiplier, 0).local_member(f**0)]
         verdicts += list(ladder)
         for k, verdict in enumerate(verdicts):
-            jk = jk_ideal(f, multiplier, k, weights)
+            jk = jk_ideal(f, multiplier, k)
             assert verdict == jk.local_member(f**k, weights), (f, k)
             assert verdict == _tuple_graded_member(jk, f**k, weights), (f, k)
         germs += 1
@@ -545,17 +559,32 @@ def test_graded_ladder_matches_on_monomial_ideals(rng, ring, P):
         weights = classify(f).weights
         exponents = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(1, 3))]
         ideal = Ideal(ring, [Polynomial.monomial(ring, e) for e in exponents])
-        expected = [jk_ideal(f, ideal, k, weights).local_member(f**k, weights) for k in (1, 2, 3)]
-        assert list(graded_levels(f, ideal, weights, 3)) == expected, (f, exponents)
+        expected = [jk_ideal(f, ideal, k).local_member(f**k, weights) for k in (1, 2, 3)]
+        assert list(level_ladder(f, ideal, 3, weights)) == expected, (f, exponents)
         verdicts += expected
     assert True in verdicts and False in verdicts
 
 
-def test_graded_ladder_declines_ungraded_ideals(ring, P):
+def test_graded_ladder_declines_ungraded_ideals(ring, P, monkeypatch):
+    """Weights that leave F or a generator of I ungraded send the ladder to the local climb."""
+    import singulens.sections as sections
+
+    def no_graded_rows(*args, **kwargs):
+        raise AssertionError("an ungraded input took the graded step")
+
+    monkeypatch.setattr(sections, "_add_rows", no_graded_rows)
     f = P("x^4 + y^4 + z^4")
     weights = classify(f).weights
-    assert graded_levels(f, Ideal(ring, [P("x"), P("y + z^2")]), weights, 3) is None
-    assert graded_levels(P("x^4 + y^4 + z^4 + x*y^2*z^2"), maximal_ideal(ring), weights, 3) is None
+    cases = [
+        (f, Ideal(ring, [P("x + y^2"), P("y - z^3"), P("z^2")])),
+        (P(COUNTEREXAMPLE_TEXT), maximal_ideal(ring)),
+    ]
+    for g, ideal in cases:
+        expected = [_per_level(g, ideal, k) for k in (1, 2, 3)]
+        assert list(level_ladder(g, ideal, 3, weights)) == expected, g
+    assert expected == [False, False, False]
+    with pytest.raises(DegreeCapExceeded, match="^equality level 1 on the ideal I"):
+        level_ladder(f, Ideal(ring, [P("x"), P("y + z^2")]), 3, weights)
 
 
 def _alive_nodes(ws, degree, max_level):
@@ -608,7 +637,7 @@ def test_graded_ladder_derives_only_numerators_that_reach_rows(P, monkeypatch, t
         return real(*args)
 
     monkeypatch.setattr(sections, "_derive", counting)
-    list(graded_levels(f, multiplier, cls.weights, max_level))
+    list(level_ladder(f, multiplier, max_level, cls.weights))
     expected = sum(
         _alive_nodes(ws, ideals._packed_degree(g, pk), max_level)
         for g in multiplier._packed_generators(pk)
@@ -631,8 +660,120 @@ def test_graded_ladder_overflows_at_the_level_of_the_level_tests(ring, P):
                 out.append(verdict)
         return out
 
-    ladder = until_overflow(graded_levels(f, ideal, weights, 5))
-    parent = until_overflow(
-        jk_ideal(f, ideal, k, weights).local_member(f**k, weights) for k in range(1, 6)
-    )
+    ladder = until_overflow(level_ladder(f, ideal, 5, weights))
+    parent = until_overflow(jk_ideal(f, ideal, k).local_member(f**k, weights) for k in range(1, 6))
     assert ladder == parent and len(ladder) == 2
+    with pytest.raises(ExponentOverflow, match="^equality level 3: an exponent reached"):
+        list(level_ladder(f, ideal, 5, weights))
+
+
+def _per_level(f, ideal, k):
+    """The per-level path the ladder replaced: J_k built and tested on its own."""
+    return jk_ideal(f, ideal, k).local_member(f**k)
+
+
+def test_ladder_refuses_unbounded_climbs_fast(ring, P):
+    """Germs not isolated at the origin and ideals not m-primary there are refused in 2 s."""
+    fermat, m = P("x^4 + y^4 + z^4"), maximal_ideal(ring)
+    line = Ideal(ring, [P("x"), P("y + z^2")])
+    cases = [
+        (fermat, line, None, DegreeCapExceeded, "equality level 1 on the ideal I"),
+        (fermat, line, QUARTER, DegreeCapExceeded, "equality level 1 on the ideal I"),
+        (P("x^2*y^2 + z^4"), m, None, ValueError, "equality level 1: the germ is not isolated"),
+        (P("x*y + x^3 + x^2*y"), m, None, DegreeCapExceeded, "equality level 1 on the Jacobian"),
+    ]
+    for f, ideal, weights, error, message in cases:
+        for run in (level_ladder, equality_certificate):
+            start = time.perf_counter()
+            with pytest.raises(error, match=f"^{message}"):
+                run(f, ideal, 3, weights)
+            assert time.perf_counter() - start < 2, (run.__name__, f, ideal)
+
+
+# Fermat germs of degree 4 and 5 plus one monomial of higher degree, up to
+# permutation, with the first level at which f^k lies in J_k (None: refuted
+# at every level tested, up to 5 for the quartics and 4 for the quintics)
+CENSUS = [
+    *((4, m, 1) for m in ("x^5", "x^4*y", "x^3*y^2", "x^6", "x^5*y", "x^4*y^2", "x^3*y^3")),
+    *((4, m, 1) for m in ("x^4*y*z", "x^3*y^2*z")),
+    (4, "x^3*y*z", 2),
+    (4, "x^2*y^2*z^2", 2),
+    (4, "x^2*y^2*z", None),
+    *((5, m, 2) for m in ("x^6", "x^5*y", "x^4*y^2")),
+    *((5, m, None) for m in ("x^3*y^3", "x^4*y*z", "x^3*y^2*z", "x^2*y^2*z^2")),
+]
+
+
+@contextmanager
+def _within(seconds):
+    """Fail the block, instead of waiting on it, once it runs ``seconds``."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _ladder_against_per_level(f, ideal, monkeypatch, max_level):
+    """Levels 0..max_level up to the first success: ladder = per-level path, N and colength too.
+
+    Returns the first level at which f^k lies in J_k, or None.  Past a
+    success both paths pass every level (f^(k+1) lies in F * J_k).  A climb
+    whose stop test never fires fails after 30 s, where it would search on
+    up to the exponent limit.
+    """
+    import singulens.sections as sections
+
+    found = []
+    real = sections._nakayama_echelon
+
+    def recording(*args):
+        n, pivots = real(*args)
+        found.append((n, math.comb(n + 2, 3) - len(pivots)))
+        return n, pivots
+
+    monkeypatch.setattr(sections, "_nakayama_echelon", recording)
+    verdicts = [_per_level(f, ideal, 0)]
+    with _within(30):
+        for verdict in [] if verdicts[0] else level_ladder(f, ideal, max_level):
+            verdicts.append(verdict)
+            k = len(verdicts) - 1
+            jk = jk_ideal(f, ideal, k)
+            assert verdict == jk.local_member(f**k), (f, k)
+            n, pivots = ideals._local_echelon(jk, DEFAULT_DEGREE_CAP)
+            assert found[k - 1] == (n, math.comb(n + 2, 3) - len(pivots)), (f, k)
+            if verdict:
+                break
+    monkeypatch.undo()
+    return verdicts.index(True) if True in verdicts else None
+
+
+def test_local_ladder_matches_the_per_level_path_on_the_census(ring, P, monkeypatch):
+    """The census: N_k, colength and verdict of the local climb = those of each J_k on its own.
+
+    The quintics stop at level 4: the per-level J_5 of each takes about 2 s.
+    """
+    firsts = []
+    for d, monomial, first in CENSUS:
+        f = P(f"x^{d} + y^{d} + z^{d} + {monomial}")
+        ideal = maximal_ideal_power(ring, d - 3)  # the multiplier ideal of the ordinary point
+        assert _ladder_against_per_level(f, ideal, monkeypatch, 9 - d) == first, f
+        firsts.append(first)
+    assert firsts.count(2) == 5 and firsts.count(None) == 5
+
+
+def test_local_ladder_matches_the_per_level_path_on_seeded_germs(rng, ring, P, monkeypatch):
+    """Seeded Fermat germs of degree 4 and 5 plus a term of higher degree, random coefficients."""
+    for case in range(6):
+        d = 4 + case % 2
+        e = rng.choice(list(ideals._exponents_of_degree((1, 1, 1), d + rng.randint(1, 2))))
+        coeffs = [rng.choice((1, -1, 2, 3)) for _ in range(4)]
+        terms = [P(f"x^{d}"), P(f"y^{d}"), P(f"z^{d}"), Polynomial.monomial(ring, e)]
+        f = sum((c * t for c, t in zip(coeffs, terms)), P("0"))
+        _ladder_against_per_level(f, maximal_ideal_power(ring, d - 3), monkeypatch, 9 - d)
