@@ -39,7 +39,7 @@ from .invariants import (
     tjurina_number,
 )
 from .polyring import Polynomial, RingContext, parse
-from .sections import euler_check, generation_descent, jk_ideal, level_ladder
+from .sections import generation_descent, jk_ideal, level_ladder
 
 __all__ = [
     "AnalysisReport",
@@ -151,41 +151,37 @@ class EqualityVerdict:
 
 
 def equality_certificate(
-    f: Polynomial | Germ,
-    multiplier: Ideal,
-    max_level: int = 3,
-    weights=None,
+    f: Polynomial | Germ, multiplier: Ideal, max_level: int = 3
 ) -> EqualityVerdict:
     """Try to certify that the length equals its lower bound.
 
     Levelwise: for k = 0..max_level test whether f^k lies, locally at the
     origin, in the order-k numerator ideal J_k of the multiplier ideal.
-    The first success proves equality.  If every level fails and weights
-    are supplied, a level-0 descent chain, replayed once as it is built,
+    The first success proves equality.  If every level fails and the germ
+    has weights (``Germ.weights``, which satisfy the Euler identity by
+    construction), a level-0 descent chain, replayed once as it is built,
     proves equality for the weighted homogeneous case.  Level 0 holds when
     a generator of ``jk_ideal(f, I, 0)`` is a local unit; levels
-    1..max_level climb ``level_ladder``, to which a germ ``f`` lends its
-    Milnor number and Euler-checked weights their grading.
+    1..max_level climb ``level_ladder``, which reads the same germ's
+    weights for its grading and its Milnor number for its refusals.
     """
     if max_level < 0:
         raise ValueError("maximum level must be nonnegative")
     germ = as_germ(f)
     f = germ.f
-    if weights is not None and not euler_check(f, weights):
-        weights = None
     ok = jk_ideal(f, multiplier, 0).local_member(f.ring.one())
     results = [(0, ok)]
     if not ok and max_level:
-        for k, ok in enumerate(level_ladder(germ, multiplier, max_level, weights), 1):
+        for k, ok in enumerate(level_ladder(germ, multiplier, max_level), 1):
             results.append((k, ok))
             if ok:
                 break
     refuted = any(k == 1 and not member for k, member in results)
     if ok:
         return EqualityVerdict("proven_at_level", len(results) - 1, refuted, tuple(results))
-    if weights is not None:
+    if germ.weights is not None:
         # generation_descent replays the chain before it returns it
-        chain = generation_descent(f, weights, 0)
+        chain = generation_descent(f, germ.weights, 0)
         return EqualityVerdict(
             "proven_by_descent", None, refuted, tuple(results), len(chain)
         )
@@ -333,7 +329,7 @@ def analyze(
             notes.extend(genus.notes)
             bound = length_bound(genus)
             citations.append(CITE_LOWER_BOUND)
-            equality = equality_certificate(germ, genus.multiplier, max_level, cls.weights)
+            equality = equality_certificate(germ, genus.multiplier, max_level)
             citations.append(CITE_EQUALITY)
             if equality.status == "proven_by_descent":
                 citations.append(CITE_DESCENT)

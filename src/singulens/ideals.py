@@ -90,27 +90,6 @@ globally: t*x = (t^w_i x_i) keeps its zero locus, so each point of it lies
 on a C*-orbit whose closure holds the origin, the origin is isolated
 exactly when the global quotient is finite, and then the global colength
 is the local one.  Every other ideal takes the capped echelon.
-
-Graded inputs also take a shortcut to local membership: when
-positive weights make every generator of I and the target p weighted
-homogeneous, local membership is global membership (from
-u*p = sum a_i g_i with u(0) != 0, the components of weighted degree
-D = wdeg(p) give u(0)*p = sum (a_i)_(D - wdeg g_i) g_i), and global
-membership is one linear system in degree D: p must lie in the span of
-the products m*g_i with wdeg(m) = D - wdeg(g_i), the rows of the Macaulay
-matrix of the generators in that degree (Lazard, Groebner bases, Gaussian
-elimination and resolution of systems of algebraic equations, 1983).
-Those rows are built from the primitive integer forms of the generators,
-packed by the weighted packing M(e) = (wdeg(e) << pbits) + P(e) (grlex
-for all-ones weights), and brought to row echelon form fraction-free by
-``_pivot_reduce``.  An Ideal caches its packed generators per packing;
-``jk_ideal`` hands over packed numerators in place of generators.  A
-term's weighted degree is its top bits, m >> pbits, so a homogeneity
-check compares the least and the largest term.  The rows share one
-weighted degree, so a row head divides a monomial only when the two are
-equal: finding a row's reducer is one dict lookup by pivot, with no
-divisor scan.  Arithmetic stays exact, so a target left with a monomial
-outside the pivots proves non-membership.
 """
 
 from __future__ import annotations
@@ -876,31 +855,20 @@ class Ideal:
             gens.append(q)
         return Ideal(self.ring, gens)
 
-    def local_member(self, p: Polynomial, weights: Iterable | None = None) -> bool:
+    def local_member(self, p: Polynomial) -> bool:
         """Membership in the localization of I at the origin.
 
-        With positive ``weights`` for which every generator and p are
-        checked to be weighted homogeneous, local membership equals global
-        membership (compare the components of weighted degree wdeg(p) in
-        u*p = sum a_i g_i, u(0) != 0), and global membership is decided by
-        one linear system in degree wdeg(p), without a Groebner basis.
-
-        Otherwise a generator with nonzero constant term is a local unit,
-        so I is the whole local ring; else I lies in the maximal ideal and
-        a target with nonzero constant term, itself a local unit, lies
-        outside.  Then the local echelon form of I (see the module
-        docstring), cached on I or else searched up to the default degree
-        cap, decides: p lies in I locally exactly when its terms of degree
-        below the Nakayama exponent N reduce to zero against the pivots.
-        Only when no N up to the cap exists does ``_quotient_member``
-        decide.
+        A generator with nonzero constant term is a local unit, so I is the
+        whole local ring; else I lies in the maximal ideal and a target
+        with nonzero constant term, itself a local unit, lies outside.
+        Then the local echelon form of I (see the module docstring), cached
+        on I or else searched up to the default degree cap, decides: p lies
+        in I locally exactly when its terms of degree below the Nakayama
+        exponent N reduce to zero against the pivots.  Only when no N up to
+        the cap exists does ``_quotient_member`` decide.
         """
         if p.is_zero():
             return True
-        if weights is not None:
-            verdict = self._graded_member(p, weights)
-            if verdict is not None:
-                return verdict
         pk = _packing(self.ring.arity, GRLEX)
         if any(0 in g for g in self._packed_generators(pk)):  # 0 packs the exponent 0
             return True
@@ -925,40 +893,6 @@ class Ideal:
         if self.member(p):
             return True
         return any(g.constant_term != 0 for g in self.quotient(p).groebner_basis())
-
-    def _graded_member(self, p: Polynomial, weights: Iterable) -> bool | None:
-        """Membership of p by one linear system in degree wdeg(p); None when not graded.
-
-        p lies in I exactly when it lies in the span of the products m*g
-        with wdeg(m) = wdeg(p) - wdeg(g) (none when wdeg(g) > wdeg(p)).
-        Those rows share one weighted degree, so a row head divides a
-        monomial of theirs only when the two are equal, and the rows are
-        eliminated without ``_ff_reduce``'s divisor scan: the kept rows are
-        held in a dict from pivot (least monomial, lex) to row, and each new
-        row (``_add_rows``, which the graded ladder of ``sections`` shares),
-        and finally p, is reduced fraction-free by ``_pivot_reduce``.
-        A row that keeps a monomial outside the dict becomes a new pivot.
-        The rows come from the generators packed by the weighted packing
-        (see ``_graded_degrees``), so that a shift by m is one addition and
-        a term's weighted degree is its top bits.  Every exponent of
-        weighted degree wdeg(p) is at most wdeg(p) // min(weights), which
-        must stay below the limit, else ``ExponentOverflow`` is raised.
-        """
-        graded = self._graded_degrees(weights)
-        if graded is None:
-            return None
-        ws, pk, degs = graded
-        target = pk.pack_poly(_int_poly(p))
-        top = _packed_degree(target, pk)
-        if top is None:
-            return None
-        if top // min(ws) >= EXPONENT_LIMIT:
-            raise _overflow()
-        pivots: dict[int, tuple[int, list]] = {}
-        shifts: dict[tuple, list[int]] = {}
-        for g, d in zip(self._packed_generators(pk), degs):
-            _add_rows(pivots, g, top - d, ws, pk, shifts)
-        return _pivot_reduce(target, pivots) is None
 
     def _graded_degrees(
         self, weights: Iterable

@@ -3,10 +3,12 @@
 Milnor and Tjurina numbers are colengths at the origin of the Jacobian
 ideal and of (f) plus the Jacobian ideal.  Quasi-homogeneity is decided by
 the membership criterion of K. Saito: f lies in its Jacobian ideal locally
-exactly when f is quasi-homogeneous in suitable coordinates, and in the
+exactly when f is quasi-homogeneous in suitable coordinates.  In the
 given coordinates a positive rational weight vector is searched for
-exactly.  A two-part decomposition f = g + h into consecutive homogeneous
-pieces with h outside the Jacobian ideal of g certifies the negative case.
+exactly; one that is found proves the membership by the Euler identity,
+so that the Tjurina ideal is then the Jacobian ideal.  A two-part
+decomposition f = g + h into consecutive homogeneous pieces with h
+outside the Jacobian ideal of g certifies the negative case.
 """
 
 from __future__ import annotations
@@ -134,18 +136,28 @@ class Germ:
     """f at the origin, with its Jacobian and Tjurina ideals, each built once.
 
     Their bases and local echelon forms fill lazily and are shared by every
-    stage handed this germ; the weights and the tangent cone (a germ) come
-    on first use.
+    stage handed this germ; the weights, the Tjurina ideal and the tangent
+    cone (a germ) come on first use.
     """
 
     def __init__(self, f: Polynomial):
         self.f = f
         self.jacobian = jacobian_ideal(f)
-        self.tjurina = Ideal(f.ring, (f, *self.jacobian.generators))
 
     @cached_property
     def weights(self) -> WeightSystem | None:
         return find_weights(self.f)
+
+    @cached_property
+    def tjurina(self) -> Ideal:
+        """(f) + the Jacobian ideal: the Jacobian ideal itself when f has weights.
+
+        Weights give every term of f weight 1, so the Euler identity
+        f = sum_i w_i x_i df/dx_i puts f in its Jacobian ideal.
+        """
+        if self.weights is not None:
+            return self.jacobian
+        return Ideal(self.f.ring, (self.f, *self.jacobian.generators))
 
     @cached_property
     def cone(self) -> Germ:
@@ -202,14 +214,15 @@ def tjurina_number(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP):
 def is_quasi_homogeneous(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> QHVerdict:
     """Decide whether f is quasi-homogeneous as a germ at the origin.
 
-    The verdict is the local membership of f in its Jacobian ideal.  The
-    Milnor number is taken on the same ideal first; when it needs the
-    local echelon form, the form stays cached there and answers the
-    membership.  A weighted homogeneous f has weighted homogeneous
-    partials, so its membership is one graded linear system instead.  A
-    weight witness is attached when one exists in the given coordinates,
-    and a homogeneous two-piece obstruction certificate is attached when
-    the verdict is negative and such a decomposition applies.
+    The verdict is the local membership of f in its Jacobian ideal, after
+    the Milnor number, taken on the same ideal, is checked finite.  A germ
+    with weights is quasi-homogeneous by the Euler identity
+    f = sum_i w_i x_i df/dx_i, as its weights give every term of f weight
+    1.  Only a germ without weights asks ``Ideal.local_member``; when the
+    Milnor number took the local echelon form, the form stays cached on
+    the ideal and answers.  The weights are attached as the witness, and a
+    homogeneous two-piece obstruction certificate is attached when the
+    verdict is negative and such a decomposition applies.
     """
     germ = _warned_germ(f)
     mu = _stage_colength(
@@ -217,7 +230,7 @@ def is_quasi_homogeneous(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_
     )
     if mu == INFINITE:
         raise ValueError("non-isolated singularity")
-    verdict = germ.jacobian.local_member(germ.f, germ.weights)
+    verdict = germ.weights is not None or germ.jacobian.local_member(germ.f)
     obstruction = None if verdict else _try_sqh_decomposition(germ)
     return QHVerdict(verdict, germ.weights, obstruction)
 

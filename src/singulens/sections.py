@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -53,7 +54,6 @@ from .ideals import (
     _packing,
     _Packing,
     _pivot_reduce,
-    _weighted_packing,
 )
 from .invariants import Germ, WeightSystem, _stage_colength, as_germ
 from .polyring import (
@@ -401,9 +401,7 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
     return Ideal._from_numerators(ring, out, d * c**k, pk)
 
 
-def level_ladder(
-    f: Polynomial | Germ, ideal: Ideal, max_level: int, weights: Iterable | None = None
-) -> Iterator[bool]:
+def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator[bool]:
     """The verdicts f^k in J_k at the origin for k = 1..max_level, one level per step.
 
     Each verdict equals ``jk_ideal(f, I, k).local_member(f**k)``.  With
@@ -412,15 +410,22 @@ def level_ladder(
     of level k - 1 by F, unreduced (min(F*r) = min(F) + min(r) in a linear
     packing, so distinct pivots stay distinct), derives only the N_b with
     |b| = k, in ``jk_ideal``'s walk order, and multiplies the packed
-    F^(k-1) by F.  A ``Germ`` f lends its Milnor number.  Level k raises
-    ``ExponentOverflow``, naming it, where ``jk_ideal`` or the test would.
+    F^(k-1) by F.  A ``Germ`` f lends its weights and Milnor number.
+    Level k raises ``ExponentOverflow``, naming it, where ``jk_ideal`` or
+    the test would.  The route is decided once, from the germ's weights.
 
-    Graded germs (``weights`` make F and every generator of I weighted
-    homogeneous) take one linear system in weighted degree
-    D_k = k * wdeg(F) (see ``Ideal._graded_member``), whose rows span
-    F * R_(k-1) + span{m * N_b : |b| = k}.  N_b has rows exactly when
-    wdeg(G) <= b.W for the integer weights W, so b + e_i is derived only
-    when some node of its subtree has rows by ``max_level``:
+    A graded germ, one whose weights (``Germ.weights``) make every
+    generator of I weighted homogeneous too, takes one linear system in
+    weighted degree D_k = k * wdeg(F).  For weighted homogeneous inputs
+    local membership is global membership (from u*p = sum a_i g_i with
+    u(0) != 0, the components of weighted degree D = wdeg(p) give
+    u(0)*p = sum (a_i)_(D - wdeg g_i) g_i), and global membership is the
+    span of the Macaulay rows m*g with wdeg(m) = D - wdeg(g) (Lazard,
+    Groebner bases, Gaussian elimination and resolution of systems of
+    algebraic equations, 1983), reduced by ``_add_rows``.  The rows of
+    level k span F * R_(k-1) + span{m * N_b : |b| = k}.  N_b has rows
+    exactly when wdeg(G) <= b.W for the integer weights W, so b + e_i is
+    derived only when some node of its subtree has rows by ``max_level``:
     wdeg(G) <= b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).  For
     such b, sum_i W_i x_i N_(b+e_i) = (wdeg(G) - b.W - wdeg(F)) * F * N_b
     (Euler), a nonzero factor, so by induction the rows of N_b' shifted by
@@ -439,30 +444,24 @@ def level_ladder(
     If F(p) = 0, the recurrence reads N_(b+e_i)(p) =
     -(|b| + 1) * N_b(p) * d_iF(p), so N_(k*e_i)(p) =
     (-1)^k * k! * G(p) * (d_iF(p))^k != 0 for an i with d_iF(p) != 0.  So
-    J_k is m-primary at the origin and the search for N_k ends.  Before it
-    climbs, the local route refuses a germ of infinite Milnor number or an
-    I of infinite colength at the origin, or either test past the degree
-    cap, naming the stage.
+    J_k is m-primary at the origin and the search for N_k ends.
+
+    Before it climbs, the ladder refuses a germ of infinite Milnor number,
+    and the local route also an I of infinite colength at the origin, or
+    either test past the degree cap, naming the stage.
     """
     germ = as_germ(f)
     n = germ.f.ring.arity
-    ws = (1,) * n if weights is None else integer_weights(weights)[0]
-    if len(ws) != n:
-        raise ValueError("weight count does not match the ring")
-    pk = _weighted_packing(ws)
+    stage, cap = "equality level 1", DEFAULT_DEGREE_CAP
+    if _stage_colength(stage, "Jacobian ideal", germ.jacobian, cap, germ.weights) == INFINITE:
+        raise ValueError(f"{stage}: the germ is not isolated at the origin (mu = infinite)")
+    grading = None if germ.weights is None else ideal._graded_degrees(germ.weights)
+    graded = grading is not None
+    if not graded and _stage_colength(stage, "ideal I", ideal, cap, None) == INFINITE:
+        raise ValueError(f"{stage}: the ideal I is not m-primary at the origin")
+    ws, pk, degs = grading or ((1,) * n, _packing(n, GRLEX), repeat(None))
     big_f = pk.pack_poly(_int_poly(germ.f))
     deg_f = _packed_degree(big_f, pk)
-    degs = [_packed_degree(g, pk) for g in ideal._packed_generators(pk)]
-    graded = weights is not None and deg_f is not None and None not in degs
-    if not graded:
-        stage, cap = "equality level 1", DEFAULT_DEGREE_CAP
-        if _stage_colength(stage, "Jacobian ideal", germ.jacobian, cap, germ.weights) == INFINITE:
-            raise ValueError(f"{stage}: the germ is not isolated at the origin (mu = infinite)")
-        if _stage_colength(stage, "ideal I", ideal, cap, None) == INFINITE:
-            raise ValueError(f"{stage}: the ideal I is not m-primary at the origin")
-        ws = (1,) * n
-        pk = _weighted_packing(ws)
-        big_f = pk.pack_poly(_int_poly(germ.f))
     gens = ideal._packed_generators(pk)
     top_f = max(map(max, map(pk.unpack, big_f)))
     top_g = max((max(pk.unpack(m)) for g in gens for m in g), default=0)

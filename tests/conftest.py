@@ -6,10 +6,12 @@ from a base seed and the test's own id, so a run is reproducible with
 """
 
 import random
+from operator import mul
 
 import pytest
 
-from singulens.polyring import Polynomial, RingContext
+import singulens.ideals as ideals
+from singulens.polyring import LEX, Polynomial, RingContext, integer_weights
 from singulens.polyring import parse as parse_poly
 
 DEFAULT_SEED = 20250822
@@ -78,3 +80,63 @@ def random_polynomial(
 @pytest.fixture(scope="session")
 def random_poly():
     return random_polynomial
+
+
+# Weighted homogeneous germs with their equality verdicts pinned elsewhere.
+GRADED_GERMS = (
+    "x^3 + y^3 + z^3",
+    "x^4 + y^4 + z^4",
+    "x^5 + y^5 + z^5",
+    "x^3 + y^4 + z^2",
+    "x^2 + y^3 + z^5",
+    "x^2*y + y^3 + z^4",
+    "x^3*y + y^5 + z^6",
+    "x^4*y + y^6 + z^4",
+    "x^6*y + y^3 + z^5",
+)
+
+
+def add_rows_member(ideal, p, weights):
+    """p in I by the Macaulay rows of ``ideals._add_rows`` in degree wdeg(p).
+
+    For I and p weighted homogeneous for ``weights``: the rows m*g with
+    wdeg(m) = wdeg(p) - wdeg(g), packed by the weighted packing, are reduced
+    into one echelon form, and p lies in I when ``_pivot_reduce`` takes it
+    to zero there.
+    """
+    if p.is_zero():
+        return True
+    ws, pk, degs = ideal._graded_degrees(weights)
+    target = pk.pack_poly(ideals._int_poly(p))
+    top = ideals._packed_degree(target, pk)
+    assert top is not None
+    pivots, shifts = {}, {}
+    for g, d in zip(ideal._packed_generators(pk), degs):
+        ideals._add_rows(pivots, g, top - d, ws, pk, shifts)
+    return ideals._pivot_reduce(target, pivots) is None
+
+
+def _tuple_weighted_degree(p, ws):
+    degs = {sum(map(mul, e, ws)) for e in p}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def tuple_graded_member(ideal, p, weights):
+    """The graded level test on exponent tuples, lex-packed per row, as a reference."""
+    ws = integer_weights(weights)[0]
+    gens = [ideals._int_poly(g) for g in ideal.generators]
+    degs = [_tuple_weighted_degree(g, ws) for g in gens]
+    target = ideals._int_poly(p)
+    top = _tuple_weighted_degree(target, ws)
+    assert top is not None and None not in degs
+    pk = ideals._packing(len(ws), LEX)
+    pivots, shifts = {}, {}
+    for g, d in zip(gens, degs):
+        if d not in shifts:
+            shifts[d] = [pk.pack(m) for m in ideals._exponents_of_degree(ws, top - d)]
+        row0 = pk.pack_poly(g)
+        for m in shifts[d]:
+            head = ideals._pivot_reduce({e + m: c for e, c in row0.items()}, pivots)
+            if head is not None:
+                pivots[head[0]] = head[1:]
+    return ideals._pivot_reduce(pk.pack_poly(target), pivots) is None

@@ -40,9 +40,9 @@ from singulens.polyring import (
     elimination_order,
     parse,
 )
-from singulens.sections import jk_ideal
+from singulens.sections import jk_ideal, level_ladder
 
-from conftest import random_polynomial
+from conftest import add_rows_member, random_polynomial
 
 CASES = 220
 
@@ -549,7 +549,7 @@ def test_graded_membership_matches_global_on_homogeneous_ideals(rng, ring, syste
             p = p + _random_form(rng, ring, target, ws)
         expected = Ideal(ring, gens).member(p)
         members += expected
-        assert Ideal(ring, gens).local_member(p, weights) == expected
+        assert add_rows_member(Ideal(ring, gens), p, weights) == expected
         assert _ff_reduce_graded_member(Ideal(ring, gens), p, weights) == expected
     assert 0 < members < 40
     # Below every generator's degree there is no row, so the answer is no.
@@ -561,7 +561,7 @@ def test_graded_membership_matches_global_on_homogeneous_ideals(rng, ring, syste
             continue
         below += 1
         assert not Ideal(ring, gens).member(p)
-        assert not Ideal(ring, gens).local_member(p, weights)
+        assert not add_rows_member(Ideal(ring, gens), p, weights)
         assert not _ff_reduce_graded_member(Ideal(ring, gens), p, weights)
 
 
@@ -608,15 +608,13 @@ LEVEL_VERDICTS = {
 
 @pytest.mark.parametrize("text", sorted(LEVEL_VERDICTS))
 def test_pivot_elimination_matches_the_ff_reduce_row_loop(ring, P, text):
-    """Same level verdicts as the old row loop on the integer jk generators."""
+    """Level 0 and the graded ladder give the old row loop's verdicts on the jk generators."""
     f = P(text)
     cls = classify(f)
     multiplier = compute_genus(f, cls).multiplier
-    verdicts = []
-    for k in range(4):
-        jk = jk_ideal(f, multiplier, k)
-        verdicts.append(jk.local_member(f**k, cls.weights))
-        assert verdicts[-1] == _ff_reduce_graded_member(jk, f**k, cls.weights)
+    verdicts = [jk_ideal(f, multiplier, 0).local_member(f**0), *level_ladder(f, multiplier, 3)]
+    for k, verdict in enumerate(verdicts):
+        assert verdict == _ff_reduce_graded_member(jk_ideal(f, multiplier, k), f**k, cls.weights)
     assert verdicts == LEVEL_VERDICTS[text]
 
 

@@ -8,7 +8,8 @@ hold both to oracles that do not use it: the Milnor-Orlik formula,
 Saito's criterion, the m-power Nakayama loop on Groebner bases, global
 Buchberger colengths, and the quotient route of local membership.  The
 graded route, global colengths of weighted homogeneous ideals, is held to
-the echelon and to Milnor-Orlik.
+the echelon and to Milnor-Orlik, and the Euler-identity verdict on germs
+with weights to local membership.
 """
 
 import math
@@ -31,6 +32,7 @@ from singulens.ideals import (
     maximal_ideal_power,
 )
 from singulens.invariants import (
+    Germ,
     is_quasi_homogeneous,
     jacobian_ideal,
     milnor_number,
@@ -39,7 +41,7 @@ from singulens.invariants import (
 from singulens.polyring import Polynomial, parse
 from singulens.sections import jk_ideal
 
-from conftest import random_polynomial
+from conftest import GRADED_GERMS, random_polynomial
 
 
 def _m_power_colength(ideal, degree_cap=40):
@@ -271,6 +273,41 @@ def test_saito_test_reads_the_hull(ring, P, monkeypatch):
     assert not verdict.quasi_homogeneous
     assert verdict.witness is None
     assert verdict.obstruction == P("x*y^2*z^2")
+
+
+def test_weighted_germs_are_quasi_homogeneous_without_rows(rng, ring, P, monkeypatch):
+    """The Euler identity decides a germ with weights: no row is reduced, one basis is filled.
+
+    The verdict equals the local membership of f in a fresh copy of its
+    Jacobian ideal, the Tjurina ideal is the Jacobian ideal, so tau = mu
+    from the one basis fill, and the witness, which has no weights, keeps
+    its negative verdict and its distinct Tjurina ideal.
+    """
+    germs = [_graded_germ(rng, P)[0] for _ in range(10)] + [P(text) for text in GRADED_GERMS]
+    for f in germs:
+        expected = Ideal(ring, jacobian_ideal(f).generators).local_member(f)
+        germ = Germ(f)
+        fills = []
+        real = ideals_module._buchberger
+        with monkeypatch.context() as m:
+            m.setattr(ideals_module, "_pivot_reduce", _no_rows)
+            m.setattr(ideals_module, "_buchberger", lambda *args: fills.append(1) or real(*args))
+            mu = milnor_number(germ)
+            tau = tjurina_number(germ)
+            verdict = is_quasi_homogeneous(germ)
+        assert verdict.quasi_homogeneous is expected is True, f
+        assert germ.weights is not None and verdict.witness == germ.weights, f
+        assert germ.tjurina is germ.jacobian
+        assert tau == mu and len(fills) == 1, f
+    witness = Germ(P("x^4 + y^4 + z^4 + x*y^2*z^2"))
+    verdict = is_quasi_homogeneous(witness)
+    assert not verdict.quasi_homogeneous and verdict.witness is None
+    assert witness.tjurina is not witness.jacobian
+    assert (milnor_number(witness), tjurina_number(witness)) == (27, 25)
+
+
+def _no_rows(*args, **kwargs):
+    raise AssertionError("a weighted germ reduced a row")
 
 
 def test_ideal_without_nakayama_exponent_takes_the_quotient_route(ring, P, monkeypatch):

@@ -8,7 +8,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import mul
 from pathlib import Path
 
 import pytest
@@ -25,8 +24,8 @@ from singulens.ideals import (
     maximal_ideal,
     maximal_ideal_power,
 )
-from singulens.invariants import WeightSystem, jacobian_ideal
-from singulens.polyring import GRLEX, LEX, Polynomial, integer_weights, parse
+from singulens.invariants import Germ, WeightSystem, jacobian_ideal
+from singulens.polyring import GRLEX, Polynomial, integer_weights, parse
 from singulens.sections import (
     DescentStep,
     DiffOp,
@@ -38,7 +37,7 @@ from singulens.sections import (
     level_ladder,
 )
 
-from conftest import random_polynomial
+from conftest import add_rows_member, random_polynomial, tuple_graded_member
 
 CASES = 220
 
@@ -475,34 +474,8 @@ def test_jk_ideal_generators_do_not_depend_on_weights(rng, P):
             jk_ideal(f, multiplier, 1, weights)
 
 
-def _tuple_weighted_degree(p, ws):
-    degs = {sum(map(mul, e, ws)) for e in p}
-    return degs.pop() if len(degs) == 1 else None
-
-
-def _tuple_graded_member(ideal, p, weights):
-    """The graded level test on exponent tuples, lex-packed per row, as a reference."""
-    ws = integer_weights(weights)[0]
-    gens = [_int_poly(g) for g in ideal.generators]
-    degs = [_tuple_weighted_degree(g, ws) for g in gens]
-    target = _int_poly(p)
-    top = _tuple_weighted_degree(target, ws)
-    assert top is not None and None not in degs
-    pk = ideals._packing(len(ws), LEX)
-    pivots, shifts = {}, {}
-    for g, d in zip(gens, degs):
-        if d not in shifts:
-            shifts[d] = [pk.pack(m) for m in ideals._exponents_of_degree(ws, top - d)]
-        row0 = pk.pack_poly(g)
-        for m in shifts[d]:
-            head = ideals._pivot_reduce({e + m: c for e, c in row0.items()}, pivots)
-            if head is not None:
-                pivots[head[0]] = head[1:]
-    return ideals._pivot_reduce(pk.pack_poly(target), pivots) is None
-
-
 def test_graded_level_verdicts_match_the_tuple_member(rng, P):
-    """Levels 0-3 of seeded graded germs: packed verdicts = the tuple-based test's."""
+    """Levels 0-3 of seeded graded germs: weighted-packed rows = the tuple-based test's."""
     verdicts = []
     for _ in range(5):
         f = _graded_germ(rng, P)
@@ -510,8 +483,8 @@ def test_graded_level_verdicts_match_the_tuple_member(rng, P):
         multiplier = compute_genus(f).multiplier
         for k in range(4):
             jk = jk_ideal(f, multiplier, k)
-            verdict = jk.local_member(f**k, weights)
-            assert verdict == _tuple_graded_member(jk, f**k, weights), (f, k)
+            verdict = add_rows_member(jk, f**k, weights)
+            assert verdict == tuple_graded_member(jk, f**k, weights), (f, k)
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
 
@@ -540,13 +513,11 @@ def test_graded_ladder_matches_the_level_tests(rng, P, monkeypatch):
     """
     germs = 0
     for f, weights, multiplier in _ladder_cases(rng, P, monkeypatch):
-        ladder = level_ladder(f, multiplier, 5, weights)
+        ladder = level_ladder(f, multiplier, 5)
         verdicts = [jk_ideal(f, multiplier, 0).local_member(f**0)]
         verdicts += list(ladder)
         for k, verdict in enumerate(verdicts):
-            jk = jk_ideal(f, multiplier, k)
-            assert verdict == jk.local_member(f**k, weights), (f, k)
-            assert verdict == _tuple_graded_member(jk, f**k, weights), (f, k)
+            assert verdict == tuple_graded_member(jk_ideal(f, multiplier, k), f**k, weights), (f, k)
         germs += 1
     assert germs >= 50
 
@@ -559,32 +530,64 @@ def test_graded_ladder_matches_on_monomial_ideals(rng, ring, P):
         weights = classify(f).weights
         exponents = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(rng.randint(1, 3))]
         ideal = Ideal(ring, [Polynomial.monomial(ring, e) for e in exponents])
-        expected = [jk_ideal(f, ideal, k).local_member(f**k, weights) for k in (1, 2, 3)]
-        assert list(level_ladder(f, ideal, 3, weights)) == expected, (f, exponents)
+        expected = [tuple_graded_member(jk_ideal(f, ideal, k), f**k, weights) for k in (1, 2, 3)]
+        assert list(level_ladder(f, ideal, 3)) == expected, (f, exponents)
         verdicts += expected
     assert True in verdicts and False in verdicts
 
 
+def _fail(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"the ladder called {name}")
+
+    return fail
+
+
 def test_graded_ladder_declines_ungraded_ideals(ring, P, monkeypatch):
-    """Weights that leave F or a generator of I ungraded send the ladder to the local climb."""
+    """The germ's weights pick the route, the same for f and for ``Germ(f)``.
+
+    A germ with weights and an I graded for them climbs the graded rows and
+    never the local echelon; an I that the weights leave ungraded, and a
+    germ without weights, climb the local echelon and never a graded row.
+    """
     import singulens.sections as sections
 
-    def no_graded_rows(*args, **kwargs):
-        raise AssertionError("an ungraded input took the graded step")
-
-    monkeypatch.setattr(sections, "_add_rows", no_graded_rows)
-    f = P("x^4 + y^4 + z^4")
-    weights = classify(f).weights
-    cases = [
-        (f, Ideal(ring, [P("x + y^2"), P("y - z^3"), P("z^2")])),
-        (P(COUNTEREXAMPLE_TEXT), maximal_ideal(ring)),
+    fermat = P("x^4 + y^4 + z^4")
+    chain = P("x^2*y + y^3 + z^4")
+    graded = [
+        (fermat, maximal_ideal(ring)),
+        (fermat, Ideal(ring, [P("x^2"), P("y*z"), P("z^3")])),
+        (chain, compute_genus(chain).multiplier),
     ]
-    for g, ideal in cases:
-        expected = [_per_level(g, ideal, k) for k in (1, 2, 3)]
-        assert list(level_ladder(g, ideal, 3, weights)) == expected, g
-    assert expected == [False, False, False]
+    local = [
+        (fermat, Ideal(ring, [P("x + y^2"), P("y - z^3"), P("z^2")])),
+        (P(COUNTEREXAMPLE_TEXT), maximal_ideal(ring)),
+        (P("x^4 + y^4 + z^4 + x^3*y*z"), maximal_ideal(ring)),
+    ]
+    expected = {}
+    for g, ideal in graded:
+        weights = Germ(g).weights
+        expected[g, ideal] = [
+            tuple_graded_member(jk_ideal(g, ideal, k), g**k, weights) for k in (1, 2, 3)
+        ]
+    for g, ideal in local:
+        expected[g, ideal] = [_per_level(g, ideal, k) for k in (1, 2, 3)]
+    echelon = [
+        (sections, "_nakayama_echelon"),
+        (sections, "_local_echelon"),
+        (ideals, "_nakayama_echelon"),
+    ]
+    for cases, blocked in ((graded, echelon), (local, [(sections, "_add_rows")])):
+        with monkeypatch.context() as m:
+            for module, name in blocked:
+                m.setattr(module, name, _fail(name))
+            for g, ideal in cases:
+                assert list(level_ladder(g, ideal, 3)) == expected[g, ideal], g
+                assert list(level_ladder(Germ(g), ideal, 3)) == expected[g, ideal], g
+    assert [expected[case] for case in local] == [[False] * 3, [False] * 3, [False, True, True]]
+    assert True in sum((expected[case] for case in graded), [])
     with pytest.raises(DegreeCapExceeded, match="^equality level 1 on the ideal I"):
-        level_ladder(f, Ideal(ring, [P("x"), P("y + z^2")]), 3, weights)
+        level_ladder(fermat, Ideal(ring, [P("x"), P("y + z^2")]), 3)
 
 
 def _alive_nodes(ws, degree, max_level):
@@ -637,7 +640,7 @@ def test_graded_ladder_derives_only_numerators_that_reach_rows(P, monkeypatch, t
         return real(*args)
 
     monkeypatch.setattr(sections, "_derive", counting)
-    list(level_ladder(f, multiplier, max_level, cls.weights))
+    list(level_ladder(f, multiplier, max_level))
     expected = sum(
         _alive_nodes(ws, ideals._packed_degree(g, pk), max_level)
         for g in multiplier._packed_generators(pk)
@@ -660,11 +663,14 @@ def test_graded_ladder_overflows_at_the_level_of_the_level_tests(ring, P):
                 out.append(verdict)
         return out
 
-    ladder = until_overflow(level_ladder(f, ideal, 5, weights))
-    parent = until_overflow(jk_ideal(f, ideal, k).local_member(f**k, weights) for k in range(1, 6))
+    assert Germ(f).weights == weights
+    ladder = until_overflow(level_ladder(f, ideal, 5))
+    parent = until_overflow(
+        tuple_graded_member(jk_ideal(f, ideal, k), f**k, weights) for k in range(1, 6)
+    )
     assert ladder == parent and len(ladder) == 2
     with pytest.raises(ExponentOverflow, match="^equality level 3: an exponent reached"):
-        list(level_ladder(f, ideal, 5, weights))
+        list(level_ladder(f, ideal, 5))
 
 
 def _per_level(f, ideal, k):
@@ -677,16 +683,16 @@ def test_ladder_refuses_unbounded_climbs_fast(ring, P):
     fermat, m = P("x^4 + y^4 + z^4"), maximal_ideal(ring)
     line = Ideal(ring, [P("x"), P("y + z^2")])
     cases = [
-        (fermat, line, None, DegreeCapExceeded, "equality level 1 on the ideal I"),
-        (fermat, line, QUARTER, DegreeCapExceeded, "equality level 1 on the ideal I"),
-        (P("x^2*y^2 + z^4"), m, None, ValueError, "equality level 1: the germ is not isolated"),
-        (P("x*y + x^3 + x^2*y"), m, None, DegreeCapExceeded, "equality level 1 on the Jacobian"),
+        (fermat, line, DegreeCapExceeded, "equality level 1 on the ideal I"),
+        (Germ(fermat), line, DegreeCapExceeded, "equality level 1 on the ideal I"),
+        (P("x^2*y^2 + z^4"), m, ValueError, "equality level 1: the germ is not isolated"),
+        (P("x*y + x^3 + x^2*y"), m, DegreeCapExceeded, "equality level 1 on the Jacobian"),
     ]
-    for f, ideal, weights, error, message in cases:
+    for f, ideal, error, message in cases:
         for run in (level_ladder, equality_certificate):
             start = time.perf_counter()
             with pytest.raises(error, match=f"^{message}"):
-                run(f, ideal, 3, weights)
+                run(f, ideal, 3)
             assert time.perf_counter() - start < 2, (run.__name__, f, ideal)
 
 
