@@ -278,7 +278,11 @@ def analyze(
     max_level: int = 3,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> AnalysisReport:
-    """Full pipeline: screen, invariants, classification, genus, bound, equality."""
+    """Full pipeline: screen, invariants, classification, genus, bound, equality.
+
+    Every stage runs on one ``Germ(f, degree_cap)``, so one cap bounds every
+    local echelon search of the run.
+    """
     t0 = time.perf_counter()
     ring = f.ring
     notes: list[str] = []
@@ -288,15 +292,15 @@ def analyze(
     if f.constant_term:
         notes.append("polynomial does not vanish at the origin")
 
-    germ = Germ(f)
+    germ = Germ(f, degree_cap)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         screen = screen_isolated(germ)
-        mu = milnor_number(germ, degree_cap)
-        tau = tjurina_number(germ, degree_cap)
+        mu = milnor_number(germ)
+        tau = tjurina_number(germ)
         qh = None
         if mu != INFINITE and germ.no_singularity() is None:
-            qh = is_quasi_homogeneous(germ, degree_cap)
+            qh = is_quasi_homogeneous(germ)
             citations.append(CITE_SAITO)
             if qh.obstruction is not None:
                 citations.append(CITE_SQH)
@@ -306,7 +310,7 @@ def analyze(
         bound = None
         equality = None
         try:
-            cls = classify(germ, degree_cap)
+            cls = classify(germ)
         except ValueError as err:
             notes.append(str(err))
         if cls is not None:
@@ -315,7 +319,7 @@ def analyze(
                     "genus and length bound are stated for at least three variables; skipped"
                 )
             elif cls.is_ordinary or cls.is_weighted:
-                genus = compute_genus(germ, cls, degree_cap)
+                genus = compute_genus(germ)
             else:
                 notes.append(
                     "germ is neither ordinary nor recognizably weighted homogeneous; "
@@ -424,7 +428,7 @@ def _cert_ordinary_genus(f: Polynomial) -> Certificate:
     germ = Germ(f)
     try:
         cls = classify(germ)
-        genus = compute_genus(germ, cls)
+        genus = compute_genus(germ)
     except (ValueError, RuntimeError) as err:
         return Certificate(
             name="C3",
@@ -559,21 +563,22 @@ def counterexample_certificates(
 
 
 def counterexample_suite(
-    f: Polynomial | None = None,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-    seed: int | None = None,
+    f: Polynomial | None = None, seed: int | None = None
 ) -> AnalysisReport:
     """Analysis of the bundled witness plus its strictness certificates.
 
     Levelwise equality testing stops at level 1; the suite's point is the
-    refutation there.  When every certificate passes, the conclusion is
-    the strict inequality: length greater than the bound, at least 6,
-    with the closing strictness argument trusted rather than re-verified.
+    refutation there.  The analysis runs at the default degree cap; every
+    capped search on the bundled witness stops at a Nakayama exponent of
+    at most 7, so no larger cap would change the report.  When every
+    certificate passes, the conclusion is the strict inequality: length
+    greater than the bound, at least 6, with the closing strictness
+    argument trusted rather than re-verified.
     """
     t0 = time.perf_counter()
     if f is None:
         f = counterexample_polynomial()
-    base = analyze(f, max_level=1, degree_cap=degree_cap)
+    base = analyze(f, max_level=1)
     certs = counterexample_certificates(f, seed=seed)
     all_pass = bool(certs) and all(c.verdict for c in certs)
     refuted = base.equality is not None and base.equality.refuted_at_level_one

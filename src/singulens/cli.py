@@ -2,12 +2,12 @@
 
 Each subcommand accepts exactly the flags its handler reads: ``--json``
 everywhere, ``--vars`` wherever there is an input polynomial,
-``--degree-cap`` on the colength commands (analyze, counterexample,
-invariants, genus), ``--max-level`` on analyze, ``--seed`` on
+``--degree-cap`` on the commands that build a germ from their input
+(analyze, invariants, genus), ``--max-level`` on analyze, ``--seed`` on
 counterexample, and ``--order`` on gb only; every other computation runs
-in grevlex.  A positional input is either a polynomial expression or a
-path to a corpus file with one polynomial per line, annotated with
-expected verdicts:
+in grevlex.  A positional input is a polynomial expression; analyze also
+takes a path to a corpus file with one polynomial per line, annotated
+with expected verdicts:
 
     <polynomial> ; key=value,key=value,...     ('#' starts a comment)
 
@@ -47,8 +47,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-DEGREE_CAP_ENV = "SINGULENS_DEGREE_CAP"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -64,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(
         sp: argparse.ArgumentParser,
         needs_input: bool = True,
+        corpus: bool = False,
         max_level: bool = False,
         degree_cap: bool = False,
         seed: bool = False,
@@ -87,28 +86,30 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--degree-cap",
                 type=int,
-                default=None,
+                default=DEFAULT_DEGREE_CAP,
                 help=(
                     "largest Nakayama exponent N (m^N inside the ideal at "
                     "the origin) that the local echelon search tries on an "
                     "ideal that is not weighted homogeneous; a weighted "
                     "homogeneous one is measured globally, with no cap "
-                    f"(default 40, minimum 10; env {DEGREE_CAP_ENV} "
-                    "overrides the default)"
+                    f"(default {DEFAULT_DEGREE_CAP}, minimum 10)"
                 ),
             )
         sp.add_argument("--json", action="store_true", help="emit a JSON document")
         if seed:
             sp.add_argument("--seed", type=int, default=None, help="shuffle seed")
-        if needs_input:
+        if corpus:
             sp.add_argument(
                 "input",
                 metavar="POLY_OR_FILE",
                 help="polynomial expression, or path to a corpus file",
             )
+        elif needs_input:
+            sp.add_argument("input", metavar="POLY", help="polynomial expression")
 
     add_common(
         sub.add_parser("analyze", help="full analysis report"),
+        corpus=True,
         max_level=True,
         degree_cap=True,
     )
@@ -118,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="run the bundled strict-inequality witness suite",
         ),
         needs_input=False,
-        degree_cap=True,
         seed=True,
     )
     add_common(
@@ -163,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args, parser: argparse.ArgumentParser) -> None:
     """Validate the flags the chosen subcommand has, normalizing in place.
 
-    ``--vars`` becomes a tuple of names and ``--degree-cap`` an int, with
-    the environment default applied.
+    ``--vars`` becomes a tuple of names.
     """
     if "vars" in args:
         names = tuple(v.strip() for v in args.vars.split(","))
@@ -175,20 +174,8 @@ def _check_args(args, parser: argparse.ArgumentParser) -> None:
         args.vars = names
     if "max_level" in args and args.max_level < 1:
         parser.error("--max-level must be at least 1")
-    if "degree_cap" in args:
-        cap = args.degree_cap
-        if cap is None:
-            env = os.environ.get(DEGREE_CAP_ENV)
-            if env is not None:
-                try:
-                    cap = int(env)
-                except ValueError:
-                    parser.error(f"{DEGREE_CAP_ENV} must be an integer, got {env!r}")
-            else:
-                cap = DEFAULT_DEGREE_CAP
-        if cap < 10:
-            parser.error("--degree-cap must be at least 10")
-        args.degree_cap = cap
+    if "degree_cap" in args and args.degree_cap < 10:
+        parser.error("--degree-cap must be at least 10")
 
 
 def _parse_generators(text: str, ring: RingContext) -> list[Polynomial]:
@@ -396,22 +383,22 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    report = counterexample_suite(degree_cap=args.degree_cap, seed=args.seed)
+    report = counterexample_suite(seed=args.seed)
     _emit(report.to_dict(), args.json, _render_report(report))
     return EXIT_OK if report.all_certificates_pass() else EXIT_FAIL
 
 
 def cmd_invariants(args) -> int:
     ring = RingContext(args.vars)
-    germ = Germ(parse(args.input, ring))
+    germ = Germ(parse(args.input, ring), args.degree_cap)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mu = milnor_number(germ, args.degree_cap)
-        tau = tjurina_number(germ, args.degree_cap)
+        mu = milnor_number(germ)
+        tau = tjurina_number(germ)
         qh = None
         if mu != INFINITE:
             try:
-                qh = is_quasi_homogeneous(germ, args.degree_cap)
+                qh = is_quasi_homogeneous(germ)
             except ValueError:
                 qh = None
     document = {
@@ -436,9 +423,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_genus(args) -> int:
     ring = RingContext(args.vars)
-    germ = Germ(parse(args.input, ring))
-    cls = classify(germ, args.degree_cap)
-    result = compute_genus(germ, cls, args.degree_cap)
+    germ = Germ(parse(args.input, ring), args.degree_cap)
+    cls = classify(germ)
+    result = compute_genus(germ)
     if result is None:
         print(
             "no genus route applies: germ is neither ordinary nor recognizably "

@@ -22,7 +22,6 @@ from fractions import Fraction
 from operator import mul
 
 from .ideals import (
-    DEFAULT_DEGREE_CAP,
     INFINITE,
     Ideal,
     _exponents_of_degree,
@@ -82,10 +81,11 @@ class SingularityClass:
         }
 
 
-def classify(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> SingularityClass:
+def classify(f: Polynomial | Germ) -> SingularityClass:
     """Detect the ordinary and weighted homogeneous descriptions of the germ.
 
-    Requires an isolated singular point at the origin.  The ordinary test
+    Requires an isolated singular point at the origin, decided by the
+    Tjurina number at the germ's degree cap.  The ordinary test
     asks whether the Jacobian ideal of the tangent cone is primary for the
     maximal ideal (a smooth projective tangent cone); the weighted test
     searches for exact positive weights.
@@ -93,7 +93,7 @@ def classify(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> Sing
     germ = as_germ(f)
     if reason := germ.no_singularity():
         raise ValueError(reason)
-    tau = _stage_colength("classify", "Tjurina ideal", germ.tjurina, degree_cap, germ.weights)
+    tau = _stage_colength("classify", "Tjurina ideal", germ.tjurina, germ, germ.weights)
     if tau == INFINITE:
         raise ValueError("non-isolated singularity")
     ordinary = germ.cone.jacobian.is_m_primary()
@@ -200,16 +200,17 @@ def genus_ordinary(f: Polynomial | Germ) -> GenusResult:
     )
 
 
-def genus_weighted(f: Polynomial | Germ, weights: WeightSystem | None = None) -> GenusResult:
-    """Reduced genus of a weighted homogeneous germ via rho thresholds."""
+def genus_weighted(f: Polynomial | Germ) -> GenusResult:
+    """Reduced genus of a weighted homogeneous germ via rho thresholds.
+
+    The thresholds use the germ's weights (``Germ.weights``), which give
+    every term of f weight 1, so they satisfy the Euler identity.
+    """
     germ = as_germ(f)
     ring = germ.f.ring
+    weights = germ.weights
     if weights is None:
-        weights = germ.weights
-        if weights is None:
-            raise ValueError("no weight system found; weighted route does not apply")
-    if not euler_check(germ.f, weights):
-        raise ValueError("weights do not satisfy the Euler identity for f")
+        raise ValueError("no weight system found; weighted route does not apply")
     # rho(u) >= 1 and rho(u) > 1 are S(u) >= L and S(u) >= L + 1
     scale = integer_weights(weights)[1]
     i0, adj = _minimal_monomials(ring, weights, (scale, scale + 1))
@@ -236,22 +237,19 @@ def _count_rho_equal_one(weights: WeightSystem) -> int:
     return sum(1 for u in exponent_box(bounds) if sum(map(mul, u, ws)) == bar)
 
 
-def compute_genus(
-    f: Polynomial | Germ,
-    cls: SingularityClass | None = None,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> GenusResult | None:
+def compute_genus(f: Polynomial | Germ) -> GenusResult | None:
     """Reduced genus by every applicable route, demanding agreement.
 
-    Returns None when neither the ordinary nor the weighted description
-    applies.  When both apply, the results must agree in genus, log
-    canonicity, and both ideals.
+    The routes are those ``classify`` finds on the germ, whose ideals,
+    weights and tangent cone are cached, so a germ classified before
+    costs one Euler check more.  Returns None when neither the ordinary
+    nor the weighted description applies.  When both apply, the results
+    must agree in genus, log canonicity, and both ideals.
     """
     germ = as_germ(f)
-    if cls is None:
-        cls = classify(germ, degree_cap)
+    cls = classify(germ)
     ordinary = genus_ordinary(germ) if cls.is_ordinary else None
-    weighted = genus_weighted(germ, cls.weights) if cls.is_weighted else None
+    weighted = genus_weighted(germ) if cls.is_weighted else None
     if ordinary is not None and weighted is not None:
         pairs = ((ordinary.multiplier, weighted.multiplier), (ordinary.adjoint, weighted.adjoint))
         same_ideals = all(a == b or (a.contains_ideal(b) and b.contains_ideal(a)) for a, b in pairs)

@@ -109,7 +109,6 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     RingContext,
-    _raw,
     clear_denominators,
     elimination_order,
     exact_div,
@@ -654,9 +653,12 @@ def maximal_ideal_power(ring: RingContext, k: int) -> "Ideal":
 
 
 class Ideal:
-    """Finitely generated ideal with per-order cached reduced Groebner bases."""
+    """Finitely generated ideal with per-order cached reduced Groebner bases.
 
-    __slots__ = ("ring", "_generators", "_cache")
+    ``generators`` holds the nonzero generators, in the order given.
+    """
+
+    __slots__ = ("ring", "generators", "_cache")
 
     def __init__(self, ring: RingContext, generators: Iterable[Polynomial] = ()):
         gens = []
@@ -666,42 +668,8 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_generators", tuple(gens))
+        object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "_cache", {})
-
-    @classmethod
-    def _from_numerators(
-        cls, ring: RingContext, numerators: Iterable[_IntPoly], den: int, pk: _Packing
-    ):
-        """The ideal of the polynomials num / den, from integer numerators packed by pk.
-
-        For callers that already hold the packed integers: zero numerators
-        are skipped, and the primitive forms num // content(num) are cached
-        as the generators packed by pk, in the same order.  The generators
-        themselves are unpacked on first access to ``generators``, without
-        re-validation; the level tests read only the packed integers.
-        """
-        nums = [num for num in numerators if num]
-        ideal = cls(ring)
-        object.__setattr__(ideal, "_generators", None)
-        ideal._cache["numerators"] = (nums, den, pk)
-        ideal._cache[pk] = [_primitive(num) for num in nums]
-        return ideal
-
-    @property
-    def generators(self) -> tuple[Polynomial, ...]:
-        """The nonzero generators, in the order given."""
-        gens = self._generators
-        if gens is None:
-            # idempotent: a concurrent reader builds an equal tuple
-            nums, den, pk = self._cache["numerators"]
-            ring = self.ring
-            gens = tuple(
-                _raw(ring, {pk.unpack(m): Fraction(v, den) for m, v in num.items()})
-                for num in nums
-            )
-            object.__setattr__(self, "_generators", gens)
-        return gens
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
@@ -709,18 +677,11 @@ class Ideal:
     def _packed_generators(self, pk: _Packing) -> list[_IntPoly]:
         """The primitive integer forms of the generators packed by pk, in order.
 
-        Cached per packing.  An ideal built from packed numerators repacks
-        the forms it was built with, and never builds its generators.
+        Cached per packing.
         """
         packed = self._cache.get(pk)
         if packed is None:
-            built = self._cache.get("numerators")
-            if built is None:
-                packed = [pk.pack_poly(_int_poly(g)) for g in self.generators]
-            else:
-                src = built[2]
-                unpack, pack = src.unpack, pk.pack
-                packed = [{pack(unpack(m)): c for m, c in g.items()} for g in self._cache[src]]
+            packed = [pk.pack_poly(_int_poly(g)) for g in self.generators]
             self._cache[pk] = packed
         return packed
 

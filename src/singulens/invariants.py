@@ -137,11 +137,15 @@ class Germ:
 
     Their bases and local echelon forms fill lazily and are shared by every
     stage handed this germ; the weights, the Tjurina ideal and the tangent
-    cone (a germ) come on first use.
+    cone (a germ) come on first use.  ``degree_cap`` bounds the Nakayama
+    exponent of every local echelon search a stage runs on the germ's
+    ideals (see ``local_colength``); ideals with weights are measured
+    globally, with no cap.
     """
 
-    def __init__(self, f: Polynomial):
+    def __init__(self, f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP):
         self.f = f
+        self.degree_cap = degree_cap
         self.jacobian = jacobian_ideal(f)
 
     @cached_property
@@ -186,47 +190,49 @@ def _warned_germ(f: Polynomial | Germ) -> Germ:
     return germ
 
 
-def _stage_colength(stage: str, name: str, ideal: Ideal, degree_cap: int, weights):
-    """``local_colength`` of a germ's ideal; a refusal names the stage and the ideal."""
+def _stage_colength(stage: str, name: str, ideal: Ideal, germ: Germ, weights):
+    """``local_colength`` at the germ's degree cap; a refusal names the stage and the ideal."""
     try:
-        return local_colength(ideal, degree_cap, weights)
+        return local_colength(ideal, germ.degree_cap, weights)
     except (DegreeCapExceeded, ExponentOverflow) as err:
         count = len(ideal.generators)
         raise type(err)(f"{stage} on the {name} ({count} generators): {err}") from err
 
 
-def milnor_number(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP):
-    """Colength of the Jacobian ideal at the origin; INFINITE if non-isolated."""
+def milnor_number(f: Polynomial | Germ):
+    """Colength of the Jacobian ideal at the origin; INFINITE if non-isolated.
+
+    An unweighted Jacobian ideal is searched up to the germ's degree cap.
+    """
     germ = _warned_germ(f)
-    return _stage_colength(
-        "milnor_number", "Jacobian ideal", germ.jacobian, degree_cap, germ.weights
-    )
+    return _stage_colength("milnor_number", "Jacobian ideal", germ.jacobian, germ, germ.weights)
 
 
-def tjurina_number(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP):
-    """Colength of (f) + Jacobian ideal at the origin; INFINITE if non-isolated."""
+def tjurina_number(f: Polynomial | Germ):
+    """Colength of (f) + Jacobian ideal at the origin; INFINITE if non-isolated.
+
+    An unweighted Tjurina ideal is searched up to the germ's degree cap.
+    """
     germ = _warned_germ(f)
-    return _stage_colength(
-        "tjurina_number", "Tjurina ideal", germ.tjurina, degree_cap, germ.weights
-    )
+    return _stage_colength("tjurina_number", "Tjurina ideal", germ.tjurina, germ, germ.weights)
 
 
-def is_quasi_homogeneous(f: Polynomial | Germ, degree_cap: int = DEFAULT_DEGREE_CAP) -> QHVerdict:
+def is_quasi_homogeneous(f: Polynomial | Germ) -> QHVerdict:
     """Decide whether f is quasi-homogeneous as a germ at the origin.
 
     The verdict is the local membership of f in its Jacobian ideal, after
-    the Milnor number, taken on the same ideal, is checked finite.  A germ
-    with weights is quasi-homogeneous by the Euler identity
-    f = sum_i w_i x_i df/dx_i, as its weights give every term of f weight
-    1.  Only a germ without weights asks ``Ideal.local_member``; when the
-    Milnor number took the local echelon form, the form stays cached on
-    the ideal and answers.  The weights are attached as the witness, and a
+    the Milnor number, taken on the same ideal at the germ's degree cap, is
+    checked finite.  A germ with weights is quasi-homogeneous by the Euler
+    identity f = sum_i w_i x_i df/dx_i, as its weights give every term of
+    f weight 1.  Only a germ without weights asks ``Ideal.local_member``;
+    when the Milnor number took the local echelon form, the form stays
+    cached on the ideal and answers.  The weights are attached as the witness, and a
     homogeneous two-piece obstruction certificate is attached when the
     verdict is negative and such a decomposition applies.
     """
     germ = _warned_germ(f)
     mu = _stage_colength(
-        "is_quasi_homogeneous", "Jacobian ideal", germ.jacobian, degree_cap, germ.weights
+        "is_quasi_homogeneous", "Jacobian ideal", germ.jacobian, germ, germ.weights
     )
     if mu == INFINITE:
         raise ValueError("non-isolated singularity")

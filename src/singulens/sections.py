@@ -39,7 +39,6 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .ideals import (
-    DEFAULT_DEGREE_CAP,
     EXPONENT_LIMIT,
     INFINITE,
     ExponentOverflow,
@@ -61,6 +60,7 @@ from .polyring import (
     Exponent,
     Polynomial,
     RingContext,
+    _raw,
     clear_denominators,
     exact_div,
     exponent_box,
@@ -353,11 +353,11 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
     over all generators of I, serves every g, so equal generators have
     equal integer numerators and are kept once, at their first occurrence.
 
-    The numerators are packed integers in the grlex packing of the local
-    echelon, which receives them as they are: a product is ``+`` and a
-    partial reads the exponent field and subtracts the packed variable.
-    An exponent is at most k times the largest of F plus the largest of a
-    G; ``ExponentOverflow`` is raised when that reaches ``EXPONENT_LIMIT``.
+    The numerators are packed integers in the grlex packing: a product is
+    ``+`` and a partial reads the exponent field and subtracts the packed
+    variable.  An exponent is at most k times the largest of F plus the
+    largest of a G; ``ExponentOverflow`` is raised when that reaches
+    ``EXPONENT_LIMIT``.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
@@ -398,7 +398,10 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
 
     for big_g, d_g in numerators:
         walk({pk.pack(e): v * (d // d_g) for e, v in big_g.items()}, 0, 0)
-    return Ideal._from_numerators(ring, out, d * c**k, pk)
+    den = d * c**k
+    return Ideal(
+        ring, [_raw(ring, {pk.unpack(m): Fraction(v, den) for m, v in num.items()}) for num in out]
+    )
 
 
 def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator[bool]:
@@ -410,9 +413,10 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     of level k - 1 by F, unreduced (min(F*r) = min(F) + min(r) in a linear
     packing, so distinct pivots stay distinct), derives only the N_b with
     |b| = k, in ``jk_ideal``'s walk order, and multiplies the packed
-    F^(k-1) by F.  A ``Germ`` f lends its weights and Milnor number.
-    Level k raises ``ExponentOverflow``, naming it, where ``jk_ideal`` or
-    the test would.  The route is decided once, from the germ's weights.
+    F^(k-1) by F.  A ``Germ`` f lends its weights, degree cap and Milnor
+    number.  Level k raises ``ExponentOverflow``, naming it, where
+    ``jk_ideal`` or the test would.  The route is decided once, from the
+    germ's weights.
 
     A graded germ, one whose weights (``Germ.weights``) make every
     generator of I weighted homogeneous too, takes one linear system in
@@ -448,16 +452,17 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
 
     Before it climbs, the ladder refuses a germ of infinite Milnor number,
     and the local route also an I of infinite colength at the origin, or
-    either test past the degree cap, naming the stage.
+    either test past the germ's degree cap (``Germ.degree_cap``), naming
+    the stage.
     """
     germ = as_germ(f)
     n = germ.f.ring.arity
-    stage, cap = "equality level 1", DEFAULT_DEGREE_CAP
-    if _stage_colength(stage, "Jacobian ideal", germ.jacobian, cap, germ.weights) == INFINITE:
+    stage = "equality level 1"
+    if _stage_colength(stage, "Jacobian ideal", germ.jacobian, germ, germ.weights) == INFINITE:
         raise ValueError(f"{stage}: the germ is not isolated at the origin (mu = infinite)")
     grading = None if germ.weights is None else ideal._graded_degrees(germ.weights)
     graded = grading is not None
-    if not graded and _stage_colength(stage, "ideal I", ideal, cap, None) == INFINITE:
+    if not graded and _stage_colength(stage, "ideal I", ideal, germ, None) == INFINITE:
         raise ValueError(f"{stage}: the ideal I is not m-primary at the origin")
     ws, pk, degs = grading or ((1,) * n, _packing(n, GRLEX), repeat(None))
     big_f = pk.pack_poly(_int_poly(germ.f))

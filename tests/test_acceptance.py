@@ -19,6 +19,7 @@ from singulens.analyzer import (
 from singulens.genus import genus_ordinary, genus_weighted
 from singulens.ideals import Ideal, maximal_ideal, maximal_ideal_power
 from singulens.invariants import (
+    Germ,
     WeightSystem,
     is_quasi_homogeneous,
     milnor_number,
@@ -132,7 +133,9 @@ def test_criterion_4_genus_table(ring, capsys):
         for poly_text, weights_tuple, expected in table:
             w = WeightSystem(weights_tuple)
             assert lattice_oracle(w) == expected
-            assert genus_weighted(parse(poly_text, ring), w).g == expected
+            germ = Germ(parse(poly_text, ring))
+            assert germ.weights == w
+            assert genus_weighted(germ).g == expected
         fermat_genus = {3: 1, 4: 3, 5: 6, 6: 10}
         for d, expected in fermat_genus.items():
             f = parse(f"x^{d} + y^{d} + z^{d}", ring)

@@ -6,6 +6,7 @@ import pytest
 
 import singulens.analyzer as analyzer_module
 import singulens.ideals as ideals_module
+import singulens.sections as sections_module
 from singulens.analyzer import (
     CITE_DESCENT,
     CITE_HODGE,
@@ -22,7 +23,7 @@ from singulens.analyzer import (
     screen_isolated,
 )
 from singulens.genus import classify, compute_genus
-from singulens.ideals import Ideal, maximal_ideal
+from singulens.ideals import EXPONENT_LIMIT, DegreeCapExceeded, Ideal, maximal_ideal
 from singulens.invariants import Germ, milnor_number
 from singulens.polyring import GREVLEX, Polynomial, RingContext, parse
 from singulens.sections import jk_ideal, level_ladder
@@ -123,7 +124,7 @@ def _level_by_level(f, multiplier, max_level, weights=None):
 def test_graded_equality_climbs_the_ladder_from_level_one(ring, P, monkeypatch, text):
     f = P(text)
     cls = classify(f)
-    multiplier = compute_genus(f, cls).multiplier
+    multiplier = compute_genus(f).multiplier
     expected = _level_by_level(f, multiplier, 5, cls.weights)
     levels = _record_levels(monkeypatch)
     verdict = equality_certificate(f, multiplier, 5)
@@ -133,16 +134,15 @@ def test_graded_equality_climbs_the_ladder_from_level_one(ring, P, monkeypatch, 
 
 def test_ungraded_multiplier_climbs_the_local_ladder(ring, P, monkeypatch):
     f = P("x^4 + y^4 + z^4")
-    cls = classify(f)
     # x^2 + y^3 is not weighted homogeneous for the weights (1/4, 1/4, 1/4)
-    multiplier = compute_genus(f, cls).multiplier + Ideal(ring, [P("x^2 + y^3")])
+    multiplier = compute_genus(f).multiplier + Ideal(ring, [P("x^2 + y^3")])
     expected = _level_by_level(f, multiplier, 2)
     levels = _record_levels(monkeypatch)
     verdict = equality_certificate(f, multiplier, 2)
     assert verdict.level_results == expected == ((0, False), (1, True))
     assert levels == [0]
     levels.clear()
-    verdict = equality_certificate(f, compute_genus(f, cls).multiplier, 2)
+    verdict = equality_certificate(f, compute_genus(f).multiplier, 2)
     assert verdict.level_results == expected
     assert levels == [0]
 
@@ -330,8 +330,7 @@ def _graded_levels(germ, multiplier, max_level):
 @pytest.mark.parametrize("text", GRADED_GERMS)
 def test_graded_level_tests_agree_with_general_path(ring, P, text):
     f = P(text)
-    cls = classify(f)
-    multiplier = compute_genus(f, cls).multiplier
+    multiplier = compute_genus(f).multiplier
     for k, verdict in enumerate(_graded_levels(Germ(f), multiplier, 3)):
         fresh = Ideal(ring, jk_ideal(f, multiplier, k).generators)
         assert verdict == fresh.local_member(f**k), (f, k)
@@ -405,6 +404,38 @@ def test_analyze_fills_each_basis_once(ring, P, monkeypatch, text):
     analyze(P(text))
     assert fills and len(set(fills)) == len(fills)
     assert len(set(searched)) == len(searched)
+
+
+@pytest.mark.parametrize("text", (COUNTEREXAMPLE_TEXT, "x^4 + y^4 + z^4 + x^3*y*z"))
+def test_the_degree_cap_follows_the_germ(ring, P, monkeypatch, text):
+    """Every local echelon search of analyze runs at its cap, or uncapped in the ladder's climb."""
+    caps = []
+    for module in (ideals_module, sections_module):
+        real = module._local_echelon
+
+        def recording(ideal, degree_cap, real=real):
+            caps.append(degree_cap)
+            return real(ideal, degree_cap)
+
+        monkeypatch.setattr(module, "_local_echelon", recording)
+    report = analyze(P(text), max_level=4, degree_cap=12)
+    assert report.equality is not None
+    assert 12 in caps and EXPONENT_LIMIT in caps
+    assert set(caps) <= {12, EXPONENT_LIMIT}
+
+
+def test_level_ladder_refuses_past_the_germs_degree_cap(ring, P):
+    """Both refusal checks of the ladder read Germ.degree_cap; N = 7 for this Jacobian."""
+    f = P("x^4 + y^4 + z^4 + x^3*y*z")
+    with pytest.raises(DegreeCapExceeded, match="Jacobian ideal .*not stabilized by degree 6"):
+        next(level_ladder(Germ(f, degree_cap=6), maximal_ideal(ring), 1))
+    # not homogeneous; O/I = Q[x]/(x^8) with m = (x), so m^N lies in I + m^(N+1) from N = 8
+    ideal = Ideal(ring, [P("x^8"), P("y + x^2"), P("z")])
+    with pytest.raises(DegreeCapExceeded, match="ideal I .*not stabilized by degree 7"):
+        level_ladder(Germ(f, degree_cap=7), ideal, 1)
+    assert list(level_ladder(Germ(f, degree_cap=8), ideal, 1)) == [
+        jk_ideal(f, ideal, 1).local_member(f)
+    ]
 
 
 def test_counterexample_certificates_share_nothing_with_analyze(ring, monkeypatch):

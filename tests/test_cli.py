@@ -9,7 +9,6 @@ import pytest
 
 from singulens.analyzer import COUNTEREXAMPLE_ENV
 from singulens.cli import (
-    DEGREE_CAP_ENV,
     EXIT_FAIL,
     EXIT_OK,
     EXIT_USAGE,
@@ -165,6 +164,16 @@ def test_refusal_names_the_stage_and_the_ideal(capsys):
         "computation failed: milnor_number on the Jacobian ideal (2 generators): "
         "colength at the origin not stabilized by degree 40\n"
     )
+    # --degree-cap reaches the germ each command builds
+    for command, stage in (
+        ("invariants", "milnor_number on the Jacobian ideal (2 generators)"),
+        ("genus", "classify on the Tjurina ideal (3 generators)"),
+    ):
+        code, out, err = run(capsys, [command, "--degree-cap", "12", "x*y + x^3 + x^2*y"])
+        assert code == EXIT_FAIL
+        assert err == (
+            f"computation failed: {stage}: colength at the origin not stabilized by degree 12\n"
+        )
 
 
 def test_exponent_limit_is_a_computation_failure(capsys):
@@ -321,6 +330,7 @@ def test_usage_errors_from_argparse(capsys):
         ["invariants", "--max-level", "2", "x^2 + y^2 + z^2"],
         ["counterexample", "--max-level", "2"],
         ["jk", "--degree-cap", "20", "x^2 + y^2 + z^2"],
+        ["counterexample", "--degree-cap", "20"],
         ["counterexample", "--vars", "a,b,c"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -332,7 +342,7 @@ def test_usage_errors_from_argparse(capsys):
 # accepted and ignored.
 HANDLER_OPTIONS = {
     "analyze": {"--vars", "--max-level", "--degree-cap", "--json"},
-    "counterexample": {"--degree-cap", "--json", "--seed"},
+    "counterexample": {"--json", "--seed"},
     "invariants": {"--vars", "--degree-cap", "--json"},
     "genus": {"--vars", "--degree-cap", "--json"},
     "gb": {"--order", "--vars", "--json"},
@@ -378,20 +388,21 @@ def test_every_option_is_read_by_its_handler(capsys):
     capsys.readouterr()
 
 
-def test_degree_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv(DEGREE_CAP_ENV, "15")
-    code, out, err = run(capsys, ["invariants", "x^2 + y^2 + z^2"])
-    assert code == EXIT_OK
-    monkeypatch.setenv(DEGREE_CAP_ENV, "banana")
-    with pytest.raises(SystemExit) as exc:
-        main(["invariants", "x^2 + y^2 + z^2"])
-    assert exc.value.code == EXIT_USAGE
-    # an explicit flag wins over the environment
-    monkeypatch.setenv(DEGREE_CAP_ENV, "banana")
-    code, out, err = run(
-        capsys, ["invariants", "--degree-cap", "20", "x^2 + y^2 + z^2"]
-    )
-    assert code == EXIT_OK
+def test_positional_help_says_what_each_command_reads(capsys):
+    """Only analyze reads a corpus file; invariants and genus take a polynomial."""
+    for command, metavar, text in (
+        ("analyze", "POLY_OR_FILE", "polynomial expression, or path to a corpus file"),
+        ("invariants", "POLY", "polynomial expression"),
+        ("genus", "POLY", "polynomial expression"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == EXIT_OK
+        words = capsys.readouterr().out.split()
+        out = " ".join(words)
+        assert words[words.index("[--json]") + 1] == metavar, command
+        assert f" {metavar} {text}" in out, command
+        assert "corpus" not in out or command == "analyze", command
 
 
 def test_check_annotations_level_mapping(capsys):

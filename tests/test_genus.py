@@ -17,7 +17,7 @@ from singulens.genus import (
     multiplier_span_generators,
 )
 from singulens.ideals import Ideal, maximal_ideal_power
-from singulens.invariants import WeightSystem
+from singulens.invariants import Germ, WeightSystem
 from singulens.polyring import Polynomial, parse
 
 CASES = 220
@@ -98,7 +98,9 @@ def test_weighted_genus_matches_the_lattice_count(rng, ring):
         germs.append((f"x^{a}*y + y^{b} + z^{c}", ((1 - wy) / a, wy, Fraction(1, c))))
     for text, ws in germs:
         weights = WeightSystem(ws)
-        result = genus_weighted(parse(text, ring), weights)
+        germ = Germ(parse(text, ring))
+        assert germ.weights == weights, text
+        result = genus_weighted(germ)
         assert result.g == _lattice_genus_oracle(weights), text
         assert result.log_canonical == (weights.rho((0, 0, 0)) >= 1), text
         for ideal, strict in ((result.multiplier, False), (result.adjoint, True)):
@@ -155,7 +157,9 @@ def test_genus_lattice_oracle(ring):
     for weights_tuple, expected in table:
         w = WeightSystem(weights_tuple)
         assert _lattice_genus_oracle(w) == expected
-        result = genus_weighted(parse(polys[weights_tuple], ring), w)
+        germ = Germ(parse(polys[weights_tuple], ring))
+        assert germ.weights == w
+        result = genus_weighted(germ)
         assert result.g == expected
 
 
@@ -212,8 +216,6 @@ def test_ordinary_route_rejects_singular_cone(ring, P):
 def test_weighted_route_rejections(ring, P):
     with pytest.raises(ValueError, match="no weight system found"):
         genus_weighted(P("x^4 + y^4 + z^4 + x*y^2*z^2"))
-    with pytest.raises(ValueError, match="Euler identity"):
-        genus_weighted(P("x^4 + y^4 + z^4"), WeightSystem((Fraction(1, 3),) * 3))
 
 
 def test_compute_genus_none_when_no_route(ring, P):
@@ -221,7 +223,7 @@ def test_compute_genus_none_when_no_route(ring, P):
     f = P("x^2*y + y^3 + z^4 + x^4")
     cls = classify(f)
     assert not cls.is_ordinary and not cls.is_weighted
-    assert compute_genus(f, cls) is None
+    assert compute_genus(f) is None
 
 
 def test_multiplier_span_membership_matches_rho(rng, ring):

@@ -611,7 +611,7 @@ def test_pivot_elimination_matches_the_ff_reduce_row_loop(ring, P, text):
     """Level 0 and the graded ladder give the old row loop's verdicts on the jk generators."""
     f = P(text)
     cls = classify(f)
-    multiplier = compute_genus(f, cls).multiplier
+    multiplier = compute_genus(f).multiplier
     verdicts = [jk_ideal(f, multiplier, 0).local_member(f**0), *level_ladder(f, multiplier, 3)]
     for k, verdict in enumerate(verdicts):
         assert verdict == _ff_reduce_graded_member(jk_ideal(f, multiplier, k), f**k, cls.weights)

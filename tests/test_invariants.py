@@ -231,8 +231,9 @@ def test_tjurina_at_most_milnor(rng, ring):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                mu = milnor_number(f, degree_cap=16)
-                tau = tjurina_number(f, degree_cap=16)
+                germ = Germ(f, degree_cap=16)
+                mu = milnor_number(germ)
+                tau = tjurina_number(germ)
             except DegreeCapExceeded:
                 assert find_weights(f) is None, f
                 continue
