@@ -23,13 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .genus import GenusResult, SingularityClass, classify, compute_genus
-from .ideals import (
-    DEFAULT_DEGREE_CAP,
-    INFINITE,
-    Ideal,
-    maximal_ideal,
-    maximal_ideal_power,
-)
+from .ideals import INFINITE, Ideal, maximal_ideal, maximal_ideal_power
 from .invariants import (
     Germ,
     QHVerdict,
@@ -72,14 +66,15 @@ CITE_HODGE = "hodge-strictness:trusted-not-reverified"
 
 @dataclass(frozen=True)
 class ScreenResult:
-    """Global finiteness screen of the singular locus of f = 0.
+    """Whether the singular point of f = 0 at the origin is isolated.
 
-    ``isolated`` is true when V(f, gradient f) is a finite set of points
-    (possibly empty) in the whole affine space, and ``jacobian_m_primary``
-    when V(gradient f) is.  Neither is a test at the origin alone: a germ
-    with an isolated singular point at the origin still reads false when
-    the locus has a positive-dimensional component elsewhere, as for
-    (x^2 + y^2 + z^2)*(x - 1)^2 with mu = tau = 1.
+    ``isolated`` is tau < infinity: the origin is an isolated point of
+    V(f, gradient f), or outside it.  ``jacobian_m_primary`` is
+    mu < infinity, the same of V(gradient f).  For f(0) = 0 the two agree,
+    as f is constant on each curve of critical points (Milnor's curve
+    selection lemma).  Both are local: (x^2 + y^2 + z^2)*(x - 1)^2 reads
+    true and true, with mu = tau = 1, though its singular locus contains
+    the plane x = 1.
     """
 
     isolated: bool
@@ -93,18 +88,10 @@ class ScreenResult:
 
 
 def screen_isolated(f: Polynomial | Germ) -> ScreenResult:
-    """Check that (f) + Jacobian(f) has a finite-dimensional quotient.
-
-    That holds exactly when the affine singular locus V(f, gradient f) is
-    finite, so a positive-dimensional component anywhere, even away from
-    the origin, makes ``isolated`` false.  The second flag asks the same
-    of the Jacobian ideal alone (finitely many critical points).
-    """
+    """Screen the origin by the exact Tjurina and Milnor numbers of the germ."""
     germ = as_germ(f)
-    return ScreenResult(
-        isolated=germ.tjurina.is_m_primary(),
-        jacobian_m_primary=germ.jacobian.is_m_primary(),
-    )
+    mu = milnor_number(germ)
+    return ScreenResult(tjurina_number(germ) != INFINITE, mu != INFINITE)
 
 
 def length_bound(genus: GenusResult) -> int:
@@ -276,12 +263,12 @@ class AnalysisReport:
 def analyze(
     f: Polynomial,
     max_level: int = 3,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
+    degree_cap: int | None = None,
 ) -> AnalysisReport:
     """Full pipeline: screen, invariants, classification, genus, bound, equality.
 
-    Every stage runs on one ``Germ(f, degree_cap)``, so one cap bounds every
-    local echelon search of the run.
+    Every stage runs on one ``Germ(f, degree_cap)``; the optional guard is
+    off by default.
     """
     t0 = time.perf_counter()
     ring = f.ring
@@ -568,12 +555,9 @@ def counterexample_suite(
     """Analysis of the bundled witness plus its strictness certificates.
 
     Levelwise equality testing stops at level 1; the suite's point is the
-    refutation there.  The analysis runs at the default degree cap; every
-    capped search on the bundled witness stops at a Nakayama exponent of
-    at most 7, so no larger cap would change the report.  When every
-    certificate passes, the conclusion is the strict inequality: length
-    greater than the bound, at least 6, with the closing strictness
-    argument trusted rather than re-verified.
+    refutation there.  When every certificate passes, the conclusion is the
+    strict inequality: length greater than the bound, at least 6, with the
+    closing strictness argument trusted rather than re-verified.
     """
     t0 = time.perf_counter()
     if f is None:

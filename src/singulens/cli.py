@@ -2,12 +2,13 @@
 
 Each subcommand accepts exactly the flags its handler reads: ``--json``
 everywhere, ``--vars`` wherever there is an input polynomial,
-``--degree-cap`` on the commands that build a germ from their input
-(analyze, invariants, genus), ``--max-level`` on analyze, ``--seed`` on
-counterexample, and ``--order`` on gb only; every other computation runs
-in grevlex.  A positional input is a polynomial expression; analyze also
-takes a path to a corpus file with one polynomial per line, annotated
-with expected verdicts:
+``--max-level`` on analyze, ``--seed`` on counterexample, and ``--order``
+on gb only; every other computation runs in grevlex.  No flag bounds a
+computation: every Milnor and Tjurina number is exact, infinite when the
+origin is not an isolated singular point.  A positional input is a
+polynomial expression; gb reads comma-separated generators, and analyze
+also takes a path to a corpus file with one polynomial per line,
+annotated with expected verdicts:
 
     <polynomial> ; key=value,key=value,...     ('#' starts a comment)
 
@@ -30,15 +31,7 @@ from .analyzer import (
     counterexample_suite,
 )
 from .genus import classify, compute_genus
-from .ideals import (
-    DEFAULT_DEGREE_CAP,
-    INFINITE,
-    DegreeCapExceeded,
-    ExponentOverflow,
-    Ideal,
-    InfiniteColengthError,
-    maximal_ideal,
-)
+from .ideals import INFINITE, ExponentOverflow, Ideal, InfiniteColengthError, maximal_ideal
 from .invariants import Germ, find_weights, is_quasi_homogeneous, milnor_number, tjurina_number
 from .polyring import GREVLEX, MonomialOrder, ParseError, Polynomial, RingContext, parse
 from .sections import generation_descent, jk_ideal
@@ -62,9 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(
         sp: argparse.ArgumentParser,
         needs_input: bool = True,
-        corpus: bool = False,
+        reads: tuple[str, str] = ("POLY", "polynomial expression"),
         max_level: bool = False,
-        degree_cap: bool = False,
         seed: bool = False,
     ) -> None:
         # Each command gets only the flags its handler reads; --vars names
@@ -82,36 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
                 default=3,
                 help="deepest equality level to test (default 3, minimum 1)",
             )
-        if degree_cap:
-            sp.add_argument(
-                "--degree-cap",
-                type=int,
-                default=DEFAULT_DEGREE_CAP,
-                help=(
-                    "largest Nakayama exponent N (m^N inside the ideal at "
-                    "the origin) that the local echelon search tries on an "
-                    "ideal that is not weighted homogeneous; a weighted "
-                    "homogeneous one is measured globally, with no cap "
-                    f"(default {DEFAULT_DEGREE_CAP}, minimum 10)"
-                ),
-            )
         sp.add_argument("--json", action="store_true", help="emit a JSON document")
         if seed:
             sp.add_argument("--seed", type=int, default=None, help="shuffle seed")
-        if corpus:
-            sp.add_argument(
-                "input",
-                metavar="POLY_OR_FILE",
-                help="polynomial expression, or path to a corpus file",
-            )
-        elif needs_input:
-            sp.add_argument("input", metavar="POLY", help="polynomial expression")
+        if needs_input:
+            sp.add_argument("input", metavar=reads[0], help=reads[1])
 
     add_common(
         sub.add_parser("analyze", help="full analysis report"),
-        corpus=True,
+        reads=("POLY_OR_FILE", "polynomial expression, or path to a corpus file"),
         max_level=True,
-        degree_cap=True,
     )
     add_common(
         sub.add_parser(
@@ -121,14 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
         needs_input=False,
         seed=True,
     )
-    add_common(
-        sub.add_parser("invariants", help="Milnor, Tjurina, quasi-homogeneity"),
-        degree_cap=True,
-    )
-    add_common(
-        sub.add_parser("genus", help="classification and reduced genus"),
-        degree_cap=True,
-    )
+    add_common(sub.add_parser("invariants", help="Milnor, Tjurina, quasi-homogeneity"))
+    add_common(sub.add_parser("genus", help="classification and reduced genus"))
     gb = sub.add_parser("gb", help="reduced Groebner basis of comma-separated generators")
     gb.add_argument(
         "--order",
@@ -136,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="grevlex",
         help="monomial order (default grevlex)",
     )
-    add_common(gb)
+    add_common(gb, reads=("GENERATORS", "comma-separated generators"))
     membership = sub.add_parser(
         "membership", help="ideal membership, global and local at the origin"
     )
@@ -174,8 +140,6 @@ def _check_args(args, parser: argparse.ArgumentParser) -> None:
         args.vars = names
     if "max_level" in args and args.max_level < 1:
         parser.error("--max-level must be at least 1")
-    if "degree_cap" in args and args.degree_cap < 10:
-        parser.error("--degree-cap must be at least 10")
 
 
 def _parse_generators(text: str, ring: RingContext) -> list[Polynomial]:
@@ -353,7 +317,7 @@ def cmd_analyze(args) -> int:
         failures = 0
         for poly_text, annotations in entries:
             f = parse(poly_text, ring)
-            report = analyze(f, args.max_level, args.degree_cap)
+            report = analyze(f, args.max_level)
             mismatches = check_annotations(report, annotations)
             failures += bool(mismatches)
             name = annotations.get("name", poly_text)
@@ -377,7 +341,7 @@ def cmd_analyze(args) -> int:
         )
         return EXIT_FAIL if failures else EXIT_OK
     f = parse(args.input, ring)
-    report = analyze(f, args.max_level, args.degree_cap)
+    report = analyze(f, args.max_level)
     _emit(report.to_dict(), args.json, _render_report(report))
     return EXIT_OK
 
@@ -390,7 +354,7 @@ def cmd_counterexample(args) -> int:
 
 def cmd_invariants(args) -> int:
     ring = RingContext(args.vars)
-    germ = Germ(parse(args.input, ring), args.degree_cap)
+    germ = Germ(parse(args.input, ring))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mu = milnor_number(germ)
@@ -423,7 +387,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_genus(args) -> int:
     ring = RingContext(args.vars)
-    germ = Germ(parse(args.input, ring), args.degree_cap)
+    germ = Germ(parse(args.input, ring))
     cls = classify(germ)
     result = compute_genus(germ)
     if result is None:
@@ -571,7 +535,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DegreeCapExceeded, ExponentOverflow, InfiniteColengthError) as err:
+    except (ExponentOverflow, InfiniteColengthError) as err:
         print(f"computation failed: {err}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, RuntimeError) as err:

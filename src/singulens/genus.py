@@ -85,7 +85,7 @@ def classify(f: Polynomial | Germ) -> SingularityClass:
     """Detect the ordinary and weighted homogeneous descriptions of the germ.
 
     Requires an isolated singular point at the origin, decided by the
-    Tjurina number at the germ's degree cap.  The ordinary test
+    Tjurina number.  The ordinary test
     asks whether the Jacobian ideal of the tangent cone is primary for the
     maximal ideal (a smooth projective tangent cone); the weighted test
     searches for exact positive weights.

@@ -76,20 +76,27 @@ exponent with m^N inside I*O_0.  The local colength is the number of
 non-pivot monomials of degree below N, and p lies in I*O_0 exactly when
 its terms of degree below N reduce to zero against the pivots.  Both are
 read off the echelon form below degree N, which is cached on I with N.
-On an ideal whose zero locus is not isolated at the origin no N
-qualifies, so ``local_colength`` and the public ``Ideal.local_member``
-bound the search by a degree cap.  Past it ``local_colength`` raises
-``DegreeCapExceeded`` and ``local_member`` falls back to the ideal
-quotient, which C2 also takes on purpose: p lies in I locally exactly
-when (I : p) contains an element with nonzero constant term.  The level
-tests of ``sections.level_ladder`` need neither cap nor fallback.
+No N exists when the origin is not an isolated point of V(I).
+``_isolated`` decides that exactly, by saturations (Greuel and Pfister,
+section 1.8): V(I : x_i^oo) is the closure of V(I) minus the hyperplane
+x_i = 0, so the origin is isolated in V(I), or outside it, exactly when
+no saturation I : x_i^oo lies inside m.  The echelon asks only when its
+first climb, with rows truncated at the budget B = n*(e - 1) + 1, does
+not stop by B; e is the largest order of a generator, and B is the socle
+degree plus one of a complete intersection of n forms of degree e.  A
+stop by B proves isolation, so B schedules the test and decides nothing.
+A non-isolated ideal has colength INFINITE, and
+``Ideal.local_member`` decides it through the ideal quotient, which C2
+also takes on purpose: p lies in I locally exactly when (I : p) contains
+an element with nonzero constant term.  An isolated ideal climbs again,
+with no truncation, to its N.
 
 ``local_colength`` has two routes.  An ideal checked to be weighted
 homogeneous for positive weights (all ones by default) is measured
 globally: t*x = (t^w_i x_i) keeps its zero locus, so each point of it lies
 on a C*-orbit whose closure holds the origin, the origin is isolated
 exactly when the global quotient is finite, and then the global colength
-is the local one.  Every other ideal takes the capped echelon.
+is the local one.  Every other ideal takes the echelon.
 """
 
 from __future__ import annotations
@@ -129,8 +136,6 @@ __all__ = [
     "quotient_dimension",
 ]
 
-DEFAULT_DEGREE_CAP = 40
-
 INFINITE = float("inf")
 
 
@@ -139,13 +144,10 @@ class InfiniteColengthError(ValueError):
 
 
 class DegreeCapExceeded(RuntimeError):
-    """Raised when no Nakayama exponent N up to the degree cap exists.
+    """Raised when an isolated ideal's Nakayama exponent N passes a degree guard.
 
-    The local echelon search eliminates the Macaulay rows degree by degree
-    up to the cap and stops at the least N with m^N inside I + m^(N+1),
-    hence inside I at the origin (see the module docstring).  On an ideal
-    whose zero locus is not isolated at the origin no N qualifies.
-    ``local_colength`` decides a weighted homogeneous ideal without it.
+    The guard is optional and off by default (``local_colength``, ``Germ``).
+    A non-isolated ideal is INFINITE under any guard.
     """
 
 
@@ -804,12 +806,9 @@ class Ideal:
         t = pk.units[0]
         lifted.append({**base, **{m + t: -c for m, c in base.items()}})  # (1 - t) * p
         gens = []
-        for r in _reduced_basis(_buchberger(lifted, pk), pk.guard):
+        for r in _t_free(lifted, pk):
             lc = r[max(r)]
-            d = {pk.unpack(m): Fraction(c, lc) for m, c in r.items()}
-            if any(e[0] for e in d):
-                continue
-            low = Polynomial(self.ring, {e[1:]: c for e, c in d.items()})
+            low = Polynomial(self.ring, {pk.unpack(m)[1:]: Fraction(c, lc) for m, c in r.items()})
             q = exact_div(low, p)
             if q is None:
                 raise AssertionError("intersection member not divisible by p")
@@ -822,11 +821,11 @@ class Ideal:
         A generator with nonzero constant term is a local unit, so I is the
         whole local ring; else I lies in the maximal ideal and a target
         with nonzero constant term, itself a local unit, lies outside.
-        Then the local echelon form of I (see the module docstring), cached
-        on I or else searched up to the default degree cap, decides: p lies
-        in I locally exactly when its terms of degree below the Nakayama
-        exponent N reduce to zero against the pivots.  Only when no N up to
-        the cap exists does ``_quotient_member`` decide.
+        Then, when the origin is isolated in V(I), the local echelon form
+        of I (see the module docstring) decides: p lies in I locally
+        exactly when its terms of degree below the Nakayama exponent N
+        reduce to zero against the pivots.  Otherwise ``_quotient_member``
+        decides.
         """
         if p.is_zero():
             return True
@@ -835,10 +834,10 @@ class Ideal:
             return True
         if p.constant_term:
             return False
-        try:
-            n, pivots = self._cache.get("echelon") or _local_echelon(self, DEFAULT_DEGREE_CAP)
-        except DegreeCapExceeded:
+        found = _local_echelon(self)
+        if found is None:
             return self._quotient_member(p)
+        n, pivots = found
         bound = n << pk.pbits  # the least packed monomial of degree n
         row = {m: c for m, c in pk.pack_poly(_int_poly(p)).items() if m < bound}
         return _pivot_reduce(row, pivots) is None
@@ -848,8 +847,8 @@ class Ideal:
 
         p lies in I locally exactly when u*p lies in I for some u with
         u(0) != 0, that is, when p lies in I or (I : p) contains an
-        element with nonzero constant term.  Needs no degree cap, but the
-        elimination behind ``quotient`` can be slow.
+        element with nonzero constant term.  Needs no Nakayama exponent, but
+        the elimination behind ``quotient`` can be slow.
         """
         if self.member(p):
             return True
@@ -955,7 +954,7 @@ def _dedup(gens: Iterable[Polynomial]) -> list[Polynomial]:
 
 
 def local_colength(
-    ideal: Ideal, degree_cap: int = DEFAULT_DEGREE_CAP, weights: Iterable | None = None
+    ideal: Ideal, degree_cap: int | None = None, weights: Iterable | None = None
 ):
     """dim_Q of the localized quotient at the origin: an int, or INFINITE.
 
@@ -966,10 +965,10 @@ def local_colength(
     union of closures of C*-orbits through the origin, so the origin is
     isolated in it exactly when the global quotient is finite.  Every other
     ideal is measured by its local echelon form of the module docstring:
-    the colength is the number of monomials of degree below the Nakayama
-    exponent N that are not pivots.  ``degree_cap`` bounds N, the least
-    exponent with m^N inside I at the origin, on that route alone; when no
-    N up to the cap exists, DegreeCapExceeded is raised.  A generator
+    INFINITE when the origin is not isolated in its zero locus, else the
+    number of monomials of degree below the Nakayama exponent N that are
+    not pivots.  ``degree_cap`` is an optional guard on that route: an
+    isolated ideal whose N passes it raises DegreeCapExceeded.  A generator
     exponent at ``EXPONENT_LIMIT`` raises ``ExponentOverflow`` on either
     route.
     """
@@ -977,50 +976,101 @@ def local_colength(
         weights = (1,) * ideal.ring.arity
     if ideal._graded_degrees(weights) is not None:
         return ideal.colength() if ideal.is_m_primary() else INFINITE
-    n, pivots = _local_echelon(ideal, degree_cap)
+    found = _local_echelon(ideal, degree_cap)
+    if found is None:
+        return INFINITE
+    n, pivots = found
     arity = ideal.ring.arity
     return math.comb(n - 1 + arity, arity) - len(pivots)
 
 
-def _local_echelon(ideal: Ideal, degree_cap: int) -> tuple[int, dict]:
-    """(N, pivots) of ``_nakayama_echelon``, cached on the ideal.
+def _local_echelon(ideal: Ideal, degree_cap: int | None = None) -> tuple[int, dict] | None:
+    """(N, pivots) of ``_nakayama_echelon``, cached on the ideal, or None when not isolated.
 
-    N is the least exponent with m^N inside I at the origin, so a cached N
-    above ``degree_cap`` refuses the call as a failed search does.
+    The first climb stops at the budget B of the module docstring, its rows
+    truncated there.  Past B ``_isolated`` decides, and an isolated ideal
+    climbs again with no truncation.  A guard ``degree_cap`` refuses an
+    isolated ideal whose N, cached or searched, passes it.
     """
     cached = ideal._cache.get("echelon")
-    if cached is None:
+    if cached is None and ideal._cache.get("isolated", True):
         pk = _packing(ideal.ring.arity, GRLEX)
-        cached = _nakayama_echelon(ideal._packed_generators(pk), pk, degree_cap)
+        gens = ideal._packed_generators(pk)
+        e = max((min(g) >> pk.pbits for g in gens), default=0)  # the largest order
+        first = ideal.ring.arity * max(e - 1, 0) + 1
+        if degree_cap is not None:
+            first = min(first, degree_cap)
+        cached = _nakayama_echelon(gens, pk, cap=first)
+        if cached is None and first != degree_cap and _isolated(ideal):
+            cached = _nakayama_echelon(gens, pk, cap=degree_cap)
         if cached is not None:
             ideal._cache["echelon"] = cached
-    if cached is None or cached[0] > degree_cap:
+    if cached is None and not _isolated(ideal):
+        return None
+    if cached is None or degree_cap is not None and cached[0] > degree_cap:
         raise DegreeCapExceeded(f"colength at the origin not stabilized by degree {degree_cap}")
     return cached
 
 
-def _nakayama_echelon(
-    gens: list[_IntPoly], pk: _Packing, cap: int, seed: dict | None = None
-) -> tuple[int, dict] | None:
-    """The least N <= cap with m^N inside (gens) + m^(N+1), and the echelon form below N.
+def _t_free(gens: list[_IntPoly], pk: _Packing) -> list[_IntPoly]:
+    """The elements free of t of the reduced basis of (gens), t the first variable.
 
-    The rows, truncated above degree ``cap``, are eliminated degree by
-    degree as in the module docstring.  ``gens`` and the rows are packed
-    by the grlex packing pk, (deg << pbits) + P(e), so x_i times a
-    monomial adds the packed x_i, and a degree bound is one comparison.
-    A ``seed`` echelon form of rows of the ideal, whose products with the
-    variables lie in its span plus that of the other rows, is taken over
-    as the first pivots: the stop test counts them, and they are never
-    multiplied.  The returned pivots are the pivot rows of degree below N,
-    with their tails cut below N: they span ((gens) + m^N)/m^N.  None when
-    no N up to the cap exists.  The pivots of degree d do not depend on the
-    truncation as long as it is at least d, so the rows are truncated
-    below the exponent limit too; only a cap at the limit that the search
-    reaches raises ``ExponentOverflow``.
+    pk packs (t, x) by ``elimination_order``, which compares the exponent
+    of t first, so an element whose leading monomial is free of t is free
+    of t, and these elements are the reduced basis of (gens) meet Q[x].
+    """
+    return [
+        r for r in _reduced_basis(_buchberger(gens, pk), pk.guard) if not pk.unpack(max(r))[0]
+    ]
+
+
+def _isolated(ideal: Ideal) -> bool:
+    """Whether the origin is an isolated point of V(I), or outside it; cached on I.
+
+    True when, for every variable x_i, the saturation I : x_i^oo =
+    (I + (1 - t*x_i)) meet Q[x] has an element with nonzero constant term.
+    Its zero locus is the closure of V(I) minus {x_i = 0}.  That closure
+    misses an isolated or absent origin; a curve of V(I) through the origin
+    lies off some {x_i = 0}, and then that closure holds the origin.
+    """
+    cached = ideal._cache.get("isolated")
+    if cached is None:
+        pk = _packing(ideal.ring.arity + 1, elimination_order())
+        # The reduced basis, not the raw generators: on germs with messy
+        # critical points away from the origin, the elimination from the raw
+        # generators ran many times longer.
+        basis = ideal.groebner_basis()
+        gens = [{pk.pack((0,) + e): c for e, c in _int_poly(g).items()} for g in basis]
+        t = pk.units[0]
+        cached = ideal._cache["isolated"] = all(
+            any(0 in r for r in _t_free([*gens, {0: 1, t + x: -1}], pk))  # 0 packs 1
+            for x in pk.units[1:]
+        )
+    return cached
+
+
+def _nakayama_echelon(
+    gens: list[_IntPoly], pk: _Packing, seed: dict | None = None, cap: int | None = None
+) -> tuple[int, dict] | None:
+    """The least N with m^N inside (gens) + m^(N+1), and the echelon form below N.
+
+    The rows are eliminated degree by degree as in the module docstring.
+    ``gens`` and the rows are packed by the grlex packing pk,
+    (deg << pbits) + P(e), so x_i times a monomial adds the packed x_i,
+    and a degree bound is one comparison.  A ``seed`` echelon form of rows
+    of the ideal, whose products with the variables lie in its span plus
+    that of the other rows, is taken over as the first pivots: the stop
+    test counts them, and they are never multiplied.  The returned pivots
+    are the pivot rows of degree below N, with their tails cut below N:
+    they span ((gens) + m^N)/m^N.  A ``cap`` truncates the rows above
+    degree cap and returns None when no N up to it exists.  The pivots of
+    degree d do not depend on the truncation as long as it is at least d,
+    so the rows are truncated below the exponent limit too; a climb that
+    reaches the limit raises ``ExponentOverflow``.
     """
     arity = len(pk.units)
     dshift = pk.pbits
-    top = min(cap, EXPONENT_LIMIT - 1)
+    top = EXPONENT_LIMIT - 1 if cap is None else min(cap, EXPONENT_LIMIT - 1)
     pending: dict[int, list[dict]] = {}
     for g in gens:
         row = {m: c for m, c in g.items() if m >> dshift <= top}
@@ -1060,7 +1110,7 @@ def _nakayama_echelon(
                 if key < bound
             }
             return d, low
-    if top < cap:
+    if cap is None or cap > top:
         raise _overflow()
     return None
 

@@ -20,14 +20,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
-from .ideals import (
-    DEFAULT_DEGREE_CAP,
-    INFINITE,
-    DegreeCapExceeded,
-    ExponentOverflow,
-    Ideal,
-    local_colength,
-)
+from .ideals import INFINITE, DegreeCapExceeded, ExponentOverflow, Ideal, local_colength
 from .polyring import Exponent, Polynomial, integer_weights
 
 __all__ = [
@@ -137,13 +130,14 @@ class Germ:
 
     Their bases and local echelon forms fill lazily and are shared by every
     stage handed this germ; the weights, the Tjurina ideal and the tangent
-    cone (a germ) come on first use.  ``degree_cap`` bounds the Nakayama
-    exponent of every local echelon search a stage runs on the germ's
-    ideals (see ``local_colength``); ideals with weights are measured
-    globally, with no cap.
+    cone (a germ) come on first use.  Every colength of the germ's ideals
+    is exact: INFINITE when the origin is not isolated in the ideal's zero
+    locus (see ``local_colength``).  ``degree_cap`` is an optional guard,
+    off by default: a local echelon search on an isolated ideal whose
+    Nakayama exponent passes it raises ``DegreeCapExceeded``.
     """
 
-    def __init__(self, f: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP):
+    def __init__(self, f: Polynomial, degree_cap: int | None = None):
         self.f = f
         self.degree_cap = degree_cap
         self.jacobian = jacobian_ideal(f)
@@ -191,7 +185,7 @@ def _warned_germ(f: Polynomial | Germ) -> Germ:
 
 
 def _stage_colength(stage: str, name: str, ideal: Ideal, germ: Germ, weights):
-    """``local_colength`` at the germ's degree cap; a refusal names the stage and the ideal."""
+    """``local_colength`` under the germ's guard; a refusal names the stage and the ideal."""
     try:
         return local_colength(ideal, germ.degree_cap, weights)
     except (DegreeCapExceeded, ExponentOverflow) as err:
@@ -200,19 +194,13 @@ def _stage_colength(stage: str, name: str, ideal: Ideal, germ: Germ, weights):
 
 
 def milnor_number(f: Polynomial | Germ):
-    """Colength of the Jacobian ideal at the origin; INFINITE if non-isolated.
-
-    An unweighted Jacobian ideal is searched up to the germ's degree cap.
-    """
+    """Colength of the Jacobian ideal at the origin; INFINITE if non-isolated."""
     germ = _warned_germ(f)
     return _stage_colength("milnor_number", "Jacobian ideal", germ.jacobian, germ, germ.weights)
 
 
 def tjurina_number(f: Polynomial | Germ):
-    """Colength of (f) + Jacobian ideal at the origin; INFINITE if non-isolated.
-
-    An unweighted Tjurina ideal is searched up to the germ's degree cap.
-    """
+    """Colength of (f) + Jacobian ideal at the origin; INFINITE if non-isolated."""
     germ = _warned_germ(f)
     return _stage_colength("tjurina_number", "Tjurina ideal", germ.tjurina, germ, germ.weights)
 
@@ -221,12 +209,12 @@ def is_quasi_homogeneous(f: Polynomial | Germ) -> QHVerdict:
     """Decide whether f is quasi-homogeneous as a germ at the origin.
 
     The verdict is the local membership of f in its Jacobian ideal, after
-    the Milnor number, taken on the same ideal at the germ's degree cap, is
-    checked finite.  A germ with weights is quasi-homogeneous by the Euler
-    identity f = sum_i w_i x_i df/dx_i, as its weights give every term of
-    f weight 1.  Only a germ without weights asks ``Ideal.local_member``;
-    when the Milnor number took the local echelon form, the form stays
-    cached on the ideal and answers.  The weights are attached as the witness, and a
+    the Milnor number, taken on the same ideal, is checked finite.  A germ
+    with weights is quasi-homogeneous by the Euler identity
+    f = sum_i w_i x_i df/dx_i, as its weights give every term of f weight 1.
+    Only a germ without weights asks ``Ideal.local_member``; when the
+    Milnor number took the local echelon form, the form stays cached on the
+    ideal and answers.  The weights are attached as the witness, and a
     homogeneous two-piece obstruction certificate is attached when the
     verdict is negative and such a decomposition applies.
     """

@@ -413,7 +413,7 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     of level k - 1 by F, unreduced (min(F*r) = min(F) + min(r) in a linear
     packing, so distinct pivots stay distinct), derives only the N_b with
     |b| = k, in ``jk_ideal``'s walk order, and multiplies the packed
-    F^(k-1) by F.  A ``Germ`` f lends its weights, degree cap and Milnor
+    F^(k-1) by F.  A ``Germ`` f lends its weights, guard and Milnor
     number.  Level k raises ``ExponentOverflow``, naming it, where
     ``jk_ideal`` or the test would.  The route is decided once, from the
     germ's weights.
@@ -451,9 +451,9 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     J_k is m-primary at the origin and the search for N_k ends.
 
     Before it climbs, the ladder refuses a germ of infinite Milnor number,
-    and the local route also an I of infinite colength at the origin, or
-    either test past the germ's degree cap (``Germ.degree_cap``), naming
-    the stage.
+    and the local route also an I of infinite colength at the origin, with
+    a ``ValueError`` naming the stage; a guard set on the germ
+    (``Germ.degree_cap``) bounds both tests.
     """
     germ = as_germ(f)
     n = germ.f.ring.arity
@@ -484,7 +484,7 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
             for g, _, _, d in nodes:
                 _add_rows(pivots, g, -d, ws, pk, shifts)
         else:
-            nak, pivots = _local_echelon(ideal, EXPONENT_LIMIT)
+            nak, pivots = _local_echelon(ideal)
         power = {0: 1}  # 0 packs the exponent 0
         for k in range(1, max_level + 1):
             try:
@@ -510,7 +510,7 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
                     rows = [num for num, *_ in nodes]
                     for a in map(pk.pack, _exponents_of_degree(ws, nak)):
                         rows.append({m + a: c for m, c in big_f.items()})
-                    nak, pivots = _nakayama_echelon(rows, pk, EXPONENT_LIMIT, pivots)
+                    nak, pivots = _nakayama_echelon(rows, pk, pivots)
                     bound = nak << pk.pbits  # the least packed monomial of degree N_k
                     left = _pivot_reduce({m: c for m, c in power.items() if m < bound}, pivots)
                 elif (left := _pivot_reduce(dict(power), pivots)) is not None:

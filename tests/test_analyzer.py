@@ -14,6 +14,7 @@ from singulens.analyzer import (
     COUNTEREXAMPLE_ENV,
     COUNTEREXAMPLE_TEXT,
     Certificate,
+    ScreenResult,
     analyze,
     counterexample_certificates,
     counterexample_polynomial,
@@ -23,7 +24,7 @@ from singulens.analyzer import (
     screen_isolated,
 )
 from singulens.genus import classify, compute_genus
-from singulens.ideals import EXPONENT_LIMIT, DegreeCapExceeded, Ideal, maximal_ideal
+from singulens.ideals import DegreeCapExceeded, Ideal, maximal_ideal
 from singulens.invariants import Germ, milnor_number
 from singulens.polyring import GREVLEX, Polynomial, RingContext, parse
 from singulens.sections import jk_ideal, level_ladder
@@ -42,6 +43,18 @@ def test_screen(ring, P):
     s = screen_isolated(P("x^2 + y^2 + z^2"))
     assert s.isolated and s.jacobian_m_primary
     assert s.to_dict() == {"isolated": True, "jacobian_m_primary": True}
+
+
+def test_screen_is_local(ring, P):
+    """A singular plane away from the origin does not touch the screen; mu = tau = 1."""
+    f = P("(x^2 + y^2 + z^2)*(x - 1)^2")
+    assert screen_isolated(f) == ScreenResult(isolated=True, jacobian_m_primary=True)
+    report = analyze(f)
+    assert (report.mu, report.tau) == (1, 1)
+    assert report.screen.to_dict() == {"isolated": True, "jacobian_m_primary": True}
+    # singular along the z-axis, and without weights
+    s = screen_isolated(P("x*y + x^3 + x^2*y"))
+    assert not s.isolated and not s.jacobian_m_primary
 
 
 def test_length_bound(ring, P):
@@ -395,7 +408,7 @@ def test_analyze_fills_each_basis_once(ring, P, monkeypatch, text):
     searched = []
     real_echelon = ideals_module._local_echelon
 
-    def recording_echelon(ideal, degree_cap):
+    def recording_echelon(ideal, degree_cap=None):
         if "echelon" not in ideal._cache:
             searched.append(ideal.generators)
         return real_echelon(ideal, degree_cap)
@@ -408,20 +421,20 @@ def test_analyze_fills_each_basis_once(ring, P, monkeypatch, text):
 
 @pytest.mark.parametrize("text", (COUNTEREXAMPLE_TEXT, "x^4 + y^4 + z^4 + x^3*y*z"))
 def test_the_degree_cap_follows_the_germ(ring, P, monkeypatch, text):
-    """Every local echelon search of analyze runs at its cap, or uncapped in the ladder's climb."""
+    """Every local echelon search of analyze runs under its guard, or unguarded in the ladder."""
     caps = []
     for module in (ideals_module, sections_module):
         real = module._local_echelon
 
-        def recording(ideal, degree_cap, real=real):
+        def recording(ideal, degree_cap=None, real=real):
             caps.append(degree_cap)
             return real(ideal, degree_cap)
 
         monkeypatch.setattr(module, "_local_echelon", recording)
     report = analyze(P(text), max_level=4, degree_cap=12)
     assert report.equality is not None
-    assert 12 in caps and EXPONENT_LIMIT in caps
-    assert set(caps) <= {12, EXPONENT_LIMIT}
+    assert 12 in caps and None in caps
+    assert set(caps) <= {12, None}
 
 
 def test_level_ladder_refuses_past_the_germs_degree_cap(ring, P):

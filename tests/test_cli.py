@@ -8,6 +8,9 @@ import jsonschema
 import pytest
 
 from singulens.analyzer import COUNTEREXAMPLE_ENV
+from singulens.genus import classify
+from singulens.ideals import DegreeCapExceeded
+from singulens.invariants import Germ, milnor_number
 from singulens.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -155,24 +158,24 @@ def test_invariants_command(capsys):
     assert document["invariants"]["qh"] is None
 
 
-def test_refusal_names_the_stage_and_the_ideal(capsys):
-    """A failed colength search says which stage and which ideal refused."""
+def test_refusal_names_the_stage_and_the_ideal(capsys, P):
+    """x*y + x^3 + x^2*y, singular along the z-axis, is decided; a guard's refusal is named.
+
+    No flag sets a guard: the commands decide the germ (mu = tau = infinite,
+    no genus), and only a guard set on a library ``Germ`` refuses, naming
+    the stage and the ideal.
+    """
     code, out, err = run(capsys, ["invariants", "x*y + x^3 + x^2*y"])
-    assert code == EXIT_FAIL
-    assert out == ""
-    assert err == (
-        "computation failed: milnor_number on the Jacobian ideal (2 generators): "
-        "colength at the origin not stabilized by degree 40\n"
-    )
-    # --degree-cap reaches the germ each command builds
-    for command, stage in (
-        ("invariants", "milnor_number on the Jacobian ideal (2 generators)"),
-        ("genus", "classify on the Tjurina ideal (3 generators)"),
-    ):
-        code, out, err = run(capsys, [command, "--degree-cap", "12", "x*y + x^3 + x^2*y"])
-        assert code == EXIT_FAIL
-        assert err == (
-            f"computation failed: {stage}: colength at the origin not stabilized by degree 12\n"
+    assert (code, out, err) == (EXIT_OK, "mu = infinite\ntau = infinite\n", "")
+    code, out, err = run(capsys, ["genus", "x*y + x^3 + x^2*y"])
+    assert (code, out, err) == (EXIT_FAIL, "", "error: non-isolated singularity\n")
+    f = P("x^4 + y^4 + z^4 + x^3*y*z")  # N = 7 for the Jacobian, 6 for the Tjurina ideal
+    for stage, ideal, count in ((milnor_number, "Jacobian", 3), (classify, "Tjurina", 4)):
+        with pytest.raises(DegreeCapExceeded) as exc:
+            stage(Germ(f, degree_cap=5))
+        assert str(exc.value) == (
+            f"{stage.__name__} on the {ideal} ideal ({count} generators): "
+            "colength at the origin not stabilized by degree 5"
         )
 
 
@@ -332,6 +335,8 @@ def test_usage_errors_from_argparse(capsys):
         ["jk", "--degree-cap", "20", "x^2 + y^2 + z^2"],
         ["counterexample", "--degree-cap", "20"],
         ["counterexample", "--vars", "a,b,c"],
+        *([command, "--degree-cap", "12", "x^2 + y^2 + z^2"] for command in
+          ("analyze", "invariants", "genus")),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -341,10 +346,10 @@ def test_usage_errors_from_argparse(capsys):
 # The options each handler reads; a flag outside this table would be
 # accepted and ignored.
 HANDLER_OPTIONS = {
-    "analyze": {"--vars", "--max-level", "--degree-cap", "--json"},
+    "analyze": {"--vars", "--max-level", "--json"},
     "counterexample": {"--json", "--seed"},
-    "invariants": {"--vars", "--degree-cap", "--json"},
-    "genus": {"--vars", "--degree-cap", "--json"},
+    "invariants": {"--vars", "--json"},
+    "genus": {"--vars", "--json"},
     "gb": {"--order", "--vars", "--json"},
     "membership": {"--ideal", "--vars", "--json"},
     "jk": {"--k", "--ideal", "--vars", "--json"},
@@ -389,11 +394,12 @@ def test_every_option_is_read_by_its_handler(capsys):
 
 
 def test_positional_help_says_what_each_command_reads(capsys):
-    """Only analyze reads a corpus file; invariants and genus take a polynomial."""
+    """Only analyze reads a corpus file, gb reads generators, invariants and genus a polynomial."""
     for command, metavar, text in (
         ("analyze", "POLY_OR_FILE", "polynomial expression, or path to a corpus file"),
         ("invariants", "POLY", "polynomial expression"),
         ("genus", "POLY", "polynomial expression"),
+        ("gb", "GENERATORS", "comma-separated generators"),
     ):
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])

@@ -669,8 +669,16 @@ def test_local_colength_cases(ring, P):
 
 
 def test_local_colength_degree_cap(ring, P):
-    with pytest.raises(DegreeCapExceeded):
-        local_colength(Ideal(ring, [P("x + y^2")]), degree_cap=12)
+    """The guard refuses only an isolated ideal whose N passes it.
+
+    (x + y^2) vanishes on a surface, so it is INFINITE under any guard.
+    Locally (y + x^10, x*y, z) = (y + x^10, x^11, z), so N = 11.
+    """
+    assert local_colength(Ideal(ring, [P("x + y^2")]), degree_cap=12) == INFINITE
+    gens = [P("y + x^10"), P("x*y"), P("z")]
+    with pytest.raises(DegreeCapExceeded, match="not stabilized by degree 10$"):
+        local_colength(Ideal(ring, gens), degree_cap=10)
+    assert local_colength(Ideal(ring, gens), degree_cap=11) == 11
 
 
 def test_quotient_dimension(ring, P):

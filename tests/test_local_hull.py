@@ -23,7 +23,6 @@ import pytest
 import singulens.ideals as ideals_module
 from singulens.analyzer import counterexample_polynomial
 from singulens.ideals import (
-    DEFAULT_DEGREE_CAP,
     INFINITE,
     DegreeCapExceeded,
     Ideal,
@@ -130,7 +129,7 @@ def _witness_levels(ring):
 
 def _echelon_colength(ideal):
     """(N, local colength) read off the local echelon form alone."""
-    n, pivots = ideals_module._local_echelon(ideal, DEFAULT_DEGREE_CAP)
+    n, pivots = ideals_module._local_echelon(ideal)
     return n, math.comb(n - 1 + ideal.ring.arity, ideal.ring.arity) - len(pivots)
 
 
@@ -311,10 +310,11 @@ def _no_rows(*args, **kwargs):
 
 
 def test_ideal_without_nakayama_exponent_takes_the_quotient_route(ring, P, monkeypatch):
-    """With no N up to the cap, local membership is decided through (I : p).
+    """On an ideal not isolated at the origin, local membership is decided through (I : p).
 
     The Jacobian ideal (y + 3*x^2, x) of x*y + x^3 vanishes along the
-    z-axis, so no power of m lies in it at the origin.
+    z-axis, so no power of m lies in it at the origin, and the saturation
+    test says so.
     """
     jac = jacobian_ideal(P("x*y + x^3"))
     calls = []
@@ -337,16 +337,117 @@ def test_nonisolated_graded_germ_is_decided_fast(ring, P, text):
     assert time.perf_counter() - start < 2.0
 
 
-def test_nongraded_nonisolated_germ_is_refused_fast(ring, P):
+def test_nongraded_nonisolated_germ_is_decided_fast(ring, P):
     """x*y + x^3 + x^2*y has no weights and is singular along the z-axis.
 
-    Its Jacobian ideal takes the echelon, which finds no Nakayama exponent
-    up to the default cap and refuses.
+    Its Jacobian ideal climbs the echelon past its budget, and the
+    saturation test then decides mu = tau = INFINITE.
     """
+    f = P("x*y + x^3 + x^2*y")
     start = time.perf_counter()
-    with pytest.raises(DegreeCapExceeded):
-        milnor_number(P("x*y + x^3 + x^2*y"))
-    assert time.perf_counter() - start < 2.0
+    assert milnor_number(f) == tjurina_number(f) == INFINITE
+    assert time.perf_counter() - start < 1.0
+    assert Germ(f).weights is None
+
+
+def test_isolation_decision_cases(ring, P):
+    """The origin is isolated in V(I), or outside it, exactly when no saturation lies in m."""
+    cases = [
+        ([P("x"), P("y")], False),  # the z-axis
+        ([P("x^2*y"), P("x*y^2"), P("z")], False),  # two axes
+        ([], False),
+        (maximal_ideal(ring).generators, True),
+        ([P("x + 1")], True),  # the origin lies outside
+        ([P("x*(x - 1)"), P("y"), P("z")], True),  # two points
+        ([P("x*(y - 1)"), P("y*(y - 1)"), P("z")], True),  # a line missing the origin
+        ([P("y + x^10"), P("x*y"), P("z")], True),
+    ]
+    for gens, isolated in cases:
+        ideal = Ideal(ring, gens)
+        assert ideals_module._isolated(ideal) is isolated, gens
+        assert ideal._cache["isolated"] is isolated
+        assert (local_colength(Ideal(ring, gens)) == INFINITE) is not isolated, gens
+
+
+def test_isolated_ideal_past_the_budget_climbs_on(ring, P, monkeypatch):
+    """(y + x^10, x*y, z) has budget 3*(2 - 1) + 1 = 4 and N = 11: one saturation test, then N."""
+    asked = []
+    real = ideals_module._isolated
+    monkeypatch.setattr(ideals_module, "_isolated", lambda ideal: asked.append(1) or real(ideal))
+    ideal = Ideal(ring, [P("y + x^10"), P("x*y"), P("z")])
+    assert local_colength(ideal) == 11
+    assert ideal._cache["echelon"][0] == 11 and len(asked) == 1
+    assert ideal.local_member(P("x^11")) and not ideal.local_member(P("x^10"))
+    # a stop by the budget proves isolation: no test runs
+    asked.clear()
+    assert local_colength(jacobian_ideal(P("x^4 + y^4 + z^4 + x*y^2*z^2"))) == 27
+    assert not asked
+
+
+# Above the Nakayama exponents of the isolated controls below, at most
+# 3*(5 - 2) + 1 = 10: an isolation test that wrongly answers yes on a
+# non-isolated germ fails with DegreeCapExceeded instead of climbing on.
+GUARD = 12
+
+
+def _independent_forms(rng, ring):
+    """Two linearly independent linear forms with seeded coefficients."""
+    while True:
+        a, b = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+        if any(a[i] * b[j] != a[j] * b[i] for i in range(3) for j in range(i)):
+            return tuple(
+                sum((c * Polynomial.variable(ring, i) for i, c in enumerate(v)), ring.zero())
+                for v in (a, b)
+            )
+
+
+def _nonisolated_germ(rng, ring, l1, l2):
+    """A germ without weights in (l1, l2)^2, so singular along the line l1 = l2 = 0.
+
+    f = l1^2*u + l1*l2*v + l2^2*w for seeded u, v, w: f and its gradient
+    vanish on the line.
+    """
+    while True:
+        u, v, w = (
+            Polynomial.constant(ring, rng.randint(-3, 3))
+            + random_polynomial(rng, ring, max_terms=1, max_degree=1, coeff_bound=3)
+            for _ in range(3)
+        )
+        f = l1 * l1 * u + l1 * l2 * v + l2 * l2 * w
+        if not f.is_zero() and Germ(f).weights is None:
+            return f
+
+
+def test_nonisolated_germs_without_weights_are_infinite(rng, ring):
+    """Germs without weights, singular along a line through the origin: mu = tau = INFINITE.
+
+    The line is each coordinate axis in turn, then that of two seeded
+    linear forms.  The germ carries a guard, so an isolation test that
+    wrongly answers yes fails here at once instead of climbing on.
+    """
+    x = [Polynomial.variable(ring, i) for i in range(3)]
+    pairs = [(x[1], x[2]), (x[0], x[2]), (x[0], x[1])]  # the x-, y- and z-axis
+    pairs += [_independent_forms(rng, ring) for _ in range(6)]
+    for l1, l2 in pairs:
+        f = _nonisolated_germ(rng, ring, l1, l2)
+        germ = Germ(f, degree_cap=GUARD)
+        start = time.perf_counter()
+        assert milnor_number(germ) == tjurina_number(germ) == INFINITE, f
+        assert time.perf_counter() - start < 1.0, f
+        assert "echelon" not in germ.jacobian._cache, f
+
+
+def test_isolated_controls_against_milnor_orlik(rng, ring, P):
+    """Fermat germs plus terms of higher degree, under the guard: mu = (d - 1)^3 (Milnor-Orlik)."""
+    for _ in range(6):
+        d = rng.randint(3, 5)
+        f = P(f"x^{d} + y^{d} + z^{d}")
+        for e in rng.sample(list(ideals_module._exponents_of_degree((1, 1, 1), d + 1)), 2):
+            f = f + rng.choice([-2, -1, 1, 2]) * Polynomial.monomial(ring, e)
+        germ = Germ(f, degree_cap=GUARD)
+        mu = milnor_number(germ)
+        assert mu == (d - 1) ** 3, f
+        assert tjurina_number(germ) <= mu, f
 
 
 def test_unit_target_is_decided_before_the_quotient(ring2, monkeypatch):
