@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .ideals import (
-    INFINITE,
-    Ideal,
-    _exponents_of_degree,
-    maximal_ideal_power,
-    quotient_dimension,
-)
+from .ideals import INFINITE, Ideal, maximal_ideal_power, quotient_dimension
 from .invariants import Germ, WeightSystem, _stage_colength, as_germ
 from .polyring import Polynomial, RingContext, exponent_box, integer_weights
 from .sections import euler_check
@@ -136,21 +130,25 @@ def _minimal_monomials(
 
     Since S(u - e_i) = S(u) - W_i, a qualifying u is minimal exactly when
     S(u) - W_i < T for every i with u_i > 0.  So a minimal u other than 0
-    has S(u) < T + max(W), and one sweep over the u with S(u) below the
-    largest bar plus max(W), and u = 0, finds the generators of every bar.
-    The sweep runs over the weighted degrees sum_i u_i W_i below that
-    bound, and lex order keeps the generators in the order of the box.
+    has sum_i u_i W_i below B = max(bars) + max(W) - sum(W), and so has its
+    head (u_1, ..., u_(n-1)).  One lex sweep of the box of heads with
+    u_i W_i < B finds the generators of every bar: for each head and bar
+    the last exponent u_n is solved for, the least one with S(u) >= T, and
+    u is kept when removing any x_i of the head drops S below T.  Each head
+    gives at most one u per bar, so the generators come in lex order.
     """
     ws = integer_weights(weights)[0]
+    *head, last = ws
     base = sum(ws)
     budget = max(max(bars) + max(ws) - base, 1)
-    region = sorted(u for d in range(budget) for u in _exponents_of_degree(ws, d))
     out: list[list[Polynomial]] = [[] for _ in bars]
-    for u in region:
-        s = base + sum(map(mul, u, ws))
+    for u in exponent_box([(budget - 1) // w + 1 for w in head]):
+        partial = base + sum(map(mul, u, head))
         for gens, bar in zip(out, bars):
-            if s >= bar and not any(e and s - w >= bar for e, w in zip(u, ws)):
-                gens.append(Polynomial.monomial(ring, u))
+            top = max(0, -((partial - bar) // last))
+            s = partial + top * last
+            if not any(e and s - w >= bar for e, w in zip(u, head)):
+                gens.append(Polynomial.monomial(ring, (*u, top)))
     return out
 
 
@@ -230,11 +228,21 @@ def genus_weighted(f: Polynomial | Germ) -> GenusResult:
 
 
 def _count_rho_equal_one(weights: WeightSystem) -> int:
-    """#{u : rho(u) = 1}, counted as #{u : S(u) = L} on the integer weights."""
+    """#{u : rho(u) = 1}, counted as #{u : S(u) = L} on the integer weights.
+
+    The head (u_1, ..., u_(n-1)) sweeps the box u_i <= 1/w_i, and the last
+    exponent is solved for: it exists when the rest of the degree is a
+    nonnegative multiple of W_n.
+    """
     ws, scale = integer_weights(weights)
+    *head, last = ws
     bar = scale - sum(ws)
-    bounds = [max(0, math.ceil(1 / w)) + 1 for w in weights]
-    return sum(1 for u in exponent_box(bounds) if sum(map(mul, u, ws)) == bar)
+    bounds = [math.ceil(1 / w) + 1 for w in weights[:-1]]
+    return sum(
+        1
+        for u in exponent_box(bounds)
+        if (rest := bar - sum(map(mul, u, head))) >= 0 and not rest % last
+    )
 
 
 def compute_genus(f: Polynomial | Germ) -> GenusResult | None:

@@ -52,6 +52,17 @@ and returns the exact rational normal form den * r / (num * d).  The
 normal form modulo a Groebner basis is unique, so it does not depend on
 which multiples of the basis elements reduce it.
 
+Monomial ideals, whose generators are single terms, stay monomial (Cox,
+Little and O'Shea, Ideals, Varieties, and Algorithms, sections 2.4 and
+5.3).  Their generators already form a Groebner basis for every order, so
+``groebner_basis`` only minimalizes them; a polynomial lies in one exactly
+when each of its terms is divisible by a generator, so ``contains_ideal``
+tests divisibility; and the quotient of two nested monomial ideals is
+spanned by the monomials in the larger one and not in the smaller one,
+which ``quotient_dimension`` counts in one sweep of the box under the
+smaller one's pure powers, the sweep that ``colength`` makes over the
+leading monomials of a basis.
+
 Questions about the local ring O_0 at the origin are answered without
 local orders or Groebner bases, by one echelon form of Macaulay rows
 (Greuel and Pfister, A Singular Introduction to Commutative Algebra,
@@ -625,15 +636,69 @@ def _reduced_basis(polys: list[_IntPoly], guard: int) -> list[_IntPoly]:
 
 
 def _exponents_of_degree(weights: tuple[int, ...], degree: int) -> Iterator[Exponent]:
-    """Exponents of weighted degree ``degree`` for positive integer weights, e_1 descending."""
+    """Exponents of weighted degree ``degree`` for positive integer weights, e_1 descending.
+
+    The first exponents are walked and the last one is solved for: with
+    one weight w left and degree D >= 0 left, the only exponent is D / w,
+    when w divides D.
+    """
+    if len(weights) == 1:
+        w = weights[0]
+        if degree >= 0 and not degree % w:
+            yield (degree // w,)
+        return
     if not weights:
         if degree == 0:
             yield ()
         return
     w = weights[0]
+    rest = weights[1:]
     for first in range(degree // w, -1, -1):
-        for rest in _exponents_of_degree(weights[1:], degree - first * w):
-            yield (first,) + rest
+        for tail in _exponents_of_degree(rest, degree - first * w):
+            yield (first, *tail)
+
+
+def _pure_powers(exponents: Iterable[Exponent], arity: int) -> tuple[int, ...] | None:
+    """The least pure power of each variable among monomial exponents, or None when one is missing.
+
+    The exponent 0, the unit monomial, gives the pure powers 0.
+    """
+    degs: list[int | None] = [None] * arity
+    for e in exponents:
+        hot = [i for i, x in enumerate(e) if x]
+        if not hot:
+            return (0,) * arity
+        if len(hot) == 1:
+            i = hot[0]
+            if degs[i] is None or e[i] < degs[i]:
+                degs[i] = e[i]
+    return None if None in degs else tuple(degs)
+
+
+def _box_multiples(degs: tuple[int, ...], *generator_sets: list[Exponent]) -> list[int]:
+    """For each set of exponents, how many points of the box below degs are multiples of one.
+
+    The box is swept once in lex order, each point e at its flat index
+    sum_i e_i * stride_i, so that e - e_i, at index - stride_i, comes
+    before e.  A point is a multiple exactly when it is in the set or some
+    e - e_i with e_i > 0 is a multiple.  Exponents outside the box have no
+    multiple inside it.
+    """
+    strides = [math.prod(degs[i + 1 :]) for i in range(len(degs))]
+    size = math.prod(degs)
+    marks = []
+    for exponents in generator_sets:
+        flags = bytearray(size)
+        for e in exponents:
+            if all(map(int.__lt__, e, degs)):
+                flags[sum(map(mul, e, strides))] = 1
+        marks.append(flags)
+    for index, e in enumerate(exponent_box(degs)):
+        steps = [s for x, s in zip(e, strides) if x]
+        for flags in marks:
+            if not flags[index] and any(flags[index - s] for s in steps):
+                flags[index] = 1
+    return [flags.count(1) for flags in marks]
 
 
 def maximal_ideal(ring: RingContext) -> "Ideal":
@@ -713,7 +778,10 @@ class Ideal:
         cached = self._cache.get(order.name)
         if cached is None:
             pk = _packing(self.ring.arity, order)
-            ints = _reduced_basis(_buchberger(self._packed_generators(pk), pk), pk.guard)
+            gens = self._packed_generators(pk)
+            if any(len(g) != 1 for g in gens):  # single terms already form a Groebner basis
+                gens = _buchberger(gens, pk)
+            ints = _reduced_basis(gens, pk.guard)
             basis = tuple(
                 Polynomial(self.ring, {pk.unpack(e): Fraction(c, r[lm]) for e, c in r.items()})
                 for r, lm in zip(ints, map(max, ints))
@@ -753,7 +821,26 @@ class Ideal:
         return self.member(p)
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.member(g) for g in other.generators)
+        """Whether every generator of ``other`` lies in this ideal.
+
+        When every generator of this ideal is a single term, g lies in it
+        exactly when each term of g is divisible by a generator; the test
+        reads the guard bits of a difference of grlex-packed monomials.
+        Any other ideal reduces each g to its normal form.
+        """
+        exponents = self._monomial_exponents()
+        if exponents is None:
+            return all(self.member(g) for g in other.generators)
+        pk = _packing(self.ring.arity, GRLEX)
+        guard = pk.guard
+        lms = [pk.pack(e) for e in exponents]
+        terms = {pk.pack(e) for g in other.generators for e, _ in g.items()}
+        return all(any(not (m - lm) & guard for lm in lms) for m in terms)
+
+    def _monomial_exponents(self) -> list[Exponent] | None:
+        """The exponents of the generators when each is a single term, else None."""
+        exponents = [e for g in self.generators if len(g) == 1 for e, _ in g.items()]
+        return exponents if len(exponents) == len(self.generators) else None
 
     def is_zero(self) -> bool:
         return not self.groebner_basis()
@@ -887,22 +974,8 @@ class Ideal:
         if cached is not False:
             return cached
         basis = self.groebner_basis()
-        result: tuple[int, ...] | None
-        if not basis:
-            result = None
-        elif basis[0].total_degree() == 0:
-            result = (0,) * self.ring.arity
-        else:
-            arity = self.ring.arity
-            degs = [None] * arity
-            for g in basis:
-                lm = g.leading_monomial()
-                hot = [i for i, e in enumerate(lm) if e]
-                if len(hot) == 1:
-                    i = hot[0]
-                    if degs[i] is None or lm[hot[0]] < degs[i]:
-                        degs[i] = lm[hot[0]]
-            result = None if any(d is None for d in degs) else tuple(degs)
+        lms = [g.leading_monomial() for g in basis]
+        result = _pure_powers(lms, self.ring.arity) if lms else None
         self._cache["pure_powers"] = result
         return result
 
@@ -910,10 +983,9 @@ class Ideal:
         """dim_Q of the quotient ring, counting standard monomials.
 
         Every standard monomial lies in the box below the least pure powers
-        of the leading monomials.  The box is swept in lex order, so e - e_i
-        comes before e, and e is non-standard (a multiple of a leading
-        monomial) exactly when e is a leading monomial or some e - e_i with
-        e_i > 0 is non-standard.  The count is cached on the ideal.
+        of the leading monomials, and the others there are the multiples of
+        a leading monomial, which ``_box_multiples`` counts in one sweep.
+        The count is cached on the ideal.
         """
         count = self._cache.get("colength")
         if count is not None:
@@ -921,19 +993,8 @@ class Ideal:
         degs = self._pure_power_degrees()
         if degs is None:
             raise InfiniteColengthError("infinite colength")
-        basis = self.groebner_basis()
-        if basis and basis[0].total_degree() == 0:
-            return 0
-        lts = {g.leading_monomial() for g in basis}
-        nonstandard: set[Exponent] = set()
-        count = 0
-        for e in exponent_box(degs):
-            if e in lts or any(
-                x and e[:i] + (x - 1,) + e[i + 1 :] in nonstandard for i, x in enumerate(e)
-            ):
-                nonstandard.add(e)
-            else:
-                count += 1
+        lms = [g.leading_monomial() for g in self.groebner_basis()]
+        count = math.prod(degs) - _box_multiples(degs, lms)[0]
         self._cache["colength"] = count
         return count
 
@@ -1118,8 +1179,15 @@ def _nakayama_echelon(
 def quotient_dimension(big: Ideal, small: Ideal) -> int:
     """dim_Q (big/small) for nested ideals small inside big, at the origin.
 
-    Both colengths are taken at the origin; for a pair of m-primary ideals
-    this is the plain colength difference.
+    Equal ideals give 0; ``ValueError`` when big does not contain small;
+    0 when small also contains big; ``InfiniteColengthError`` when a
+    colength is infinite.  Two monomial ideals are compared by
+    divisibility, and their quotient is spanned by the monomials in big
+    and not in small: all of them lie in the box below small's pure
+    powers, so one ``_box_multiples`` sweep counts them.  Small is
+    m-primary exactly when it has a pure power of every variable, and
+    then so is big.  Any other pair takes the difference of its
+    colengths at the origin.
     """
     if big == small:
         return 0
@@ -1127,6 +1195,13 @@ def quotient_dimension(big: Ideal, small: Ideal) -> int:
         raise ValueError("quotient_dimension needs the second ideal inside the first")
     if small.contains_ideal(big):
         return 0
+    outer, inner = big._monomial_exponents(), small._monomial_exponents()
+    if outer is not None and inner is not None:
+        degs = _pure_powers(inner, small.ring.arity)
+        if degs is None:
+            raise InfiniteColengthError("quotient of a pair with infinite colength")
+        a, b = _box_multiples(degs, outer, inner)
+        return a - b
     a = local_colength(big)
     b = local_colength(small)
     if a == INFINITE or b == INFINITE:

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+import singulens.ideals as ideals_module
 from singulens.cli import bundled_corpus_text, load_corpus
 from singulens.genus import (
     ORDINARY_EXTRAPOLATION_NOTE,
@@ -182,6 +183,29 @@ def test_genus_corpus(ring):
         assert result is not None
         assert result.g == int(notes["g"]), notes["name"]
         assert result.log_canonical == (notes["lc"] == "true"), notes["name"]
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a genus route filled a Buchberger basis or took a normal form")
+
+
+def test_genus_routes_need_no_buchberger_or_normal_form(ring, monkeypatch):
+    """Both genus routes decide their monomial ideals by divisibility and one sweep.
+
+    ``classify`` fills the germ's own bases first; ``compute_genus`` then
+    runs with ``_buchberger`` and ``Ideal.normal_form`` raising, and gives
+    the result of a fresh germ.
+    """
+    for poly_text, notes in load_corpus(bundled_corpus_text()):
+        f = parse(poly_text, ring)
+        germ = Germ(f)
+        classify(germ)
+        with monkeypatch.context() as m:
+            m.setattr(ideals_module, "_buchberger", _forbidden)
+            m.setattr(Ideal, "normal_form", _forbidden)
+            result = compute_genus(germ)
+        assert result.to_dict() == compute_genus(f).to_dict(), notes["name"]
+        assert result.provenance == notes["class"] and result.g == int(notes["g"])
 
 
 def test_ordinary_route_ideals(ring, P):

@@ -6,6 +6,9 @@ derivative ideals, the pair update against the chain-criterion loop it
 replaced, graded membership against the ``_ff_reduce`` row loop it
 replaced, colengths against a plain box scan, and monomial-ideal
 membership in two variables against a brute-force divisibility oracle.
+Monomial ideals, which skip Buchberger and normal forms, are checked
+against the Buchberger basis and normal-form route in 2-4 variables, and
+the lattice walk against a box filter.
 """
 
 import heapq
@@ -13,6 +16,7 @@ import itertools
 import math
 import threading
 from bisect import insort
+from collections import Counter
 from fractions import Fraction
 from operator import add, mul, sub
 
@@ -37,6 +41,7 @@ from singulens.polyring import (
     LEX,
     MonomialOrder,
     Polynomial,
+    RingContext,
     elimination_order,
     parse,
 )
@@ -687,6 +692,193 @@ def test_quotient_dimension(ring, P):
     assert quotient_dimension(m, m) == 0
     with pytest.raises(ValueError):
         quotient_dimension(maximal_ideal_power(ring, 2), m)
+
+
+# -- monomial ideals stay monomial --------------------------------------------
+
+MONOMIAL_COEFFS = (1, 1, 1, Fraction(3, 2), Fraction(-2, 5), -4)
+
+
+def _monomial(rng, ring, e):
+    return Polynomial.monomial(ring, e, rng.choice(MONOMIAL_COEFFS))
+
+
+def _buchberger_basis(ideal, order=GREVLEX):
+    """The reduced basis that ``_buchberger`` fills, as packed integer polynomials."""
+    pk = ideals._packing(ideal.ring.arity, order)
+    gens = [pk.pack_poly(ideals._int_poly(g)) for g in ideal.generators]
+    return pk, ideals._reduced_basis(ideals._buchberger(gens, pk), pk.guard)
+
+
+def _normal_form_contains(big, small):
+    """The normal-form route: every generator of small reduces to 0 modulo a Buchberger basis."""
+    pk, basis = _buchberger_basis(big)
+    reds = [ideals._reducer(r, max(r)) for r in basis]
+    return all(
+        not ideals._ff_reduce(pk.pack_poly(ideals._int_poly(g)), reds, pk.guard)[0]
+        for g in small.generators
+    )
+
+
+def _scan_colength(ideal):
+    """The colength at the origin of a monomial ideal: a box scan over its Buchberger basis."""
+    pk, basis = _buchberger_basis(ideal)
+    lms = [pk.unpack(max(r)) for r in basis]
+    if (0,) * ideal.ring.arity in lms:
+        return 0
+    degs = []
+    for i in range(ideal.ring.arity):
+        pure = [lm[i] for lm in lms if lm[i] and sum(lm) == lm[i]]
+        if not pure:
+            return INFINITE
+        degs.append(min(pure))
+    return sum(
+        1
+        for e in itertools.product(*map(range, degs))
+        if not any(all(map(int.__le__, lm, e)) for lm in lms)
+    )
+
+
+def _quotient_dimension_oracle(big, small):
+    """``quotient_dimension`` as it was before monomial pairs: normal forms and two colengths."""
+    if big == small:
+        return 0
+    if not _normal_form_contains(big, small):
+        raise ValueError("not nested")
+    if _normal_form_contains(small, big):
+        return 0
+    a, b = _scan_colength(big), _scan_colength(small)
+    if INFINITE in (a, b):
+        raise InfiniteColengthError("infinite")
+    return b - a
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as err:
+        return type(err)
+
+
+def _monomial_pairs(rng, ring):
+    """Seeded pairs (big, small).
+
+    They are nested and m-primary; nested with small not m-primary;
+    unrelated; and one ideal, not m-primary, given by two generator lists.
+    """
+    n = ring.arity
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+    def draw(count, top):
+        return [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(count)]
+
+    def shift(e, by):
+        return tuple(map(add, e, by))
+
+    powers = [tuple(rng.randint(1, 3) * x for x in u) for u in unit]
+    big = [e for e in draw(rng.randint(1, 4), 3) if any(e)] + powers
+    rng.shuffle(big)
+    multiples = [shift(rng.choice(big), e) for e in draw(rng.randint(1, 4), 1)]
+    small = multiples + [tuple(x * rng.randint(1, 3) for x in p) for p in powers]
+    j = rng.randrange(n)  # every generator of small carries x_j, so no pure power of another
+    partial = [shift(rng.choice(big), shift(unit[j], e)) for e in draw(rng.randint(1, 4), 1)]
+    pairs = [
+        (big, small),
+        (big, partial),
+        (draw(rng.randint(1, 4), 3), draw(rng.randint(1, 4), 3)),
+        (partial, partial[::-1] + [shift(partial[0], rng.choice(unit))]),
+    ]
+
+    def ideal(exponents):
+        return Ideal(ring, [_monomial(rng, ring, e) for e in exponents])
+
+    return [(ideal(a), ideal(b)) for a, b in pairs]
+
+
+RINGS = [RingContext(tuple("xyzw"[:n])) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"n{r.arity}")
+def test_monomial_quotient_dimension_matches_the_normal_form_route(rng, ring):
+    """Divisibility and the one staircase sweep give the normal-form route's answers and errors."""
+    seen = Counter()
+    for _ in range(60):
+        for big, small in _monomial_pairs(rng, ring):
+            expected = _outcome(_quotient_dimension_oracle, big, small)
+            assert _outcome(quotient_dimension, big, small) == expected, (big, small)
+            seen[expected if isinstance(expected, type) else expected > 0] += 1
+            for a, b in ((big, small), (small, big)):
+                assert a.contains_ideal(b) == _normal_form_contains(a, b), (a, b)
+    # every branch is reached: positive dimensions, 0, both errors
+    assert set(seen) == {True, False, ValueError, InfiniteColengthError}, seen
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"n{r.arity}")
+def test_monomial_containment_of_polynomials(rng, ring):
+    """A monomial ideal contains g exactly when each term of g is a multiple of a generator."""
+    for _ in range(60):
+        big, small = rng.choice(_monomial_pairs(rng, ring))
+        terms = [m for g in small.generators + big.generators for m, _ in g.items()]
+        terms += [tuple(rng.randint(0, 3) for _ in range(ring.arity)) for _ in range(3)]
+        sums = []
+        for _ in range(rng.randint(1, 3)):
+            picked = rng.sample(terms, rng.randint(2, 4))
+            sums.append(sum((_monomial(rng, ring, e) for e in picked), ring.zero()))
+        other = Ideal(ring, sums)
+        assert big.contains_ideal(other) == _normal_form_contains(big, other), (big, other)
+        # a self that is not monomial keeps its normal forms
+        assert other.contains_ideal(big) == _normal_form_contains(other, big), (other, big)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"n{r.arity}")
+def test_monomial_reordered_and_unit_ideals(rng, ring):
+    """The same ideal with its generators reordered gives 0 even when not m-primary."""
+    one = Ideal(ring, [Polynomial.constant(ring, Fraction(-3, 2))])
+    for _ in range(30):
+        for big, small in _monomial_pairs(rng, ring):
+            for ideal in (big, small):
+                gens = list(ideal.generators)
+                rng.shuffle(gens)
+                assert quotient_dimension(ideal, Ideal(ring, gens[::-1])) == 0
+                assert _outcome(quotient_dimension, one, Ideal(ring, gens)) == _outcome(
+                    _quotient_dimension_oracle, one, ideal
+                )
+                assert one.contains_ideal(ideal) and ideal.contains_ideal(Ideal(ring, []))
+    variables = Ideal(ring, ring.gens()[1:])  # not m-primary
+    assert quotient_dimension(variables, Ideal(ring, ring.gens()[:0:-1])) == 0
+    with pytest.raises(InfiniteColengthError):
+        quotient_dimension(one, variables)
+    assert quotient_dimension(one, maximal_ideal(ring)) == 1
+    assert quotient_dimension(one, Ideal(ring, [ring.one()])) == 0
+
+
+@pytest.mark.parametrize("order", [GREVLEX, GRLEX, LEX, elimination_order()], ids=lambda o: o.name)
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: f"n{r.arity}")
+def test_monomial_groebner_basis_matches_buchberger(rng, ring, order):
+    """Single-term generators skip ``_buchberger``, and the reduced basis is the same."""
+    for _ in range(20):
+        for ideal in _monomial_pairs(rng, ring)[0]:
+            pk, basis = _buchberger_basis(ideal, order)
+            expected = [{pk.unpack(m): Fraction(c, r[max(r)]) for m, c in r.items()} for r in basis]
+            fresh = Ideal(ring, ideal.generators)
+            assert [dict(g.items()) for g in fresh.groebner_basis(order)] == expected
+
+
+def test_exponents_of_degree_match_a_box_filter(rng):
+    """The walk that solves its last exponent gives the box filter's exponents, e_1 descending."""
+    unreachable = 0
+    for case in range(400):
+        n = case % 4 + 1
+        g = rng.choice((1, 1, 2, 3))  # weights with a common factor leave degrees unreachable
+        ws = tuple(g * rng.randint(1, 4) for _ in range(n))
+        degree = rng.randint(-2, 3 * max(ws))
+        box = itertools.product(*(range(max(degree, 0) // w + 1) for w in ws))
+        expected = sorted((e for e in box if sum(map(mul, e, ws)) == degree), reverse=True)
+        assert list(ideals._exponents_of_degree(ws, degree)) == expected, (ws, degree)
+        unreachable += not expected
+    assert unreachable > 20
+    assert list(ideals._exponents_of_degree((), 0)) == [()]
+    assert list(ideals._exponents_of_degree((), 1)) == []
 
 
 def test_is_m_primary(ring, P):
