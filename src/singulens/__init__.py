@@ -44,10 +44,8 @@ from .invariants import (
 from .sections import (
     DescentChain,
     DescentStep,
-    DiffOp,
     RationalSection,
     euler_check,
-    euler_descent_witness,
     generation_descent,
     jk_ideal,
 )
@@ -58,7 +56,6 @@ from .genus import (
     compute_genus,
     genus_ordinary,
     genus_weighted,
-    multiplier_span_generators,
 )
 from .analyzer import (
     AnalysisReport,
@@ -80,7 +77,6 @@ __all__ = [
     "DegreeCapExceeded",
     "DescentChain",
     "DescentStep",
-    "DiffOp",
     "EqualityVerdict",
     "ExponentOverflow",
     "GREVLEX",
@@ -109,7 +105,6 @@ __all__ = [
     "counterexample_suite",
     "equality_certificate",
     "euler_check",
-    "euler_descent_witness",
     "find_weights",
     "generation_descent",
     "genus_ordinary",
@@ -122,7 +117,6 @@ __all__ = [
     "maximal_ideal",
     "maximal_ideal_power",
     "milnor_number",
-    "multiplier_span_generators",
     "parse",
     "quotient_dimension",
     "screen_isolated",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 
 from .ideals import INFINITE, Ideal, maximal_ideal_power, quotient_dimension
@@ -33,7 +32,6 @@ __all__ = [
     "compute_genus",
     "genus_ordinary",
     "genus_weighted",
-    "multiplier_span_generators",
 ]
 
 ORDINARY_EXTRAPOLATION_NOTE = (
@@ -97,36 +95,17 @@ def classify(f: Polynomial | Germ) -> SingularityClass:
     return SingularityClass(germ.cone.f.total_degree() if ordinary else None, weights)
 
 
-def multiplier_span_generators(
-    ring: RingContext,
-    weights: WeightSystem,
-    threshold: Fraction,
-    strict: bool = False,
-) -> Ideal:
-    """Monomial ideal spanned by all x^u with rho(u) >= threshold (> if strict).
-
-    Generators are the minimal qualifying monomials: those none of whose
-    single-step predecessors u - e_i qualifies.  The qualifying set is
-    upward closed since rho increases in every coordinate.
-
-    The comparison runs on integers.  With W = L*w the weights scaled by
-    their common denominator L (``integer_weights``), L*rho(u) is the
-    integer S(u) = sum_i (u_i + 1) W_i, and rho(u) >= t exactly when
-    S(u) >= T for the integer T = ceil(L*t), or T = floor(L*t) + 1 when
-    strict.  The generators are found by ``_minimal_monomials``.
-    """
-    if weights.arity != ring.arity:
-        raise ValueError("weight system arity does not match the ring")
-    threshold = Fraction(threshold)
-    scale = integer_weights(weights)[1]
-    bar = math.floor(threshold * scale) + 1 if strict else math.ceil(threshold * scale)
-    return Ideal(ring, _minimal_monomials(ring, weights, (bar,))[0])
-
-
 def _minimal_monomials(
     ring: RingContext, weights: WeightSystem, bars: tuple[int, ...]
 ) -> list[list[Polynomial]]:
     """For each integer bar T, the minimal monomials x^u with S(u) >= T, in lex order.
+
+    With W = L*w the weights scaled by their common denominator L
+    (``integer_weights``), S(u) = sum_i (u_i + 1) W_i is the integer
+    L*rho(u), so rho(u) >= t exactly when S(u) >= ceil(L*t), and
+    rho(u) > t exactly when S(u) >= floor(L*t) + 1.  The qualifying set is
+    upward closed, since S increases in every coordinate, and its minimal
+    monomials generate it.
 
     Since S(u - e_i) = S(u) - W_i, a qualifying u is minimal exactly when
     S(u) - W_i < T for every i with u_i > 0.  So a minimal u other than 0

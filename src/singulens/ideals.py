@@ -950,14 +950,19 @@ class Ideal:
         it.  The generators are read packed by ``_weighted_packing``, whose
         key field is the weighted degree.  None when some generator is not
         weighted homogeneous for ``weights``; nonpositive weights or a
-        wrong weight count raise ``ValueError``.
+        wrong weight count raise ``ValueError``.  Cached on the ideal,
+        keyed by the integer weights.
         """
         ws = integer_weights(weights)[0]
         if len(ws) != self.ring.arity:
             raise ValueError("weight count does not match the ring")
-        pk = _weighted_packing(ws)
-        degs = [_packed_degree(g, pk) for g in self._packed_generators(pk)]
-        return None if None in degs else (ws, pk, degs)
+        key = ("graded", ws)
+        cached = self._cache.get(key, False)
+        if cached is False:
+            pk = _weighted_packing(ws)
+            degs = [_packed_degree(g, pk) for g in self._packed_generators(pk)]
+            cached = self._cache[key] = None if None in degs else (ws, pk, degs)
+        return cached
 
     # -- finiteness and counting ----------------------------------------
 

@@ -1,4 +1,4 @@
-"""Rational sections p / f^m and polynomial-coefficient differential operators.
+"""Rational sections p / f^m, the numerator ideals J_k and the Euler descent.
 
 A section is stored in cancelled form: the pole order is reduced whenever
 the denominator divides the numerator exactly.  Differentiation follows
@@ -10,13 +10,13 @@ generator g and each multi-index b with |b| <= k, the polynomial
 f^(k+1) * d^b(g / f); membership of f^k in J_k at the origin is the
 levelwise test used by the length certificates.  ``jk_ideal`` builds it
 fraction-free from packed integer numerators N_b (one int per monomial,
-see ``ideals``), without sections: sections and operators stay exact
-rational code for verification, which no level test and no descent
-replay uses.  The levels k >= 1 climb one ladder (``level_ladder``)
-instead of rebuilding J_k: J_k = F * J_(k-1) + (N_b : |b| = k), so each
-level starts from F times the echelon form of the level below and adds
-only rows of the new numerators, as one linear system in the weighted
-degree of f^k for a graded germ, else on the local echelon.
+see ``ideals``), without sections: sections stay exact rational
+reference code, which no level test and no descent replay uses.  The
+levels k >= 1 climb one ladder (``level_ladder``) instead of rebuilding
+J_k: J_k = F * J_(k-1) + (N_b : |b| = k), so each level starts from F
+times the echelon form of the level below and adds only rows of the new
+numerators, as one linear system in the weighted degree of f^k for a
+graded germ, else on the local echelon.
 
 The Euler layer certifies, for f weighted homogeneous with weights w, the
 rewriting of a monomial section x^u / f^(k+1) as a weighted sum of first
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .ideals import (
     EXPONENT_LIMIT,
@@ -70,10 +70,8 @@ from .polyring import (
 __all__ = [
     "DescentChain",
     "DescentStep",
-    "DiffOp",
     "RationalSection",
     "euler_check",
-    "euler_descent_witness",
     "generation_descent",
     "jk_ideal",
     "level_ladder",
@@ -119,9 +117,6 @@ class RationalSection:
 
     def is_zero(self) -> bool:
         return self.numerator.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.pole == 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalSection):
@@ -190,122 +185,6 @@ class RationalSection:
 
     def __repr__(self) -> str:
         return f"RationalSection({self!s})"
-
-
-def _beta_str(ring: RingContext, beta: Exponent) -> str:
-    parts = []
-    for name, b in zip(ring.names, beta):
-        if b == 1:
-            parts.append(f"d_{name}")
-        elif b > 1:
-            parts.append(f"d_{name}^{b}")
-    return "*".join(parts) if parts else "1"
-
-
-class DiffOp:
-    """A finite sum of terms coeff * d^beta with polynomial coefficients.
-
-    Terms are kept normal ordered (all derivatives to the right of their
-    coefficient); there is no operator composition, only application to
-    sections and module operations.
-    """
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: RingContext, terms: Iterable[tuple[Polynomial, Exponent]]) -> None:
-        merged: dict[Exponent, Polynomial] = {}
-        for coeff, beta in terms:
-            if coeff.ring != ring:
-                raise ValueError("coefficient from a different ring")
-            if len(beta) != ring.arity or any(b < 0 for b in beta):
-                raise ValueError("bad derivative multi-index")
-            beta = tuple(beta)
-            merged[beta] = merged.get(beta, ring.zero()) + coeff
-        cleaned = tuple(
-            (c, b)
-            for b, c in sorted(merged.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-            if not c.is_zero()
-        )
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", cleaned)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffOp is immutable")
-
-    @classmethod
-    def identity(cls, ring: RingContext) -> "DiffOp":
-        return cls(ring, [(ring.one(), ring.zero_exponent())])
-
-    @classmethod
-    def partial(cls, ring: RingContext, variable, k: int = 1) -> "DiffOp":
-        i = ring.index(variable)
-        beta = tuple(k if j == i else 0 for j in range(ring.arity))
-        return cls(ring, [(ring.one(), beta)])
-
-    @property
-    def order(self) -> int:
-        return max((sum(b) for _, b in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((DiffOp, self.ring, self.terms))
-
-    def __add__(self, other) -> "DiffOp":
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        if other.ring != self.ring:
-            raise ValueError("operators over different rings")
-        return DiffOp(self.ring, self.terms + other.terms)
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(self.ring, [(-c, b) for c, b in self.terms])
-
-    def __sub__(self, other) -> "DiffOp":
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "DiffOp":
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return DiffOp(self.ring, [(c * other, b) for c, b in self.terms])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def apply(self, section: RationalSection) -> RationalSection:
-        """Apply the operator to a section."""
-        if section.ring != self.ring:
-            raise ValueError("section over a different ring")
-        total = RationalSection(section.base, self.ring.zero(), 0)
-        for coeff, beta in self.terms:
-            current = section
-            for i, b in enumerate(beta):
-                for _ in range(b):
-                    current = current.derive(i)
-            total = total + current * coeff
-        return total
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for coeff, beta in self.terms:
-            d = _beta_str(self.ring, beta)
-            if d == "1":
-                parts.append(f"({coeff})")
-            else:
-                parts.append(f"({coeff})*{d}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"DiffOp({self!s})"
 
 
 def _mul(a: dict, b: dict) -> dict:
@@ -627,36 +506,6 @@ class DescentStep:
         }
 
 
-def _descent_step(weights: WeightSystem, u: Exponent, k: int) -> DescentStep:
-    """The unreplayed rewriting step for x^u / f^(k+1), which needs rho(u) < k + 1."""
-    r = weights.rho(u)
-    if r == k + 1:
-        raise ValueError("base case: rho(u) equals k + 1, scale undefined")
-    if r > k + 1:
-        raise ValueError("base case: rho(u) exceeds k + 1, no rewriting needed")
-    return DescentStep(u=tuple(u), level=k, scale=1 / (r - (k + 1)), weights=weights)
-
-
-def euler_descent_witness(
-    f: Polynomial, weights: WeightSystem, u: Exponent, k: int
-) -> DescentStep:
-    """Build and replay the rewriting step for x^u / f^(k+1).
-
-    Requires the Euler identity for (f, weights) and rho(u) < k + 1; the
-    constructed step is replayed before being returned.
-    """
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    if len(u) != f.ring.arity or any(e < 0 for e in u):
-        raise ValueError("bad exponent")
-    if not euler_check(f, weights):
-        raise ValueError("weights do not satisfy the Euler identity for f")
-    step = _descent_step(weights, u, k)
-    if not step.replay(f):
-        raise AssertionError("descent step failed its replay")
-    return step
-
-
 @dataclass(frozen=True)
 class DescentChain:
     """All rewriting steps at a fixed level, ordered for induction.
@@ -696,9 +545,10 @@ def generation_descent(f: Polynomial, weights: WeightSystem, k: int = 0) -> Desc
     enumeration is finite: rho(u) < k + 1 forces u_i < (k + 1) / w_i.  The
     filter compares integers: with W = L*w the weights scaled by their
     common denominator L, rho(u) < k + 1 exactly when
-    sum_i u_i W_i < (k + 1) L - sum_i W_i.  The Euler identity is checked
-    once, and the chain is replayed once, as a whole, before it is
-    returned: each step counts only after its identity is re-derived.
+    sum_i u_i W_i < (k + 1) L - sum_i W_i, so every step's scale
+    1 / (rho(u) - (k + 1)) is defined.  The Euler identity is checked once,
+    and the chain is replayed once, as a whole, before it is returned: each
+    step counts only after its identity is re-derived.
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
@@ -709,7 +559,7 @@ def generation_descent(f: Polynomial, weights: WeightSystem, k: int = 0) -> Desc
     bounds = [math.ceil(Fraction(k + 1) / w) + 1 for w in weights]
     targets = [u for u in exponent_box(bounds) if sum(map(mul, u, ws)) < bar]
     targets.sort(key=lambda u: (-sum(u), u))
-    steps = tuple(_descent_step(weights, u, k) for u in targets)
+    steps = tuple(DescentStep(u, k, 1 / (weights.rho(u) - (k + 1)), weights) for u in targets)
     chain = DescentChain(f=f, weights=weights, level=k, steps=steps)
     if not chain.replay():
         raise AssertionError("descent chain failed its replay")

@@ -11,6 +11,7 @@ from singulens.analyzer import COUNTEREXAMPLE_ENV
 from singulens.genus import classify
 from singulens.ideals import DegreeCapExceeded
 from singulens.invariants import Germ, milnor_number
+from singulens.sections import DescentChain
 from singulens.cli import (
     EXIT_FAIL,
     EXIT_OK,
@@ -278,6 +279,22 @@ def test_descent_command_json(capsys):
     assert document["verified"] is True
     assert document["level"] == 1
     assert all(step["verified"] for step in document["steps"])
+
+
+def test_descent_command_replays_the_chain_once(capsys, monkeypatch):
+    """generation_descent replays the chain before it returns; the command does not repeat it."""
+    calls = []
+    original = DescentChain.replay
+
+    def counted(chain):
+        calls.append(len(chain))
+        return original(chain)
+
+    monkeypatch.setattr(DescentChain, "replay", counted)
+    code, out, err = run(capsys, ["descent", "--k", "1", "x^4 + y^4 + z^4"])
+    assert code == EXIT_OK
+    assert "verified: true" in out
+    assert calls == [35]
 
 
 def test_descent_without_weights(capsys):

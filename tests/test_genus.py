@@ -11,15 +11,15 @@ from singulens.cli import bundled_corpus_text, load_corpus
 from singulens.genus import (
     ORDINARY_EXTRAPOLATION_NOTE,
     _count_rho_equal_one,
+    _minimal_monomials,
     classify,
     compute_genus,
     genus_ordinary,
     genus_weighted,
-    multiplier_span_generators,
 )
 from singulens.ideals import Ideal, maximal_ideal_power
 from singulens.invariants import Germ, WeightSystem
-from singulens.polyring import Polynomial, parse
+from singulens.polyring import Polynomial, integer_weights, parse
 
 CASES = 220
 
@@ -64,6 +64,18 @@ def _minimal_monomials_oracle(weights, threshold, strict):
     ]
 
 
+def _span(ring, weights, threshold, strict=False):
+    """The ideal of the x^u with rho(u) >= threshold (> if strict), from its integer bar.
+
+    With L the common denominator of the weights, rho(u) >= t exactly when
+    S(u) = L*rho(u) >= ceil(L*t), and rho(u) > t exactly when
+    S(u) >= floor(L*t) + 1.
+    """
+    scale = integer_weights(weights)[1]
+    bar = math.floor(threshold * scale) + 1 if strict else math.ceil(threshold * scale)
+    return Ideal(ring, _minimal_monomials(ring, weights, (bar,))[0])
+
+
 def _random_weights(rng, n):
     return WeightSystem(
         tuple(Fraction(rng.randint(1, 4), rng.randint(2, 9)) for _ in range(n))
@@ -80,7 +92,7 @@ def test_multiplier_span_matches_the_lattice_oracle(rng, ring, ring2):
         else:
             threshold = Fraction(rng.randint(1, 5), rng.randint(2, 4))
         for strict in (False, True):
-            got = multiplier_span_generators(r, weights, threshold, strict=strict)
+            got = _span(r, weights, threshold, strict=strict)
             expected = _minimal_monomials_oracle(weights, threshold, strict)
             assert [g.leading_monomial() for g in got.generators] == expected
             assert all(len(g) == 1 and g.leading_coefficient() == 1 for g in got.generators)
@@ -260,7 +272,7 @@ def test_multiplier_span_membership_matches_rho(rng, ring):
             )
         )
         strict = rng.random() < 0.5
-        ideal = multiplier_span_generators(ring, weights, Fraction(1), strict=strict)
+        ideal = _span(ring, weights, Fraction(1), strict=strict)
         u = tuple(rng.randint(0, 5) for _ in range(3))
         r = weights.rho(u)
         qualifies = r > 1 if strict else r >= 1
@@ -276,7 +288,7 @@ def test_multiplier_span_generators_minimal(rng, ring):
                 for _ in range(3)
             )
         )
-        ideal = multiplier_span_generators(ring, weights, Fraction(1))
+        ideal = _span(ring, weights, Fraction(1))
         for gen in ideal.generators:
             u = gen.leading_monomial()
             assert weights.rho(u) >= 1

@@ -673,6 +673,25 @@ def test_local_colength_cases(ring, P):
     assert local_colength(Ideal(ring, [P("x + x^2"), P("y"), P("z")])) == 1
 
 
+def test_local_colength_checks_the_grading_once(ring, P, monkeypatch):
+    """Two calls on one ideal compute the generators' weighted degrees once, graded or not."""
+    calls = []
+    original = ideals._packed_degree
+
+    def counted(p, pk):
+        calls.append(pk)
+        return original(p, pk)
+
+    monkeypatch.setattr(ideals, "_packed_degree", counted)
+    graded = Ideal(ring, [P("x^3"), P("y^3"), P("z^3")])
+    ungraded = Ideal(ring, [P("x + x^2"), P("y"), P("z")])
+    for ideal, colength in ((graded, 27), (ungraded, 1)):
+        calls.clear()
+        assert local_colength(ideal) == colength
+        assert local_colength(ideal) == colength
+        assert len(calls) == 3
+
+
 def test_local_colength_degree_cap(ring, P):
     """The guard refuses only an isolated ideal whose N passes it.
 

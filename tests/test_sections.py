@@ -1,4 +1,4 @@
-"""Rational sections, differential operators, derivative ideals, descent."""
+"""Rational sections, derivative ideals, the level ladder, descent."""
 
 import importlib
 import math
@@ -26,10 +26,8 @@ from singulens.invariants import Germ, WeightSystem, jacobian_ideal
 from singulens.polyring import GRLEX, Polynomial, integer_weights, parse
 from singulens.sections import (
     DescentStep,
-    DiffOp,
     RationalSection,
     euler_check,
-    euler_descent_witness,
     generation_descent,
     jk_ideal,
     level_ladder,
@@ -155,43 +153,6 @@ def test_mixed_partials_commute(rng, ring):
         i = rng.randrange(3)
         j = rng.randrange(3)
         assert s.derive(i).derive(j) == s.derive(j).derive(i)
-
-
-def test_diffop_basics(ring, P):
-    f = P("x^4 + y^4 + z^4")
-    s = RationalSection.reciprocal_power(f)
-    identity = DiffOp.identity(ring)
-    assert identity.apply(s) == s
-    dx = DiffOp.partial(ring, "x")
-    assert dx.apply(s) == s.derive("x")
-    assert dx.order == 1 and identity.order == 0
-    # normal ordering: the coefficient multiplies after differentiation
-    op = dx * P("x")
-    assert op.apply(s) == s.derive("x") * P("x")
-    assert str(DiffOp.partial(ring, "x", 2) * P("3")) == "(3)*d_x^2"
-    assert str(identity - identity) == "0"
-    merged = dx + dx
-    assert merged == DiffOp.partial(ring, "x") * 2
-
-
-def test_diffop_linearity(rng, ring):
-    for _ in range(100):
-        base = random_polynomial(
-            rng, ring, max_terms=2, max_degree=2, coeff_bound=4, allow_zero=False
-        )
-        s = _random_section(rng, ring, base)
-        ops = []
-        for _ in range(2):
-            terms = []
-            for _ in range(rng.randint(1, 3)):
-                coeff = random_polynomial(rng, ring, max_terms=2, max_degree=2)
-                beta = tuple(rng.randint(0, 1) for _ in range(3))
-                terms.append((coeff, beta))
-            ops.append(DiffOp(ring, terms))
-        a, b = ops
-        assert (a + b).apply(s) == a.apply(s) + b.apply(s)
-        assert (a - b).apply(s) == a.apply(s) - b.apply(s)
-        assert (a * 2).apply(s) == a.apply(s) * 2
 
 
 def test_jk_order_zero_recovers_the_ideal(ring, P):
@@ -322,13 +283,6 @@ def test_single_descent_step_frozen(ring, P):
     for name in ("x", "y", "z"):
         total = total + RationalSection(f, P(name), 1).derive(name)
     assert -total == RationalSection.reciprocal_power(f)
-    # and through operator application
-    by_op = RationalSection(f, P("0"), 0)
-    for name in ("x", "y", "z"):
-        by_op = by_op + DiffOp.partial(ring, name).apply(
-            RationalSection(f, P(name), 1)
-        )
-    assert by_op * (-1) == RationalSection.reciprocal_power(f)
 
 
 def test_descent_chain_level_one(ring, P):
@@ -363,23 +317,18 @@ def test_chain_orders_steps_for_induction(ring, P):
 
 def test_base_case_errors(ring, P):
     f = P("x^4 + y^4 + z^4")
-    with pytest.raises(ValueError, match="equals k \\+ 1, scale undefined"):
-        euler_descent_witness(f, QUARTER, (1, 0, 0), 0)
-    with pytest.raises(ValueError, match="exceeds k \\+ 1, no rewriting needed"):
-        euler_descent_witness(f, QUARTER, (2, 0, 0), 0)
     with pytest.raises(ValueError, match="Euler identity"):
-        euler_descent_witness(
-            f, WeightSystem((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))), (0, 0, 0), 0
-        )
-    with pytest.raises(ValueError, match="level"):
-        euler_descent_witness(f, QUARTER, (0, 0, 0), -1)
+        generation_descent(f, WeightSystem((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))), 0)
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        generation_descent(f, QUARTER, -1)
+    step = DescentStep(u=(0, 0), level=0, scale=Fraction(-4), weights=QUARTER)
     with pytest.raises(ValueError, match="bad exponent"):
-        euler_descent_witness(f, QUARTER, (0, 0), 0)
+        step.replay(f)
 
 
 def test_step_serialization(ring, P):
     f = P("x^4 + y^4 + z^4")
-    step = euler_descent_witness(f, QUARTER, (0, 0, 0), 0)
+    step = generation_descent(f, QUARTER, 0).steps[0]
     d = step.to_dict()
     assert d["u"] == [0, 0, 0]
     assert d["scale"] == "-4"
@@ -393,7 +342,7 @@ def test_step_serialization(ring, P):
 
 def test_replay_detects_tampering(ring, P):
     f = P("x^4 + y^4 + z^4")
-    good = euler_descent_witness(f, QUARTER, (0, 0, 0), 0)
+    good = generation_descent(f, QUARTER, 0).steps[0]
     bad = DescentStep(u=good.u, level=good.level, scale=good.scale + 1, weights=good.weights)
     assert not bad.replay(f)
 
