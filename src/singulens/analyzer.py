@@ -16,11 +16,10 @@ strictness step recorded as trusted rather than re-verified.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .genus import GenusResult, SingularityClass, classify, compute_genus
 from .ideals import INFINITE, Ideal, maximal_ideal, maximal_ideal_power
@@ -51,7 +50,6 @@ __all__ = [
 ]
 
 COUNTEREXAMPLE_TEXT = "x^4 + y^4 + z^4 + x*y^2*z^2"
-COUNTEREXAMPLE_ENV = "SINGULENS_COUNTEREXAMPLE_POLY"
 
 # citation anchors: stable names for the mathematical facts a verdict rests on
 CITE_LOWER_BOUND = "length-lower-bound:genus-plus-two"
@@ -215,7 +213,6 @@ class AnalysisReport:
     citations: tuple[str, ...]
     notes: tuple[str, ...]
     elapsed: float
-    order_name: str = "grevlex"
 
     def to_dict(self) -> dict:
         def number(v):
@@ -235,7 +232,7 @@ class AnalysisReport:
             equality = self.equality.to_dict()
         return {
             "input": self.input_text,
-            "ring": {"variables": list(self.variables), "order": self.order_name},
+            "ring": {"variables": list(self.variables), "order": "grevlex"},
             "class": (
                 None
                 if self.singularity_class is None
@@ -359,11 +356,10 @@ def analyze(
 
 
 def counterexample_polynomial(ring: RingContext | None = None) -> Polynomial:
-    """The bundled witness polynomial (environment override honored)."""
-    text = os.environ.get(COUNTEREXAMPLE_ENV, COUNTEREXAMPLE_TEXT)
+    """The bundled witness polynomial."""
     if ring is None:
         ring = RingContext(("x", "y", "z"))
-    return parse(text, ring)
+    return parse(COUNTEREXAMPLE_TEXT, ring)
 
 
 def _detail(**kwargs) -> tuple[tuple[str, str], ...]:
@@ -581,21 +577,11 @@ def counterexample_suite(
             "strict inequality not established"
             + (f"; failed certificates: {', '.join(failed)}" if failed else "")
         )
-    return AnalysisReport(
-        input_text=base.input_text,
-        variables=base.variables,
-        screen=base.screen,
-        mu=base.mu,
-        tau=base.tau,
-        qh=base.qh,
-        singularity_class=base.singularity_class,
-        genus=base.genus,
-        bound=base.bound,
-        equality=base.equality,
+    return replace(
+        base,
         certificates=certs,
         strict=strict,
         conclusion=conclusion,
         citations=tuple(dict.fromkeys(citations)),
-        notes=base.notes,
         elapsed=time.perf_counter() - t0,
     )

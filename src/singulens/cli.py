@@ -249,7 +249,7 @@ def check_annotations(report: AnalysisReport, annotations: dict[str, str]) -> li
 def _render_report(report: AnalysisReport) -> str:
     lines = [f"input: {report.input_text}"]
     lines.append(
-        "ring: Q[" + ",".join(report.variables) + f"] ({report.order_name})"
+        "ring: Q[" + ",".join(report.variables) + "] (grevlex)"
     )
     lines.append(
         "screen: isolated="
@@ -487,7 +487,7 @@ def cmd_descent(args) -> int:
     names = ring.names
     lines = [f"weights: {weights}", f"level: {args.k}", f"steps: {len(chain)}"]
     for step in chain.steps:
-        u_text = _monomial_text(names, step.u)
+        u_text = str(Polynomial.monomial(ring, step.u))
         terms = []
         for i, name in enumerate(names):
             shifted = tuple(
@@ -495,22 +495,12 @@ def cmd_descent(args) -> int:
             )
             terms.append(
                 f"{step.scale * step.weights[i]}*d_{name}"
-                f"({_monomial_text(names, shifted)}/f^{step.level + 1})"
+                f"({Polynomial.monomial(ring, shifted)}/f^{step.level + 1})"
             )
         lines.append(f"  {u_text}/f^{step.level + 1} = " + " + ".join(terms))
     lines.append("verified: true")
     _emit(document, args.json, "\n".join(lines))
     return EXIT_OK
-
-
-def _monomial_text(names: tuple[str, ...], u: tuple[int, ...]) -> str:
-    parts = []
-    for name, e in zip(names, u):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 _HANDLERS = {

@@ -481,23 +481,20 @@ def _add_rows(
     ws: tuple[int, ...],
     pk: _Packing,
     shifts: dict,
-    free: int | None = None,
 ) -> None:
     """Reduce the rows m*g with wdeg(m) = gap into the echelon form ``pivots``.
 
     g is packed by pk, the weighted packing of the integer weights ws, so
-    a shift by m is one addition; there are no rows when gap < 0.  With
-    ``free`` = i only the m free of x_i are taken.  Each row that keeps a
-    monomial without a pivot joins ``pivots`` keyed by it.  ``shifts``
-    caches the packed shifts for the caller's sequence of calls.
+    a shift by m is one addition; there are no rows when gap < 0.  Each
+    row that keeps a monomial without a pivot joins ``pivots`` keyed by it.
+    ``shifts`` caches the packed shifts by gap for the caller's sequence of
+    calls.
     """
     if gap < 0:
         return
-    ms = shifts.get((gap, free))
+    ms = shifts.get(gap)
     if ms is None:
-        ms = shifts[gap, free] = [
-            pk.pack(m) for m in _exponents_of_degree(ws, gap) if free is None or not m[free]
-        ]
+        ms = shifts[gap] = [pk.pack(m) for m in _exponents_of_degree(ws, gap)]
     for m in ms:
         head = _pivot_reduce({e + m: c for e, c in g.items()}, pivots)
         if head is not None:
@@ -710,8 +707,6 @@ def maximal_ideal_power(ring: RingContext, k: int) -> "Ideal":
     """m^k, generated by the monomials of total degree k (unit ideal for k=0)."""
     if k < 0:
         raise ValueError("negative power of the maximal ideal")
-    if k == 0:
-        return Ideal(ring, (ring.one(),))
     gens = [Polynomial.monomial(ring, e) for e in _exponents_of_degree((1,) * ring.arity, k)]
     return Ideal(ring, gens)
 
@@ -1185,14 +1180,14 @@ def quotient_dimension(big: Ideal, small: Ideal) -> int:
     """dim_Q (big/small) for nested ideals small inside big, at the origin.
 
     Equal ideals give 0; ``ValueError`` when big does not contain small;
-    0 when small also contains big; ``InfiniteColengthError`` when a
-    colength is infinite.  Two monomial ideals are compared by
-    divisibility, and their quotient is spanned by the monomials in big
-    and not in small: all of them lie in the box below small's pure
-    powers, so one ``_box_multiples`` sweep counts them.  Small is
-    m-primary exactly when it has a pure power of every variable, and
-    then so is big.  Any other pair takes the difference of its
-    colengths at the origin.
+    0 when small also contains big; ``InfiniteColengthError`` when small
+    has infinite colength.  Otherwise both ideals must be monomial, as the
+    genus routes' are, and any other pair raises ``ValueError``.  Two
+    monomial ideals are compared by divisibility, and their quotient is
+    spanned by the monomials in big and not in small: all of them lie in
+    the box below small's pure powers, so one ``_box_multiples`` sweep
+    counts them.  Small is m-primary exactly when it has a pure power of
+    every variable, and then so is big.
     """
     if big == small:
         return 0
@@ -1201,14 +1196,10 @@ def quotient_dimension(big: Ideal, small: Ideal) -> int:
     if small.contains_ideal(big):
         return 0
     outer, inner = big._monomial_exponents(), small._monomial_exponents()
-    if outer is not None and inner is not None:
-        degs = _pure_powers(inner, small.ring.arity)
-        if degs is None:
-            raise InfiniteColengthError("quotient of a pair with infinite colength")
-        a, b = _box_multiples(degs, outer, inner)
-        return a - b
-    a = local_colength(big)
-    b = local_colength(small)
-    if a == INFINITE or b == INFINITE:
+    if outer is None or inner is None:
+        raise ValueError("quotient_dimension needs two monomial ideals")
+    degs = _pure_powers(inner, small.ring.arity)
+    if degs is None:
         raise InfiniteColengthError("quotient of a pair with infinite colength")
-    return b - a
+    a, b = _box_multiples(degs, outer, inner)
+    return a - b

@@ -17,8 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Sequence
 
 from .ideals import INFINITE, DegreeCapExceeded, ExponentOverflow, Ideal, local_colength
 from .polyring import Exponent, Polynomial, integer_weights
@@ -274,9 +272,11 @@ def find_weights(f: Polynomial) -> WeightSystem | None:
     """Positive rational weights giving every term of f weight exactly 1.
 
     With a unique solution, positivity decides.  When the linear system is
-    underdetermined, the strictly positive vertex of {Aw = 1, w >= 0}
-    minimizing the weight sum is preferred; failing that, any strictly
-    positive solution found by elimination is returned.
+    underdetermined, Fourier-Motzkin elimination over the free parameters
+    finds a strictly positive solution when one exists.  No vertex of
+    {Aw = 1, w >= 0} is one: a vertex has at least n - rank(A) > 0 zero
+    coordinates (Schrijver, Theory of Linear and Integer Programming,
+    section 8).
     """
     if f.is_zero():
         return None
@@ -288,10 +288,6 @@ def find_weights(f: Polynomial) -> WeightSystem | None:
     particular, nullspace = sol
     if not nullspace:
         return WeightSystem(tuple(particular)) if all(w > 0 for w in particular) else None
-    positive = [v for v in _vertices(rows, n) if all(w > 0 for w in v)]
-    if positive:
-        best = min(positive, key=lambda v: (sum(v), v))
-        return WeightSystem(best)
     point = _strictly_positive_point(particular, nullspace)
     return None if point is None else WeightSystem(tuple(point))
 
@@ -332,25 +328,6 @@ def _solve_affine(rows: list[list], rhs: list[Fraction], n: int):
     return particular, nullspace
 
 
-def _vertices(rows: Sequence[Exponent], n: int) -> list[tuple[Fraction, ...]]:
-    """Vertices of {w : rows * w = 1, w >= 0}, by active-set enumeration."""
-    seen: set[tuple[Fraction, ...]] = set()
-    base = [list(r) for r in rows]
-    base_rhs = [Fraction(1)] * len(rows)
-    for k in range(n + 1):
-        for zeros in combinations(range(n), k):
-            extra = [[Fraction(1 if j == i else 0) for j in range(n)] for i in zeros]
-            sol = _solve_affine(base + extra, base_rhs + [Fraction(0)] * len(zeros), n)
-            if sol is None:
-                continue
-            particular, nullspace = sol
-            if nullspace:
-                continue
-            if all(w >= 0 for w in particular):
-                seen.add(tuple(particular))
-    return sorted(seen)
-
-
 def _strictly_positive_point(particular, nullspace):
     """A strictly positive point of the affine solution set, or None.
 
@@ -376,7 +353,13 @@ def _strictly_positive_point(particular, nullspace):
 
 
 def _fm_solve(ineqs, r):
-    """Point satisfying all strict inequalities coeffs . s + const > 0, or None."""
+    """Point satisfying all strict inequalities coeffs . s + const > 0, or None.
+
+    Each s_j has a lower bound at every depth: nullspace vector j has a 1
+    in its own free column, where the particular solution and the other
+    vectors are 0, so s_j > 0 is an inequality, and it passes unchanged
+    through the elimination of the other parameters.
+    """
     if r == 0:
         return [] if all(c > 0 for _, c in ineqs) else None
     lowers, uppers, passed = [], [], []
@@ -406,14 +389,10 @@ def _fm_solve(ineqs, r):
     for a, head, const in uppers:
         v = -(const + sum(x * s for x, s in zip(head, inner))) / a
         high = v if high is None else min(high, v)
-    if low is None and high is None:
-        value = Fraction(0)
-    elif low is None:
-        value = high - 1
-    elif high is None:
+    if high is None:
         value = low + 1
+    elif low >= high:
+        return None
     else:
-        if low >= high:
-            return None
         value = (low + high) / 2
     return inner + [value]

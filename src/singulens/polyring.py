@@ -259,9 +259,6 @@ class Polynomial:
     def items(self) -> Iterator[tuple[Exponent, Fraction]]:
         return iter(self._c.items())
 
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self._c.get(tuple(exp), Fraction(0))
-
     @property
     def constant_term(self) -> Fraction:
         return self._c.get(self.ring.zero_exponent(), Fraction(0))

@@ -309,10 +309,7 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     level k span F * R_(k-1) + span{m * N_b : |b| = k}.  N_b has rows
     exactly when wdeg(G) <= b.W for the integer weights W, so b + e_i is
     derived only when some node of its subtree has rows by ``max_level``:
-    wdeg(G) <= b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).  For
-    such b, sum_i W_i x_i N_(b+e_i) = (wdeg(G) - b.W - wdeg(F)) * F * N_b
-    (Euler), a nonzero factor, so by induction the rows of N_b' shifted by
-    a multiple of the last variable are dropped whenever b' holds it.  Once
+    wdeg(G) <= b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).  Once
     f^k reduces to zero a level adds no more rows: later levels pass.
 
     Other germs climb the local echelon (see ``ideals``) from that of I.
@@ -357,7 +354,7 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     def climb() -> Iterator[bool]:
         # (N_b, b.W, first variable left to derive in, wdeg(G)) of the kept nodes
         nodes = [(g, 0, 0, d) for g, d in zip(gens, degs)]
-        shifts: dict[tuple, list[int]] = {}
+        shifts: dict[int, list[int]] = {}
         if graded:
             pivots: dict[int, tuple[int, list]] = {}
             for g, _, _, d in nodes:
@@ -393,8 +390,8 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
                     bound = nak << pk.pbits  # the least packed monomial of degree N_k
                     left = _pivot_reduce({m: c for m, c in power.items() if m < bound}, pivots)
                 elif (left := _pivot_reduce(dict(power), pivots)) is not None:
-                    for num, bw, i, d in nodes:
-                        _add_rows(pivots, num, bw - d, ws, pk, shifts, i if i == n - 1 else None)
+                    for num, bw, _, d in nodes:
+                        _add_rows(pivots, num, bw - d, ws, pk, shifts)
                         head, lc, tail = left
                         # the remainder's least monomial decides: a span member's is a pivot
                         if head in pivots:

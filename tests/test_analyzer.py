@@ -11,7 +11,6 @@ from singulens.analyzer import (
     CITE_DESCENT,
     CITE_HODGE,
     CITE_LOWER_BOUND,
-    COUNTEREXAMPLE_ENV,
     COUNTEREXAMPLE_TEXT,
     Certificate,
     ScreenResult,
@@ -227,6 +226,21 @@ def test_analyze_two_variables_skips_genus(ring2):
     assert any("at least three variables" in note for note in report.notes)
 
 
+def test_analyze_unclassified_germ_has_no_genus_route(ring, P):
+    report = analyze(P("x^3 + y^4 + z^5 + x*y^2*z^2"))
+    assert report.singularity_class.tag == "unclassified"
+    assert report.genus is None and report.bound is None
+    assert report.conclusion == "no length bound computed"
+    assert any("no genus route applies" in note for note in report.notes)
+
+
+def test_analyze_proves_equality_by_descent(ring, P):
+    report = analyze(P("x^7 + y^7 + z^7"))
+    assert report.equality.status == "proven_by_descent"
+    assert report.equality.descent_steps == 20
+    assert CITE_DESCENT in report.citations
+
+
 def test_analyze_rejects_zero(ring):
     with pytest.raises(ValueError, match="zero polynomial"):
         analyze(ring.zero())
@@ -238,14 +252,12 @@ def test_analyze_smooth_point_noted(ring, P):
     assert any("smooth point" in note for note in report.notes)
 
 
-def test_counterexample_polynomial_default_and_override(ring, monkeypatch):
+def test_counterexample_polynomial_default(ring):
     f = counterexample_polynomial()
     assert f == parse(COUNTEREXAMPLE_TEXT, f.ring)
     assert str(f) == "x*y^2*z^2 + x^4 + y^4 + z^4"
     assert f.ring == RingContext(("x", "y", "z"))
     assert counterexample_polynomial(ring) == parse(COUNTEREXAMPLE_TEXT, ring)
-    monkeypatch.setenv(COUNTEREXAMPLE_ENV, "x^4 + y^4 + z^4")
-    assert str(counterexample_polynomial()) == "x^4 + y^4 + z^4"
 
 
 def test_counterexample_certificates_pass(ring):
@@ -288,9 +300,8 @@ def test_counterexample_suite_deterministic(ring):
     assert a == b
 
 
-def test_counterexample_suite_tampered(ring, monkeypatch):
-    monkeypatch.setenv(COUNTEREXAMPLE_ENV, "x^4 + y^4 + z^4")
-    report = counterexample_suite()
+def test_counterexample_suite_tampered(ring, P):
+    report = counterexample_suite(P("x^4 + y^4 + z^4"))
     verdicts = {c.name: c.verdict for c in report.certificates}
     assert verdicts == {
         "C1": False,

@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from singulens.analyzer import COUNTEREXAMPLE_ENV
+import singulens.analyzer as analyzer_module
 from singulens.genus import classify
 from singulens.ideals import DegreeCapExceeded
 from singulens.invariants import Germ, milnor_number
@@ -76,8 +76,8 @@ def test_counterexample_text(capsys):
     assert "strictly exceeds the lower bound 5" in out
 
 
-def test_counterexample_tamper_env(capsys, monkeypatch):
-    monkeypatch.setenv(COUNTEREXAMPLE_ENV, "x^4 + y^4 + z^4")
+def test_counterexample_tamper(capsys, monkeypatch):
+    monkeypatch.setattr(analyzer_module, "COUNTEREXAMPLE_TEXT", "x^4 + y^4 + z^4")
     code, out, err = run(capsys, ["counterexample"])
     assert code == EXIT_FAIL
     assert "certificate C7: FAIL" in out
@@ -297,6 +297,12 @@ def test_descent_command_replays_the_chain_once(capsys, monkeypatch):
     assert calls == [35]
 
 
+def test_descent_rejects_negative_k(capsys):
+    code, out, err = run(capsys, ["descent", "--k", "-1", "x^4 + y^4 + z^4"])
+    assert code == EXIT_USAGE
+    assert "--k must be nonnegative" in err
+
+
 def test_descent_without_weights(capsys):
     code, out, err = run(capsys, ["descent", "x^4 + y^4 + z^4 + x*y^2*z^2"])
     assert code == EXIT_FAIL
@@ -314,6 +320,9 @@ def test_parse_error_exit_code(capsys):
     assert code == EXIT_USAGE
     assert "syntax error:" in err
     assert err.count("position") == 1
+    code, out, err = run(capsys, ["gb", " , "])
+    assert code == EXIT_USAGE
+    assert "syntax error:" in err and "empty generator list" in err
 
 
 def test_unknown_variable_exit_code(capsys):

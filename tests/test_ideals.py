@@ -626,6 +626,7 @@ def test_pivot_elimination_matches_the_ff_reduce_row_loop(ring, P, text):
 def test_colengths_frozen(ring, P):
     assert maximal_ideal(ring).colength() == 1
     assert maximal_ideal_power(ring, 2).colength() == 4
+    assert maximal_ideal_power(ring, 0).generators == (P("1"),)
     assert Ideal(ring, [P("x^2"), P("y^2"), P("z^2")]).colength() == 8
     assert Ideal(ring, [P("x^3"), P("y^3"), P("z^3")]).colength() == 27
     assert Ideal(ring, [P("1")]).colength() == 0
@@ -711,6 +712,15 @@ def test_quotient_dimension(ring, P):
     assert quotient_dimension(m, m) == 0
     with pytest.raises(ValueError):
         quotient_dimension(maximal_ideal_power(ring, 2), m)
+
+
+def test_quotient_dimension_refuses_a_non_monomial_pair(ring, P):
+    m = maximal_ideal(ring)
+    small = Ideal(ring, [P("x + y^2"), P("y^3"), P("z")])
+    for big, inner in ((m, small), (Ideal(ring, [P("x + y^2"), P("y"), P("z")]), small)):
+        assert big.contains_ideal(inner) and not inner.contains_ideal(big)
+        with pytest.raises(ValueError, match="needs two monomial ideals"):
+            quotient_dimension(big, inner)
 
 
 # -- monomial ideals stay monomial --------------------------------------------

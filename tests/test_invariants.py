@@ -8,7 +8,7 @@ import pytest
 from singulens.analyzer import screen_isolated
 from singulens.cli import bundled_corpus_text, load_corpus
 from singulens.genus import classify, compute_genus, genus_ordinary, genus_weighted
-from singulens.ideals import INFINITE
+from singulens.ideals import INFINITE, _exponents_of_degree
 from singulens.invariants import (
     Germ,
     WeightSystem,
@@ -20,7 +20,7 @@ from singulens.invariants import (
     tjurina_number,
 )
 import singulens.polyring as polyring
-from singulens.polyring import Polynomial, integer_weights, parse
+from singulens.polyring import Polynomial, RingContext, integer_weights, parse
 from singulens.sections import euler_check
 
 from conftest import random_polynomial
@@ -154,11 +154,51 @@ def test_find_weights_frozen(ring, ring2, P):
     assert find_weights(ring.zero()) is None
 
 
-def test_find_weights_underdetermined(ring2):
+def test_find_weights_underdetermined(ring, ring2, P):
     w = find_weights(parse("x*y", ring2))
     assert w is not None
     assert all(weight > 0 for weight in w)
     assert w[0] + w[1] == 1
+    # the Fourier-Motzkin point: a midpoint between two bounds, 1 above a lone lower one
+    half = Fraction(1, 2)
+    assert find_weights(P("x*y + z^2")) == WeightSystem((half,) * 3)
+    ring4 = RingContext(tuple("xyzw"))
+    for text, weights in (
+        ("x*y + z^2", (half, half, half, 1)),
+        ("x*y*z*w", (Fraction(1, 8), half, Fraction(1, 4), Fraction(1, 8))),
+        ("x^2*y + z^3", (Fraction(1, 4), half, Fraction(1, 3), 1)),
+    ):
+        assert find_weights(parse(text, ring4)) == WeightSystem(tuple(map(Fraction, weights)))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_find_weights_on_underdetermined_supports(rng, n):
+    """Fewer terms than variables: any weights found are positive and pass the Euler check.
+
+    Half the supports are drawn inside one weighted degree, so they have
+    positive weights, which the elimination must then find.
+    """
+    ring = RingContext(tuple("xyzwv"[:n]))
+    found = 0
+    for i in range(60):
+        count = rng.randint(1, n - 1)
+        if i % 2 == 0:
+            ws = tuple(rng.randint(1, 3) for _ in range(n))
+            degree = rng.randint(1, 8)
+            support = list(_exponents_of_degree(ws, degree))
+            exponents = rng.sample(support, min(count, len(support)))
+        else:
+            exponents = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(count)]
+        f = sum((Polynomial.monomial(ring, e, rng.randint(1, 5)) for e in exponents), ring.zero())
+        if f.is_zero():
+            continue
+        w = find_weights(f)
+        if i % 2 == 0:
+            assert w is not None, f
+        if w is not None:
+            assert all(weight > 0 for weight in w) and euler_check(f, w), (f, w)
+            found += 1
+    assert found >= 30
 
 
 def test_found_weights_satisfy_euler(rng, ring):
