@@ -32,6 +32,7 @@ from .invariants import (
     tjurina_number,
 )
 from .polyring import Polynomial, RingContext, parse
+from .refutation import refutes
 from .sections import generation_descent, jk_ideal, level_ladder
 
 __all__ = [
@@ -483,11 +484,19 @@ def _cert_m6_inside_j1(f: Polynomial) -> Certificate:
 
 
 def _cert_perturbation_outside_j1_plus_m6(f: Polynomial) -> Certificate:
+    """C6 by a checked functional, with no Groebner basis.
+
+    An ideal holding m^6 is either the unit ideal or m-primary, and then
+    it contains m^N for its Nakayama exponent N <= 6, so J_1 + m^6 =
+    J_1 + m^N and its local echelon decides the global statement.  The
+    functional read off that echelon is checked by ``refutes`` against the
+    generators of J_1 below degree N, and N <= 6 makes it vanish on m^6.
+    """
     ring = f.ring
     rest = f - Germ(f).cone.f
     j1 = jk_ideal(f, maximal_ideal(ring), 1)
-    enlarged = j1 + maximal_ideal_power(ring, 6)
-    ok = (not rest.is_zero()) and not enlarged.member(rest)
+    found = (j1 + maximal_ideal_power(ring, 6))._local_functional(rest)
+    ok = found is not None and found[0] <= 6 and refutes(j1.generators, rest, found[1], found[0])
     return Certificate(
         name="C6",
         statement=(
@@ -501,9 +510,16 @@ def _cert_perturbation_outside_j1_plus_m6(f: Polynomial) -> Certificate:
 
 
 def _cert_f_outside_j1_locally(f: Polynomial) -> Certificate:
+    """C7 by the local echelon, and by the functional read off it and checked by ``refutes``.
+
+    Without an echelon (the origin not isolated in V(J_1)) nothing
+    certifies the refutation, and C7 reads False.
+    """
     ring = f.ring
     j1 = jk_ideal(f, maximal_ideal(ring), 1)
-    ok = not j1.local_member(f)
+    outside = not j1.local_member(f)
+    found = j1._local_functional(f) if outside else None
+    ok = found is not None and refutes(j1.generators, f, found[1], found[0])
     return Certificate(
         name="C7",
         statement=(
@@ -512,7 +528,7 @@ def _cert_f_outside_j1_locally(f: Polynomial) -> Certificate:
         ),
         verdict=ok,
         citation=CITE_EQUALITY,
-        details=_detail(local_membership=not ok),
+        details=_detail(local_membership=not outside),
     )
 
 

@@ -102,6 +102,14 @@ also takes on purpose: p lies in I locally exactly when (I : p) contains
 an element with nonzero constant term.  An isolated ideal climbs again,
 with no truncation, to its N.
 
+A negative answer can also be handed out with its proof: a rational
+functional lam below degree T that kills every product x^a*g of a
+generator g but not p refutes p in I*O_0 outright, with no Nakayama
+premise.  p in I*O_0 means u*p in I for some u with u(0) != 0, u is
+invertible modulo m^T, so p lies in I + m^T for every T, and lam kills
+I + m^T.  ``Ideal._local_functional`` reads such a lam off the echelon
+below N, and ``refutation.refutes`` checks it without this module.
+
 ``local_colength`` has two routes.  An ideal checked to be weighted
 homogeneous for positive weights (all ones by default) is measured
 globally: t*x = (t^w_i x_i) keeps its zero locus, so each point of it lies
@@ -929,12 +937,48 @@ class Ideal:
 
         p lies in I locally exactly when u*p lies in I for some u with
         u(0) != 0, that is, when p lies in I or (I : p) contains an
-        element with nonzero constant term.  Needs no Nakayama exponent, but
-        the elimination behind ``quotient`` can be slow.
+        element with nonzero constant term.  (I : p) lies inside m exactly
+        when each of its generators does, so their constant terms decide,
+        with no Groebner basis of the quotient.  Needs no Nakayama
+        exponent, but the elimination behind ``quotient`` can be slow.
         """
         if self.member(p):
             return True
-        return any(g.constant_term != 0 for g in self.quotient(p).groebner_basis())
+        return any(g.constant_term != 0 for g in self.quotient(p).generators)
+
+    def _local_functional(self, p: Polynomial) -> tuple[int, dict[Exponent, Fraction]] | None:
+        """(N, lam), lam a functional below degree N that refutes p in I*O_0.
+
+        Read off the local echelon (N, pivots), whose pivot rows
+        c*x^key + tail, every tail monomial above key, span (I + m^N)/m^N.
+        The terms of p below degree N are reduced against it, and h is the
+        first monomial left without a pivot.  lam(h) = 1, lam vanishes on
+        every other monomial without a pivot, and one sweep over the pivots,
+        largest first, sets lam(x^key) = -(1/c) * sum(tail * lam), so lam
+        kills every pivot row.  Reducing the monomials above h never
+        changes the coefficient of h, so lam(p) != 0.  None when p reduces
+        to zero, that is p lies in I*O_0, or when the origin is not
+        isolated in V(I) and there is no echelon.  ``refutation.refutes``
+        checks lam without this module.
+        """
+        found = _local_echelon(self)
+        if found is None:
+            return None
+        n, pivots = found
+        pk = _packing(self.ring.arity, GRLEX)
+        bound = n << pk.pbits  # the least packed monomial of degree n
+        head = _pivot_reduce(
+            {m: c for m, c in pk.pack_poly(_int_poly(p)).items() if m < bound}, pivots
+        )
+        if head is None:
+            return None
+        lam = {head[0]: Fraction(1)}
+        for key in sorted(pivots, reverse=True):
+            c, tail = pivots[key]
+            s = sum(v * lam.get(t, 0) for t, v in tail)
+            if s:
+                lam[key] = Fraction(-s, c)
+        return n, {pk.unpack(m): v for m, v in lam.items()}
 
     def _graded_degrees(
         self, weights: Iterable

@@ -319,6 +319,47 @@ def test_counterexample_suite_tampered(ring, P):
     assert CITE_HODGE not in report.citations
 
 
+def test_c6_and_c7_functionals_match_membership(rng, ring, P):
+    """C6 against the global route (J_1 + m^6).member(h), C7 against local_member.
+
+    Fermat quartics and quintics plus one or two above-cone terms, and the
+    tampered Fermat quartic, whose h is zero.
+    """
+    germs = [P("x^4 + y^4 + z^4"), counterexample_polynomial(ring)]
+    for _ in range(10):
+        d = rng.choice([4, 4, 5])
+        f = P(f"x^{d} + y^{d} + z^{d}")
+        above = list(ideals_module._exponents_of_degree((1, 1, 1), d + 1))
+        for e in rng.sample(above, rng.randint(1, 2)):
+            f = f + rng.choice([-2, -1, 1, 3]) * Polynomial.monomial(ring, e)
+        germs.append(f)
+    below_six, c7 = set(), set()
+    for f in germs:
+        h = f - Germ(f).cone.f
+        j1 = jk_ideal(f, maximal_ideal(ring), 1)
+        enlarged = j1 + ideals_module.maximal_ideal_power(ring, 6)
+        outside = not h.is_zero() and not enlarged.member(h)
+        assert analyzer_module._cert_perturbation_outside_j1_plus_m6(f).verdict == outside, f
+        if not h.is_zero() and min(sum(e) for e, _ in h.items()) < 6:
+            below_six.add(outside)
+        verdict = analyzer_module._cert_f_outside_j1_locally(f).verdict
+        assert verdict == (not j1.local_member(f)), f
+        c7.add(verdict)
+    assert below_six == c7 == {True, False}  # some h of degree 5 lies in J_1 + m^6
+
+
+def test_c7_without_an_echelon_reads_false(ring, P):
+    """f is singular along the z-axis, so J_1 has no local echelon and no functional.
+
+    The quotient route still finds f outside J_1 locally, but nothing
+    certifies that refutation, so C7 reads False.
+    """
+    f = P("x^2 + y^3 + x*y*z")
+    cert = analyzer_module._cert_f_outside_j1_locally(f)
+    assert cert.verdict is False
+    assert cert.details == (("local_membership", "False"),)
+
+
 def test_descent_citation_available(ring, P):
     report = analyze(P("x^2*y + y^3 + z^4"), max_level=1)
     assert report.equality.status == "proven_at_level"
@@ -502,5 +543,7 @@ def test_counterexample_certificates_share_nothing_with_analyze(ring, monkeypatc
         for ideal in ideals:
             owners.setdefault(id(ideal), set()).add(name)
     assert all(len(names) == 1 for names in owners.values())
+    # C6 checks a functional read off the local echelon: no Groebner basis
+    assert "_cert_perturbation_outside_j1_plus_m6" not in filled
     # C2's direct test names the quotient route
     assert "_cert_not_quasi_homogeneous" in quotients

@@ -495,3 +495,31 @@ def test_local_unit_shortcuts_match_the_quotient_path(rng, ring2, monkeypatch):
             assert Ideal(ring2, gens).local_member(p) == expected, (gens, p)
         verdicts.add((unit_gen, expected))
     assert verdicts == {(True, True), (False, False)}
+
+
+def test_quotient_route_reads_generators_as_the_basis_route(rng, ring, P):
+    """``_quotient_member`` reads (I : p)'s generators; the reference fills its reduced basis.
+
+    Isolated Jacobian ideals of cubics with one quartic term, and Jacobian
+    ideals singular along a coordinate axis, germs of
+    ``test_nonisolated_germs_without_weights_are_infinite``.  Along the
+    line of two seeded forms, one seed ran the reference past 100 s.
+    """
+    x = [Polynomial.variable(ring, i) for i in range(3)]
+    germs = []
+    for _ in range(2):
+        e = rng.choice(list(ideals_module._exponents_of_degree((1, 1, 1), 4)))
+        germs.append(P("x^3 + y^3 + z^3") + rng.choice([-1, 1, 2]) * Polynomial.monomial(ring, e))
+    for l1, l2 in rng.sample([(x[1], x[2]), (x[0], x[2]), (x[0], x[1])], 2):
+        germs.append(_nonisolated_germ(rng, ring, l1, l2))
+    verdicts = set()
+    for f in germs:
+        jac = jacobian_ideal(f)
+        # Monomial targets: a seeded binomial ran the reference 1.6 s on one germ.
+        exps = rng.sample(list(ideals_module._exponents_of_degree((1, 1, 1), 1)), 2)
+        exps += rng.sample(list(ideals_module._exponents_of_degree((1, 1, 1), 2)), 2)
+        for p in [f] + [Polynomial.monomial(ring, e) for e in exps]:
+            expected = _quotient_local_member(Ideal(ring, jac.generators), p)
+            assert Ideal(ring, jac.generators)._quotient_member(p) == expected, (f, p)
+            verdicts.add(expected)
+    assert verdicts == {True, False}
