@@ -414,34 +414,30 @@ def _cert_ordinary_genus(f: Polynomial) -> Certificate:
         cls = classify(germ)
         genus = compute_genus(germ)
     except (ValueError, RuntimeError) as err:
-        return Certificate(
-            name="C3",
-            statement="ordinary multiplicity-4 point with reduced genus 3",
-            verdict=False,
-            citation=CITE_GENUS_ORDINARY,
-            details=_detail(error=err),
+        ok, details = False, _detail(error=err)
+    else:
+        m = maximal_ideal(ring)
+        m2 = maximal_ideal_power(ring, 2)
+        ok = (
+            cls.ordinary_multiplicity == 4
+            and genus is not None
+            and genus.g == 3
+            and genus.multiplier.contains_ideal(m)
+            and m.contains_ideal(genus.multiplier)
+            and genus.adjoint.contains_ideal(m2)
+            and m2.contains_ideal(genus.adjoint)
+            and not genus.log_canonical
         )
-    m = maximal_ideal(ring)
-    m2 = maximal_ideal_power(ring, 2)
-    ok = (
-        cls.ordinary_multiplicity == 4
-        and genus is not None
-        and genus.g == 3
-        and genus.multiplier.contains_ideal(m)
-        and m.contains_ideal(genus.multiplier)
-        and genus.adjoint.contains_ideal(m2)
-        and m2.contains_ideal(genus.adjoint)
-        and not genus.log_canonical
-    )
+        details = _detail(
+            ordinary_multiplicity=cls.ordinary_multiplicity,
+            genus=None if genus is None else genus.g,
+        )
     return Certificate(
         name="C3",
         statement="ordinary multiplicity-4 point with reduced genus 3",
         verdict=ok,
         citation=CITE_GENUS_ORDINARY,
-        details=_detail(
-            ordinary_multiplicity=cls.ordinary_multiplicity,
-            genus=None if genus is None else genus.g,
-        ),
+        details=details,
     )
 
 
@@ -510,15 +506,18 @@ def _cert_perturbation_outside_j1_plus_m6(f: Polynomial) -> Certificate:
 
 
 def _cert_f_outside_j1_locally(f: Polynomial) -> Certificate:
-    """C7 by the local echelon, and by the functional read off it and checked by ``refutes``.
+    """C7 by the functional read off the local echelon and checked by ``refutes``.
 
-    Without an echelon (the origin not isolated in V(J_1)) nothing
-    certifies the refutation, and C7 reads False.
+    A functional exists only when f lies outside J_1 locally, so
+    ``local_member`` is asked only when none comes back, for the
+    ``local_membership`` detail.  Without an echelon (the origin not
+    isolated in V(J_1)) nothing certifies the refutation, and C7 reads
+    False.
     """
     ring = f.ring
     j1 = jk_ideal(f, maximal_ideal(ring), 1)
-    outside = not j1.local_member(f)
-    found = j1._local_functional(f) if outside else None
+    found = j1._local_functional(f)
+    member = found is None and j1.local_member(f)
     ok = found is not None and refutes(j1.generators, f, found[1], found[0])
     return Certificate(
         name="C7",
@@ -528,7 +527,7 @@ def _cert_f_outside_j1_locally(f: Polynomial) -> Certificate:
         ),
         verdict=ok,
         citation=CITE_EQUALITY,
-        details=_detail(local_membership=not outside),
+        details=_detail(local_membership=member),
     )
 
 

@@ -2,8 +2,9 @@
 
 Each subcommand accepts exactly the flags its handler reads: ``--json``
 everywhere, ``--vars`` wherever there is an input polynomial,
-``--max-level`` on analyze, ``--seed`` on counterexample, and ``--order``
-on gb only; every other computation runs in grevlex.  No flag bounds a
+``--max-level`` on analyze, ``--seed`` on counterexample, ``--ideal`` on
+membership and jk, ``--k`` on jk and descent, and ``--order`` on gb only;
+every other computation runs in grevlex.  No flag bounds a
 computation: every Milnor and Tjurina number is exact, infinite when the
 origin is not an isolated singular point.  A positional input is a
 polynomial expression; gb reads comma-separated generators, and analyze
@@ -484,20 +485,14 @@ def cmd_descent(args) -> int:
     # generation_descent replays the whole chain before it returns it
     chain = generation_descent(f, weights, args.k)
     document = dict(chain.to_dict(), verified=True)
-    names = ring.names
     lines = [f"weights: {weights}", f"level: {args.k}", f"steps: {len(chain)}"]
     for step in chain.steps:
-        u_text = str(Polynomial.monomial(ring, step.u))
-        terms = []
-        for i, name in enumerate(names):
-            shifted = tuple(
-                step.u[j] + (1 if j == i else 0) for j in range(len(names))
-            )
-            terms.append(
-                f"{step.scale * step.weights[i]}*d_{name}"
-                f"({Polynomial.monomial(ring, shifted)}/f^{step.level + 1})"
-            )
-        lines.append(f"  {u_text}/f^{step.level + 1} = " + " + ".join(terms))
+        pole = f"/f^{step.level + 1}"
+        terms = [
+            f"{step.scale * w}*d_{name}({Polynomial.monomial(ring, v)}{pole})"
+            for name, w, v in zip(ring.names, step.weights, step.inputs())
+        ]
+        lines.append(f"  {Polynomial.monomial(ring, step.u)}{pole} = " + " + ".join(terms))
     lines.append("verified: true")
     _emit(document, args.json, "\n".join(lines))
     return EXIT_OK

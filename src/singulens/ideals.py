@@ -47,10 +47,11 @@ dividing and strips common content as it goes, and returns the primitive
 remainder r with integers num, den such that den * r = num * NF(p).
 Buchberger and basis reduction need only r up to a unit;
 ``Ideal.normal_form`` clears the denominators of p (p_int = d * p),
-reduces against the primitive integer forms of the monic reduced basis,
-and returns the exact rational normal form den * r / (num * d).  The
-normal form modulo a Groebner basis is unique, so it does not depend on
-which multiples of the basis elements reduce it.
+reduces against the primitive integer forms of the monic reduced grevlex
+basis, and returns the exact rational normal form den * r / (num * d).
+The normal form modulo a Groebner basis is unique, so it does not depend
+on which multiples of the basis elements reduce it.  Normal forms and
+membership are grevlex only; ``groebner_basis`` alone takes another order.
 
 Monomial ideals, whose generators are single terms, stay monomial (Cox,
 Little and O'Shea, Ideals, Varieties, and Algorithms, sections 2.4 and
@@ -725,7 +726,11 @@ def maximal_ideal_power(ring: RingContext, k: int) -> "Ideal":
 class Ideal:
     """Finitely generated ideal with per-order cached reduced Groebner bases.
 
-    ``generators`` holds the nonzero generators, in the order given.
+    ``generators`` holds the nonzero generators, in the order given.  Global
+    questions (``member``, ``normal_form``, ``contains_ideal``, ``colength``)
+    are answered on the reduced grevlex basis, local ones at the origin
+    (``local_member``) on the local echelon form; ``quotient`` and ``+``
+    build new ideals.
     """
 
     __slots__ = ("ring", "generators", "_cache")
@@ -794,14 +799,14 @@ class Ideal:
             self._cache[order.name] = cached
         return cached[0]
 
-    def normal_form(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-        """Canonical remainder of p modulo the reduced basis."""
+    def normal_form(self, p: Polynomial) -> Polynomial:
+        """Canonical remainder of p modulo the reduced grevlex basis."""
         if p.ring.names != self.ring.names:
             raise ValueError("polynomial from a different ring")
-        reds = self._reducers(order)
+        reds = self._reducers()
         if not reds:
             return p
-        pk = _packing(self.ring.arity, order)
+        pk = _packing(self.ring.arity, GREVLEX)
         ints, d = clear_denominators(p)
         r, num, den = _ff_reduce(pk.pack_poly(ints), reds, pk.guard)
         # den * r = num * NF(d * p)
@@ -809,19 +814,17 @@ class Ideal:
             self.ring, {pk.unpack(e): Fraction(c * den, num * d) for e, c in r.items()}
         )
 
-    def _reducers(self, order: MonomialOrder) -> list:
-        """Reducer records of the reduced basis, filled with it."""
-        cached = self._cache.get(order.name)
+    def _reducers(self) -> list:
+        """Reducer records of the reduced grevlex basis, filled with it."""
+        cached = self._cache.get(GREVLEX.name)
         if cached is None:
-            self.groebner_basis(order)
-            cached = self._cache[order.name]
+            self.groebner_basis()
+            cached = self._cache[GREVLEX.name]
         return cached[1]
 
-    def member(self, p: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
-        return self.normal_form(p, order).is_zero()
-
-    def __contains__(self, p: Polynomial) -> bool:
-        return self.member(p)
+    def member(self, p: Polynomial) -> bool:
+        """Whether p lies in I: its grevlex normal form is zero."""
+        return self.normal_form(p).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         """Whether every generator of ``other`` lies in this ideal.
@@ -845,33 +848,12 @@ class Ideal:
         exponents = [e for g in self.generators if len(g) == 1 for e, _ in g.items()]
         return exponents if len(exponents) == len(self.generators) else None
 
-    def is_zero(self) -> bool:
-        return not self.groebner_basis()
-
-    def is_unit(self) -> bool:
-        basis = self.groebner_basis()
-        return len(basis) == 1 and basis[0].total_degree() == 0
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "Ideal") -> "Ideal":
         if not isinstance(other, Ideal):
             return NotImplemented
         return Ideal(self.ring, _dedup(self.generators + other.generators))
-
-    def __mul__(self, other: "Ideal") -> "Ideal":
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        products = [a * b for a in self.generators for b in other.generators]
-        return Ideal(self.ring, _dedup(products))
-
-    def __pow__(self, k: int) -> "Ideal":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("ideal powers take a nonnegative int")
-        result = Ideal(self.ring, (self.ring.one(),))
-        for _ in range(k):
-            result = result * self
-        return result
 
     # -- quotient and local membership ----------------------------------
 
@@ -927,10 +909,7 @@ class Ideal:
         found = _local_echelon(self)
         if found is None:
             return self._quotient_member(p)
-        n, pivots = found
-        bound = n << pk.pbits  # the least packed monomial of degree n
-        row = {m: c for m, c in pk.pack_poly(_int_poly(p)).items() if m < bound}
-        return _pivot_reduce(row, pivots) is None
+        return _echelon_head(pk.pack_poly(_int_poly(p)), found, pk) is None
 
     def _quotient_member(self, p: Polynomial) -> bool:
         """Local membership of a nonzero p through the ideal quotient.
@@ -964,14 +943,11 @@ class Ideal:
         found = _local_echelon(self)
         if found is None:
             return None
-        n, pivots = found
         pk = _packing(self.ring.arity, GRLEX)
-        bound = n << pk.pbits  # the least packed monomial of degree n
-        head = _pivot_reduce(
-            {m: c for m, c in pk.pack_poly(_int_poly(p)).items() if m < bound}, pivots
-        )
+        head = _echelon_head(pk.pack_poly(_int_poly(p)), found, pk)
         if head is None:
             return None
+        n, pivots = found
         lam = {head[0]: Fraction(1)}
         for key in sorted(pivots, reverse=True):
             c, tail = pivots[key]
@@ -1115,6 +1091,21 @@ def _local_echelon(ideal: Ideal, degree_cap: int | None = None) -> tuple[int, di
     if cached is None or degree_cap is not None and cached[0] > degree_cap:
         raise DegreeCapExceeded(f"colength at the origin not stabilized by degree {degree_cap}")
     return cached
+
+
+def _echelon_head(p: _IntPoly, echelon: tuple[int, dict], pk: _Packing) -> tuple | None:
+    """The ``_pivot_reduce`` head of the terms of p below degree N against (N, pivots).
+
+    p and the pivots are packed by the grlex packing pk, whose key field is
+    the degree: a monomial of degree d packs to at least d << pbits and
+    below (d + 1) << pbits.  None when those terms reduce to zero: p lies
+    in I*O_0 for the ideal I of the echelon.  ``local_member``,
+    ``_local_functional`` and the local equality ladder all read the
+    echelon here.
+    """
+    n, pivots = echelon
+    bound = n << pk.pbits
+    return _pivot_reduce({m: c for m, c in p.items() if m < bound}, pivots)
 
 
 def _t_free(gens: list[_IntPoly], pk: _Packing) -> list[_IntPoly]:

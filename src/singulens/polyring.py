@@ -10,7 +10,10 @@ Monomial orders are supplied as key functions: ``order.key(e)`` returns an
 int tuple that sorts monomials ascending, so ``max(exponents, key=order.key)``
 is the leading monomial.  Three classical orders are provided (lex, graded
 lex, graded reverse lex; ties broken by the declaration order of the ring
-variables) plus a block order used internally for elimination.
+variables) plus a block order used internally for elimination.  A
+polynomial's ``terms``, ``leading_monomial`` and ``leading_coefficient``
+are read in grevlex, the order of every normal form; only
+``Ideal.groebner_basis`` takes another order.
 
 The text grammar accepted by :func:`parse`:
 
@@ -291,17 +294,19 @@ class Polynomial:
             d: Polynomial(self.ring, coeffs) for d, coeffs in sorted(parts.items())
         }
 
-    def terms(self, order: MonomialOrder = GREVLEX) -> list[tuple[Exponent, Fraction]]:
-        """Terms as (exponent, coefficient) pairs, descending in the order."""
-        return sorted(self._c.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def terms(self) -> list[tuple[Exponent, Fraction]]:
+        """Terms as (exponent, coefficient) pairs, descending in grevlex."""
+        return sorted(self._c.items(), key=lambda t: GREVLEX.key(t[0]), reverse=True)
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Exponent:
+    def leading_monomial(self) -> Exponent:
+        """The grevlex-largest exponent."""
         if not self._c:
             raise ValueError("zero polynomial has no leading term")
-        return max(self._c, key=order.key)
+        return max(self._c, key=GREVLEX.key)
 
-    def leading_coefficient(self, order: MonomialOrder = GREVLEX) -> Fraction:
-        return self._c[self.leading_monomial(order)]
+    def leading_coefficient(self) -> Fraction:
+        """The coefficient of the grevlex-largest exponent."""
+        return self._c[self.leading_monomial()]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -407,7 +412,7 @@ class Polynomial:
         if not self._c:
             return "0"
         chunks: list[str] = []
-        for n, (exp, coeff) in enumerate(self.terms(GREVLEX)):
+        for n, (exp, coeff) in enumerate(self.terms()):
             mono = "*".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.ring.names, exp)
@@ -450,8 +455,8 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial | None:
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p._check_ring(d)
-    lm = d.leading_monomial(GREVLEX)
-    lc = d.leading_coefficient(GREVLEX)
+    lm = d.leading_monomial()
+    lc = d.leading_coefficient()
     rest = [(e, q) for e, q in d.items() if e != lm]
     work = dict(p._c)
     quo: dict[Exponent, Fraction] = {}

@@ -44,6 +44,7 @@ from .ideals import (
     ExponentOverflow,
     Ideal,
     _add_rows,
+    _echelon_head,
     _exponents_of_degree,
     _int_poly,
     _local_echelon,
@@ -387,8 +388,7 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
                     for a in map(pk.pack, _exponents_of_degree(ws, nak)):
                         rows.append({m + a: c for m, c in big_f.items()})
                     nak, pivots = _nakayama_echelon(rows, pk, pivots)
-                    bound = nak << pk.pbits  # the least packed monomial of degree N_k
-                    left = _pivot_reduce({m: c for m, c in power.items() if m < bound}, pivots)
+                    left = _echelon_head(power, (nak, pivots), pk)
                 elif (left := _pivot_reduce(dict(power), pivots)) is not None:
                     for num, bw, _, d in nodes:
                         _add_rows(pivots, num, bw - d, ws, pk, shifts)

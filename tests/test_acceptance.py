@@ -213,13 +213,13 @@ def test_criterion_8_property_suites(rng, ring, capsys):
             for i in range(len(basis)):
                 for j in range(i + 1, len(basis)):
                     a, b = basis[i], basis[j]
-                    ea = a.leading_monomial(GREVLEX)
-                    eb = b.leading_monomial(GREVLEX)
+                    ea = a.leading_monomial()
+                    eb = b.leading_monomial()
                     lcm = tuple(max(p, q) for p, q in zip(ea, eb))
                     ma = Polynomial.monomial(ring, tuple(l - p for l, p in zip(lcm, ea)))
                     mb = Polynomial.monomial(ring, tuple(l - q for l, q in zip(lcm, eb)))
-                    s = ma * a * (1 / a.leading_coefficient(GREVLEX)) - mb * b * (
-                        1 / b.leading_coefficient(GREVLEX)
+                    s = ma * a * (1 / a.leading_coefficient()) - mb * b * (
+                        1 / b.leading_coefficient()
                     )
                     assert ideal.normal_form(s).is_zero()
                     checked += 1

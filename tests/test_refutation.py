@@ -141,6 +141,15 @@ def test_read_functionals_pass_and_tampering_matches_brute_force(rng, ring2):
     assert seen[True] and seen[False]
 
 
+def test_a_local_unit_ideal_admits_no_functional(ring2):
+    """An ideal holding a local unit has N = 0: no term of p, not even a constant, lies below it."""
+    unit = Ideal(ring2, [parse("1 + x", ring2), parse("y^2", ring2)])
+    for text in ("1", "3 + x*y", "x", "y^5 - 2"):
+        p = parse(text, ring2)
+        assert unit.local_member(p)
+        assert unit._local_functional(p) is None, text
+
+
 def test_module_imports_only_the_standard_library():
     tree = ast.parse(Path(refutation_module.__file__).read_text(encoding="utf-8"))
     names = []

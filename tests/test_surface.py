@@ -1,6 +1,9 @@
-"""The public surface re-exported from the package root."""
+"""The public surface re-exported from the package root, and what ``Ideal`` answers."""
+
+import inspect
 
 import singulens
+from singulens import Ideal, Polynomial
 
 PUBLIC = [
     "AnalysisReport",
@@ -61,3 +64,42 @@ def test_the_public_surface_is_pinned():
     assert singulens.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(singulens, name) is not None, name
+
+
+# Ideal answers global questions on its grevlex basis and local ones on its
+# echelon; only groebner_basis takes a monomial order.
+IDEAL_PUBLIC = [
+    "colength",
+    "contains_ideal",
+    "generators",
+    "groebner_basis",
+    "is_m_primary",
+    "local_member",
+    "member",
+    "normal_form",
+    "quotient",
+    "ring",
+]
+
+GREVLEX_ONLY = {
+    Ideal.normal_form: ["self", "p"],
+    Ideal.member: ["self", "p"],
+    Ideal._reducers: ["self"],
+    Polynomial.terms: ["self"],
+    Polynomial.leading_monomial: ["self"],
+    Polynomial.leading_coefficient: ["self"],
+}
+
+
+def test_ideal_members_are_pinned():
+    """Adding or removing a member of Ideal is a deliberate change to this list."""
+    assert sorted(name for name in dir(Ideal) if not name.startswith("_")) == IDEAL_PUBLIC
+    for name in ("__mul__", "__pow__", "__contains__", "is_zero", "is_unit"):
+        assert not hasattr(Ideal, name), name
+    assert hasattr(Ideal, "__add__")
+
+
+def test_only_groebner_basis_takes_an_order():
+    for fn, params in GREVLEX_ONLY.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
+    assert list(inspect.signature(Ideal.groebner_basis).parameters) == ["self", "order"]
