@@ -16,13 +16,14 @@ strictness step recorded as trusted rather than re-verified.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import warnings
 from dataclasses import dataclass, field, replace
 
 from .genus import GenusResult, SingularityClass, classify, compute_genus
-from .ideals import INFINITE, Ideal, maximal_ideal, maximal_ideal_power
+from .ideals import INFINITE, Ideal, _local_echelon, maximal_ideal, maximal_ideal_power
 from .invariants import (
     Germ,
     QHVerdict,
@@ -46,6 +47,7 @@ __all__ = [
     "counterexample_suite",
     "equality_certificate",
     "length_bound",
+    "qh_verdict",
     "screen_isolated",
     "COUNTEREXAMPLE_TEXT",
 ]
@@ -91,6 +93,18 @@ def screen_isolated(f: Polynomial | Germ) -> ScreenResult:
     germ = as_germ(f)
     mu = milnor_number(germ)
     return ScreenResult(tjurina_number(germ) != INFINITE, mu != INFINITE)
+
+
+def qh_verdict(germ: Germ, mu) -> QHVerdict | None:
+    """``is_quasi_homogeneous`` where the reports ask it, else None.
+
+    It is asked exactly when the Milnor number mu of the germ is finite
+    and the origin is a singular point of f = 0 (``Germ.no_singularity``
+    is None); ``analyze`` and the ``invariants`` command share this rule.
+    """
+    if mu == INFINITE or germ.no_singularity() is not None:
+        return None
+    return is_quasi_homogeneous(germ)
 
 
 def length_bound(genus: GenusResult) -> int:
@@ -283,9 +297,8 @@ def analyze(
         screen = screen_isolated(germ)
         mu = milnor_number(germ)
         tau = tjurina_number(germ)
-        qh = None
-        if mu != INFINITE and germ.no_singularity() is None:
-            qh = is_quasi_homogeneous(germ)
+        qh = qh_verdict(germ, mu)
+        if qh is not None:
             citations.append(CITE_SAITO)
             if qh.obstruction is not None:
                 citations.append(CITE_SQH)
@@ -442,40 +455,55 @@ def _cert_ordinary_genus(f: Polynomial) -> Certificate:
 
 
 def _cert_f_plus_perturbation_in_j1(f: Polynomial) -> Certificate:
+    """C4 by an explicit combination of generators of J_1, with no Groebner basis.
+
+    For the generator G = x_i of m, ``jk_ideal`` emits N_(e_i) = F - x_i*dF/dx_i
+    divided by d*c, that is f - x_i*df/dx_i.  So when every summand of the
+    combination is a generator of J_1 (or zero) and their sum replays to
+    -(f + h), f + h lies in J_1: ``global_membership`` reads both checks.
+    """
     ring = f.ring
     rest = f - Germ(f).cone.f
     j1 = jk_ideal(f, maximal_ideal(ring), 1)
     target = f + rest
-    member = j1.member(target)
-    combination = ring.zero()
-    for i in range(ring.arity):
-        combination = combination + (
-            f - ring.gens()[i] * f.partial_derivative(i)
-        )
-    witness = combination == -target
+    summands = [f - x * f.partial_derivative(i) for i, x in enumerate(ring.gens())]
+    witness = sum(summands, ring.zero()) == -target
+    member = witness and all(s.is_zero() or s in j1.generators for s in summands)
     return Certificate(
         name="C4",
         statement=(
             "f plus its above-cone part lies in the order-1 numerator ideal, "
             "with the explicit combination sum_i (f - x_i df/dx_i) = -(f + h)"
         ),
-        verdict=member and witness,
+        verdict=member,
         citation=CITE_EQUALITY,
         details=_detail(global_membership=member, explicit_combination_replayed=witness),
     )
 
 
 def _cert_m6_inside_j1(f: Polynomial) -> Certificate:
+    """C5 locally: m^6 lies in J_1*O_0 exactly when J_1's Nakayama exponent N is at most 6.
+
+    N is read off J_1's own local echelon, as C6 and C7 read theirs, with
+    no Groebner basis; no echelon (the origin not isolated in V(J_1)) reads
+    False.  The local statement carries the paper's argument: it gives
+    J_1*O_0 = (J_1 + m^6)*O_0; C6 puts h outside J_1 + m^6, which is
+    m-primary, so h lies outside J_1*O_0; and as f + h lies in J_1 (C4), f
+    lies outside J_1*O_0, C7's claim.
+    """
     ring = f.ring
     j1 = jk_ideal(f, maximal_ideal(ring), 1)
-    m6 = maximal_ideal_power(ring, 6)
-    ok = j1.contains_ideal(m6)
+    found = _local_echelon(j1)
+    ok = found is not None and found[0] <= 6
     return Certificate(
         name="C5",
-        statement="every monomial of degree 6 lies in the order-1 numerator ideal",
+        statement=(
+            "every monomial of degree 6 lies in the order-1 numerator ideal "
+            "locally at the origin"
+        ),
         verdict=ok,
         citation=CITE_EQUALITY,
-        details=_detail(monomial_count=len(m6.generators)),
+        details=_detail(monomial_count=math.comb(ring.arity + 5, 6)),
     )
 
 

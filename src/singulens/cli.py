@@ -30,10 +30,11 @@ from .analyzer import (
     AnalysisReport,
     analyze,
     counterexample_suite,
+    qh_verdict,
 )
 from .genus import classify, compute_genus
 from .ideals import INFINITE, ExponentOverflow, Ideal, InfiniteColengthError, maximal_ideal
-from .invariants import Germ, find_weights, is_quasi_homogeneous, milnor_number, tjurina_number
+from .invariants import Germ, find_weights, milnor_number, tjurina_number
 from .polyring import GREVLEX, MonomialOrder, ParseError, Polynomial, RingContext, parse
 from .sections import generation_descent, jk_ideal
 
@@ -130,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args, parser: argparse.ArgumentParser) -> None:
     """Validate the flags the chosen subcommand has, normalizing in place.
 
-    ``--vars`` becomes a tuple of names.
+    ``--vars`` becomes a tuple of distinct identifiers.
     """
     if "vars" in args:
         names = tuple(v.strip() for v in args.vars.split(","))
@@ -138,6 +139,9 @@ def _check_args(args, parser: argparse.ArgumentParser) -> None:
             parser.error("--vars needs a nonempty comma-separated list of names")
         if len(set(names)) != len(names):
             parser.error("--vars names must be distinct")
+        for v in names:
+            if not v.isidentifier():
+                parser.error(f"--vars name {v!r} is not an identifier")
         args.vars = names
     if "max_level" in args and args.max_level < 1:
         parser.error("--max-level must be at least 1")
@@ -360,12 +364,7 @@ def cmd_invariants(args) -> int:
         warnings.simplefilter("ignore")
         mu = milnor_number(germ)
         tau = tjurina_number(germ)
-        qh = None
-        if mu != INFINITE:
-            try:
-                qh = is_quasi_homogeneous(germ)
-            except ValueError:
-                qh = None
+        qh = qh_verdict(germ, mu)
     document = {
         "input": str(germ.f),
         "ring": {"variables": list(args.vars), "order": GREVLEX.name},

@@ -100,8 +100,9 @@ stop by B proves isolation, so B schedules the test and decides nothing.
 A non-isolated ideal has colength INFINITE, and
 ``Ideal.local_member`` decides it through the ideal quotient, which C2
 also takes on purpose: p lies in I locally exactly when (I : p) contains
-an element with nonzero constant term.  An isolated ideal climbs again,
-with no truncation, to its N.
+an element with nonzero constant term.  The quotient is taken by the
+normal form r of p, as (I : p) = (I : r); r = 0 answers at once.  An
+isolated ideal climbs again, with no truncation, to its N.
 
 A negative answer can also be handed out with its proof: a rational
 functional lam below degree T that kills every product x^a*g of a
@@ -916,14 +917,19 @@ class Ideal:
 
         p lies in I locally exactly when u*p lies in I for some u with
         u(0) != 0, that is, when p lies in I or (I : p) contains an
-        element with nonzero constant term.  (I : p) lies inside m exactly
-        when each of its generators does, so their constant terms decide,
-        with no Groebner basis of the quotient.  Needs no Nakayama
-        exponent, but the elimination behind ``quotient`` can be slow.
+        element with nonzero constant term.  The quotient is taken by the
+        normal form r of p, computed once: r = 0 means p lies in I, and
+        otherwise (I : p) = (I : r), as q*p and q*r differ by an element
+        of I, and the elimination behind ``quotient`` starts from the
+        reduced r.  (I : r) lies inside m exactly when each of its
+        generators does, so their constant terms decide, with no Groebner
+        basis of the quotient.  Needs no Nakayama exponent, but the
+        elimination can be slow.
         """
-        if self.member(p):
+        r = self.normal_form(p)
+        if r.is_zero():
             return True
-        return any(g.constant_term != 0 for g in self.quotient(p).generators)
+        return any(g.constant_term != 0 for g in self.quotient(r).generators)
 
     def _local_functional(self, p: Polynomial) -> tuple[int, dict[Exponent, Fraction]] | None:
         """(N, lam), lam a functional below degree N that refutes p in I*O_0.

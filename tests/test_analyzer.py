@@ -319,11 +319,11 @@ def test_counterexample_suite_tampered(ring, P):
     assert CITE_HODGE not in report.citations
 
 
-def test_c6_and_c7_functionals_match_membership(rng, ring, P):
-    """C6 against the global route (J_1 + m^6).member(h), C7 against local_member.
+def _above_cone_germs(rng, ring, P):
+    """The tampered Fermat quartic (h = 0), the witness, and ten seeded germs.
 
-    Fermat quartics and quintics plus one or two above-cone terms, and the
-    tampered Fermat quartic, whose h is zero.
+    Each seeded germ is a Fermat quartic or quintic plus one or two terms
+    one degree above it.
     """
     germs = [P("x^4 + y^4 + z^4"), counterexample_polynomial(ring)]
     for _ in range(10):
@@ -333,8 +333,17 @@ def test_c6_and_c7_functionals_match_membership(rng, ring, P):
         for e in rng.sample(above, rng.randint(1, 2)):
             f = f + rng.choice([-2, -1, 1, 3]) * Polynomial.monomial(ring, e)
         germs.append(f)
+    return germs
+
+
+def test_c6_and_c7_functionals_match_membership(rng, ring, P):
+    """C6 against the global route (J_1 + m^6).member(h), C7 against local_member.
+
+    Fermat quartics and quintics plus one or two above-cone terms, and the
+    tampered Fermat quartic, whose h is zero.
+    """
     below_six, c7 = set(), set()
-    for f in germs:
+    for f in _above_cone_germs(rng, ring, P):
         h = f - Germ(f).cone.f
         j1 = jk_ideal(f, maximal_ideal(ring), 1)
         enlarged = j1 + ideals_module.maximal_ideal_power(ring, 6)
@@ -346,6 +355,65 @@ def test_c6_and_c7_functionals_match_membership(rng, ring, P):
         assert verdict == (not j1.local_member(f)), f
         c7.add(verdict)
     assert below_six == c7 == {True, False}  # some h of degree 5 lies in J_1 + m^6
+
+
+def test_c4_and_c5_match_their_groebner_routes(rng, ring, P):
+    """C4's generator combination and C5's Nakayama exponent against Groebner bases of J_1.
+
+    C4 reads as the Groebner route did: J_1.member(f + h) and the replayed
+    combination.  On a quartic cone that is J_1.member(f + h).  On a
+    quintic cone the combination sums to -2*f_5 - 3*h, not -(f + h), so it
+    proves nothing, though f + h may lie in J_1; one fixed quintic germ
+    joins the seeded ones so that every seed sees that case.  C5 reads
+    whether the Nakayama exponent N of J_1 is at most 6, which every
+    degree-6 monomial's local membership confirms, and m^6 inside J_1
+    globally implies it.
+    """
+    m6 = ideals_module.maximal_ideal_power(ring, 6)
+    c4, c5 = set(), set()
+    for f in _above_cone_germs(rng, ring, P) + [P("x^5 + y^5 + z^5 + x^3*y^3")]:
+        h = f - Germ(f).cone.f
+        j1 = jk_ideal(f, maximal_ideal(ring), 1)
+        member = j1.member(f + h)
+        summands = (f - x * f.partial_derivative(i) for i, x in enumerate(ring.gens()))
+        combination = sum(summands, ring.zero())
+        cert = analyzer_module._cert_f_plus_perturbation_in_j1(f)
+        assert cert.verdict == (member and combination == -(f + h)), f
+        if Germ(f).cone.f.total_degree() == 4:
+            assert cert.verdict == member, f
+        c4.add(cert.verdict)
+        verdict = analyzer_module._cert_m6_inside_j1(f).verdict
+        assert verdict == all(j1.local_member(g) for g in m6.generators), f
+        if j1.contains_ideal(m6):
+            assert verdict, f
+        c5.add(verdict)
+    assert c4 == c5 == {True, False}
+
+
+def test_c4_rejects_a_summand_that_is_not_a_generator(ring, P, monkeypatch):
+    """A J_1 in which f - x*df/dx is replaced by twice itself is the same ideal.
+
+    f + h still lies in it, but the summand f - x*df/dx is no longer a
+    generator, so the combination proves nothing and C4 reads False.
+    """
+    real = analyzer_module.jk_ideal
+
+    def doubled(f, ideal, k):
+        summand = f - ring.gens()[0] * f.partial_derivative(0)
+        gens = [2 * g if g == summand else g for g in real(f, ideal, k).generators]
+        return Ideal(ring, gens)
+
+    f = counterexample_polynomial(ring)
+    assert analyzer_module._cert_f_plus_perturbation_in_j1(f).verdict
+    monkeypatch.setattr(analyzer_module, "jk_ideal", doubled)
+    h = f - Germ(f).cone.f
+    assert doubled(f, maximal_ideal(ring), 1).member(f + h)
+    cert = analyzer_module._cert_f_plus_perturbation_in_j1(f)
+    assert cert.verdict is False
+    assert cert.details == (
+        ("global_membership", "False"),
+        ("explicit_combination_replayed", "True"),
+    )
 
 
 def test_c7_without_an_echelon_reads_false(ring, P):

@@ -159,6 +159,24 @@ def test_invariants_command(capsys):
     assert document["invariants"]["qh"] is None
 
 
+@pytest.mark.parametrize(
+    "text", ["x", "x + y^2 + z^2", "1 + x^2 + y^2 + z^2", analyzer_module.COUNTEREXAMPLE_TEXT]
+)
+def test_invariants_block_matches_analyze(capsys, text):
+    """invariants reports a qh verdict exactly where analyze does.
+
+    Two smooth points and a germ with f(0) != 0 have no singularity, so
+    both give qh null; the witness gets the same negative verdict.
+    """
+    code, out, err = run(capsys, ["invariants", "--json", text])
+    assert code == EXIT_OK
+    block = json.loads(out)["invariants"]
+    code, out, err = run(capsys, ["analyze", "--json", text])
+    assert code == EXIT_OK
+    assert block == json.loads(out)["invariants"]
+    assert (block["qh"] is None) == (text != analyzer_module.COUNTEREXAMPLE_TEXT)
+
+
 def test_refusal_names_the_stage_and_the_ideal(capsys, P):
     """x*y + x^3 + x^2*y, singular along the z-axis, is decided; a guard's refusal is named.
 
@@ -361,6 +379,7 @@ def test_usage_errors_from_argparse(capsys):
         ["jk", "--degree-cap", "20", "x^2 + y^2 + z^2"],
         ["counterexample", "--degree-cap", "20"],
         ["counterexample", "--vars", "a,b,c"],
+        ["analyze", "--vars", "x,1y", "x^2"],
         *([command, "--degree-cap", "12", "x^2 + y^2 + z^2"] for command in
           ("analyze", "invariants", "genus")),
     ):
