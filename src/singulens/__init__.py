@@ -44,7 +44,6 @@ from .invariants import (
 from .sections import (
     DescentChain,
     DescentStep,
-    RationalSection,
     euler_check,
     generation_descent,
     jk_ideal,
@@ -91,7 +90,6 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "QHVerdict",
-    "RationalSection",
     "RingContext",
     "ScreenResult",
     "SingularityClass",

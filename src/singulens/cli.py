@@ -145,6 +145,8 @@ def _check_args(args, parser: argparse.ArgumentParser) -> None:
         args.vars = names
     if "max_level" in args and args.max_level < 1:
         parser.error("--max-level must be at least 1")
+    if "k" in args and args.k < 0:
+        parser.error("--k must be nonnegative")
 
 
 def _parse_generators(text: str, ring: RingContext) -> list[Polynomial]:
@@ -448,9 +450,6 @@ def cmd_membership(args) -> int:
 
 def cmd_jk(args) -> int:
     ring = RingContext(args.vars)
-    if args.k < 0:
-        print("--k must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     f = parse(args.input, ring)
     if args.ideal is None:
         ideal = maximal_ideal(ring)
@@ -469,9 +468,6 @@ def cmd_jk(args) -> int:
 
 def cmd_descent(args) -> int:
     ring = RingContext(args.vars)
-    if args.k < 0:
-        print("--k must be nonnegative", file=sys.stderr)
-        return EXIT_USAGE
     f = parse(args.input, ring)
     weights = find_weights(f)
     if weights is None:

@@ -1,20 +1,15 @@
-"""Rational sections p / f^m, the numerator ideals J_k and the Euler descent.
-
-A section is stored in cancelled form: the pole order is reduced whenever
-the denominator divides the numerator exactly.  Differentiation follows
-the quotient rule and respects that normalization, so iterated partials
-of g / f stay exact at every step.
+"""The numerator ideals J_k of the sections d^b(g / f), and the Euler descent.
 
 The order-k numerator ideal J_k of an ideal I collects, for each
 generator g and each multi-index b with |b| <= k, the polynomial
 f^(k+1) * d^b(g / f); membership of f^k in J_k at the origin is the
 levelwise test used by the length certificates.  ``jk_ideal`` builds it
 fraction-free from packed integer numerators N_b (one int per monomial,
-see ``ideals``), without sections: sections stay exact rational
-reference code, which no level test and no descent replay uses.  The
-levels k >= 1 climb one ladder (``level_ladder``) instead of rebuilding
-J_k: J_k = F * J_(k-1) + (N_b : |b| = k), so each level starts from F
-times the echelon form of the level below and adds only rows of the new
+see ``ideals``) by the quotient rule on numerators: no section g / f is
+formed as a fraction.  The levels k >= 1 climb one ladder
+(``level_ladder``) instead of rebuilding J_k:
+J_k = F * J_(k-1) + (N_b : |b| = k), so each level starts from F times
+the echelon form of the level below and adds only rows of the new
 numerators, as one linear system in the weighted degree of f^k for a
 graded germ, else on the local echelon.
 
@@ -60,10 +55,8 @@ from .polyring import (
     GRLEX,
     Exponent,
     Polynomial,
-    RingContext,
     _raw,
     clear_denominators,
-    exact_div,
     exponent_box,
     integer_weights,
 )
@@ -71,121 +64,11 @@ from .polyring import (
 __all__ = [
     "DescentChain",
     "DescentStep",
-    "RationalSection",
     "euler_check",
     "generation_descent",
     "jk_ideal",
     "level_ladder",
 ]
-
-
-class RationalSection:
-    """A section numerator / base^pole over a fixed nonzero base polynomial."""
-
-    __slots__ = ("base", "numerator", "pole")
-
-    def __init__(self, base: Polynomial, numerator: Polynomial, pole: int = 0) -> None:
-        if base.is_zero():
-            raise ValueError("section base must be nonzero")
-        if numerator.ring != base.ring:
-            raise ValueError("numerator and base live in different rings")
-        if pole < 0:
-            raise ValueError("pole order must be nonnegative")
-        if numerator.is_zero():
-            pole = 0
-        else:
-            while pole > 0:
-                reduced = exact_div(numerator, base)
-                if reduced is None:
-                    break
-                numerator = reduced
-                pole -= 1
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "pole", pole)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalSection is immutable")
-
-    @property
-    def ring(self) -> RingContext:
-        return self.base.ring
-
-    @classmethod
-    def reciprocal_power(cls, base: Polynomial, pole: int = 1) -> "RationalSection":
-        """The section 1 / base^pole."""
-        return cls(base, base.ring.one(), pole)
-
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalSection):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.pole == other.pole
-            and self.numerator == other.numerator
-        )
-
-    def __hash__(self) -> int:
-        return hash((RationalSection, self.base, self.numerator, self.pole))
-
-    def _coerce(self, other) -> "RationalSection":
-        if isinstance(other, RationalSection):
-            if other.base != self.base:
-                raise ValueError("sections over different bases cannot be combined")
-            return other
-        if isinstance(other, Polynomial):
-            return RationalSection(self.base, other, 0)
-        raise TypeError(f"cannot combine a section with {type(other).__name__}")
-
-    def __add__(self, other) -> "RationalSection":
-        other = self._coerce(other)
-        m = max(self.pole, other.pole)
-        p = self.numerator * self.base ** (m - self.pole)
-        q = other.numerator * self.base ** (m - other.pole)
-        return RationalSection(self.base, p + q, m)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalSection":
-        return RationalSection(self.base, -self.numerator, self.pole)
-
-    def __sub__(self, other) -> "RationalSection":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "RationalSection":
-        if isinstance(other, (int, Fraction, Polynomial)):
-            return RationalSection(self.base, self.numerator * other, self.pole)
-        if isinstance(other, RationalSection):
-            if other.base != self.base:
-                raise ValueError("sections over different bases cannot be combined")
-            return RationalSection(
-                self.base, self.numerator * other.numerator, self.pole + other.pole
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def derive(self, variable) -> "RationalSection":
-        """Partial derivative, by the quotient rule with exact cancellation."""
-        i = self.ring.index(variable)
-        dp = self.numerator.partial_derivative(i)
-        if self.pole == 0:
-            return RationalSection(self.base, dp, 0)
-        df = self.base.partial_derivative(i)
-        numerator = dp * self.base - self.pole * self.numerator * df
-        return RationalSection(self.base, numerator, self.pole + 1)
-
-    def __str__(self) -> str:
-        if self.pole == 0:
-            return str(self.numerator)
-        denom = f"({self.base})" if self.pole == 1 else f"({self.base})^{self.pole}"
-        return f"({self.numerator}) / {denom}"
-
-    def __repr__(self) -> str:
-        return f"RationalSection({self!s})"
 
 
 def _mul(a: dict, b: dict) -> dict:
@@ -219,19 +102,18 @@ def _derive(num: dict, i: int, order: int, big_f: dict, df: dict, pk: _Packing) 
 def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
     """Order-k numerator ideal of the sections d^b(g / f), |b| <= k, g in I.
 
-    Each generator is the polynomial f^(k+1) * d^b(g / f).  It is built on
-    integers: with f = F / c and g = G / d for integer polynomials F, G,
-    the uncancelled numerators N_b = F^(|b|+1) * d^b(G / F) start at N_0 = G
-    and obey N_(b+e_i) = d_i(N_b) * F - (|b| + 1) * N_b * d_i(F), and the
-    generator is F^(k-|b|) * N_b / (d * c^k), with the powers of F built
-    once.  No factor of f is cancelled along the way; cancelling f^c from
-    both the numerator and the pole of a section leaves
-    f^(k+1-pole) * numerator unchanged, so the generators are the same
-    polynomials as those of the cancelled ``RationalSection`` walk.
-    Distinct multi-indices are enumerated once, by taking derivatives in
-    non-decreasing variable order.  One d, the lcm of the denominators
-    over all generators of I, serves every g, so equal generators have
-    equal integer numerators and are kept once, at their first occurrence.
+    Each generator is the polynomial f^(k+1) * d^b(g / f), a polynomial
+    because d^b(g / f) has pole order at most |b| + 1 <= k + 1 along f.  It
+    is built on integers: with f = F / c and g = G / d for integer
+    polynomials F, G, the uncancelled numerators N_b = F^(|b|+1) * d^b(G / F)
+    start at N_0 = G and obey
+    N_(b+e_i) = d_i(N_b) * F - (|b| + 1) * N_b * d_i(F), and the generator
+    is F^(k-|b|) * N_b / (d * c^k), with the powers of F built once.  No
+    factor of f is cancelled along the way.  Distinct multi-indices are
+    enumerated once, by taking derivatives in non-decreasing variable
+    order.  One d, the lcm of the denominators over all generators of I,
+    serves every g, so equal generators have equal integer numerators and
+    are kept once, at their first occurrence.
 
     The numerators are packed integers in the grlex packing: a product is
     ``+`` and a partial reads the exponent field and subtracts the packed

@@ -9,9 +9,18 @@ import random
 from operator import mul
 
 import pytest
+import sympy
 
 import singulens.ideals as ideals
-from singulens.polyring import LEX, Polynomial, RingContext, integer_weights
+import singulens.sections as sections
+from singulens.polyring import (
+    GRLEX,
+    LEX,
+    Polynomial,
+    RingContext,
+    clear_denominators,
+    integer_weights,
+)
 from singulens.polyring import parse as parse_poly
 
 DEFAULT_SEED = 20250822
@@ -140,3 +149,27 @@ def tuple_graded_member(ideal, p, weights):
             if head is not None:
                 pivots[head[0]] = head[1:]
     return ideals._pivot_reduce(pk.pack_poly(target), pivots) is None
+
+
+def to_sympy(p):
+    """p as a sympy ``Poly`` over QQ in the variables of its ring."""
+    coeffs = {e: sympy.Rational(c) for e, c in p.items()}
+    return sympy.Poly.from_dict(coeffs, *map(sympy.Symbol, p.ring.names), domain="QQ")
+
+
+def derive_numerator(f, p, i, order):
+    """``sections._derive`` on integer polynomials: d_i(p) * f - (order + 1) * p * d_i(f).
+
+    The numerator of d_i(p / f^(order+1)) over f^(order+2), computed by the
+    library's packed-integer recurrence and returned as a ``Polynomial``.
+    """
+    pk = ideals._packing(f.ring.arity, GRLEX)
+
+    def packed(q):
+        ints, den = clear_denominators(q)
+        assert den == 1, q
+        return pk.pack_poly(ints)
+
+    big_f = packed(f)
+    out = sections._derive(packed(p), i, order, big_f, pk.partial(big_f, i), pk)
+    return Polynomial(f.ring, {pk.unpack(m): c for m, c in out.items()})

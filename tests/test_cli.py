@@ -276,9 +276,10 @@ def test_jk_command(capsys):
 
 
 def test_jk_rejects_negative_k(capsys):
-    code, out, err = run(capsys, ["jk", "--k", "-1", "x^4 + y^4 + z^4"])
-    assert code == EXIT_USAGE
-    assert "--k must be nonnegative" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["jk", "--k", "-1", "x^4 + y^4 + z^4"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--k must be nonnegative" in capsys.readouterr().err
 
 
 def test_descent_command(capsys):
@@ -316,9 +317,10 @@ def test_descent_command_replays_the_chain_once(capsys, monkeypatch):
 
 
 def test_descent_rejects_negative_k(capsys):
-    code, out, err = run(capsys, ["descent", "--k", "-1", "x^4 + y^4 + z^4"])
-    assert code == EXIT_USAGE
-    assert "--k must be nonnegative" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["descent", "--k", "-1", "x^4 + y^4 + z^4"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--k must be nonnegative" in capsys.readouterr().err
 
 
 def test_descent_without_weights(capsys):

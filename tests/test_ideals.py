@@ -47,7 +47,7 @@ from singulens.polyring import (
 )
 from singulens.sections import jk_ideal, level_ladder
 
-from conftest import add_rows_member, random_polynomial
+from conftest import add_rows_member, random_polynomial, to_sympy
 
 CASES = 220
 
@@ -132,21 +132,12 @@ def _sympy_grevlex_basis(ideal):
     """The reduced grevlex basis of ``ideal`` computed by sympy, made monic and sorted."""
     symbols = sympy.symbols(ideal.ring.names)
 
-    def to_sympy(p):
-        total = sympy.Integer(0)
-        for exponent, coeff in p.items():
-            term = sympy.Rational(coeff.numerator, coeff.denominator)
-            for s, e in zip(symbols, exponent):
-                term *= s**e
-            total += term
-        return total
-
     def from_sympy(expr):
         p = parse(str(expr).replace("**", "^").replace(" ", ""), ideal.ring)
         return p * (1 / p.leading_coefficient())
 
     theirs = sympy.groebner(
-        [to_sympy(g) for g in ideal.generators],
+        [to_sympy(g).as_expr() for g in ideal.generators],
         *symbols,
         order="grevlex",
     )
@@ -420,12 +411,6 @@ def test_normal_form_matches_sympy_remainder(rng, ring):
             total = total + random_polynomial(rng, ring, **kwargs) * q
         return total
 
-    def to_sympy(p):
-        return sympy.Poly.from_dict(
-            {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.items()},
-            *symbols,
-        ).as_expr()
-
     def from_sympy(expr):
         terms = sympy.Poly(expr, *symbols).terms()
         return Polynomial(ring, {e: Fraction(int(c.p), int(c.q)) for e, c in terms})
@@ -437,11 +422,14 @@ def test_normal_form_matches_sympy_remainder(rng, ring):
         if not ideal.generators:
             continue
         theirs = sympy.groebner(
-            [to_sympy(g) for g in ideal.generators], *symbols, order="grevlex", domain="QQ"
+            [to_sympy(g).as_expr() for g in ideal.generators],
+            *symbols,
+            order="grevlex",
+            domain="QQ",
         )
         for _ in range(5):
             p = rational_poly(max_terms=4, max_degree=4)
-            assert ideal.normal_form(p) == from_sympy(theirs.reduce(to_sympy(p))[1])
+            assert ideal.normal_form(p) == from_sympy(theirs.reduce(to_sympy(p).as_expr())[1])
             checked += 1
 
 

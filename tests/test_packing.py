@@ -32,7 +32,7 @@ from singulens.polyring import (
     parse,
 )
 
-from conftest import random_polynomial
+from conftest import random_polynomial, to_sympy
 
 ORDERS = [LEX, GRLEX, GREVLEX, elimination_order()]
 ARITIES = [1, 2, 3, 4, 5]
@@ -152,17 +152,8 @@ def ring4():
 
 def _sympy_grevlex(ideal):
     symbols = sympy.symbols(ideal.ring.names)
-
-    def to_sympy(p):
-        total = sympy.Integer(0)
-        for exponent, coeff in p.items():
-            term = sympy.Rational(coeff.numerator, coeff.denominator)
-            for s, e in zip(symbols, exponent):
-                term *= s**e
-            total += term
-        return total
-
-    theirs = sympy.groebner([to_sympy(g) for g in ideal.generators], *symbols, order="grevlex")
+    gens = [to_sympy(g).as_expr() for g in ideal.generators]
+    theirs = sympy.groebner(gens, *symbols, order="grevlex")
     out = []
     for expr in theirs.exprs:
         poly = sympy.Poly(expr, *symbols)

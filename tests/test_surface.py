@@ -1,6 +1,9 @@
 """The public surface re-exported from the package root, and what ``Ideal`` answers."""
 
+import ast
 import inspect
+import sys
+from pathlib import Path
 
 import singulens
 from singulens import Ideal, Polynomial
@@ -25,7 +28,6 @@ PUBLIC = [
     "ParseError",
     "Polynomial",
     "QHVerdict",
-    "RationalSection",
     "RingContext",
     "ScreenResult",
     "SingularityClass",
@@ -103,3 +105,19 @@ def test_only_groebner_basis_takes_an_order():
     for fn, params in GREVLEX_ONLY.items():
         assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
     assert list(inspect.signature(Ideal.groebner_basis).parameters) == ["self", "order"]
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    """Every absolute import of a library module names a standard-library package."""
+    modules = sorted(Path(singulens.__file__).parent.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
