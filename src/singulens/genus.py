@@ -20,7 +20,13 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-from .ideals import INFINITE, Ideal, maximal_ideal_power, quotient_dimension
+from .ideals import (
+    INFINITE,
+    Ideal,
+    _exponents_of_degree,
+    maximal_ideal_power,
+    quotient_dimension,
+)
 from .invariants import Germ, WeightSystem, _stage_colength, as_germ
 from .polyring import Polynomial, RingContext, exponent_box, integer_weights
 from .sections import euler_check
@@ -207,21 +213,9 @@ def genus_weighted(f: Polynomial | Germ) -> GenusResult:
 
 
 def _count_rho_equal_one(weights: WeightSystem) -> int:
-    """#{u : rho(u) = 1}, counted as #{u : S(u) = L} on the integer weights.
-
-    The head (u_1, ..., u_(n-1)) sweeps the box u_i <= 1/w_i, and the last
-    exponent is solved for: it exists when the rest of the degree is a
-    nonnegative multiple of W_n.
-    """
+    """#{u : rho(u) = 1}, counted as #{u : u.W = L - sum(W)} on the integer weights."""
     ws, scale = integer_weights(weights)
-    *head, last = ws
-    bar = scale - sum(ws)
-    bounds = [math.ceil(1 / w) + 1 for w in weights[:-1]]
-    return sum(
-        1
-        for u in exponent_box(bounds)
-        if (rest := bar - sum(map(mul, u, head))) >= 0 and not rest % last
-    )
+    return sum(1 for _ in _exponents_of_degree(ws, scale - sum(ws)))
 
 
 def compute_genus(f: Polynomial | Germ) -> GenusResult | None:

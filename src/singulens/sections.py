@@ -7,11 +7,14 @@ levelwise test used by the length certificates.  ``jk_ideal`` builds it
 fraction-free from packed integer numerators N_b (one int per monomial,
 see ``ideals``) by the quotient rule on numerators: no section g / f is
 formed as a fraction.  The levels k >= 1 climb one ladder
-(``level_ladder``) instead of rebuilding J_k:
-J_k = F * J_(k-1) + (N_b : |b| = k), so each level starts from F times
-the echelon form of the level below and adds only rows of the new
-numerators, as one linear system in the weighted degree of f^k for a
-graded germ, else on the local echelon.
+(``level_ladder``) instead of rebuilding J_k, deriving only the N_b with
+|b| = k at level k.  For a graded germ each level is one linear system in
+the weighted degree of f^k on the rows of those numerators alone: the
+Euler field turns the recurrence into
+sum_i W_i x_i N_(b+e_i) = -(b.W - wdeg(G) + D) * F * N_b, so the rows of
+lower numerators add nothing.  Other germs climb the local echelon, where
+J_k = F * J_(k-1) + (N_b : |b| = k) and each level starts from F times
+the echelon form of the level below.
 
 The Euler layer certifies, for f weighted homogeneous with weights w, the
 rewriting of a monomial section x^u / f^(k+1) as a weighted sum of first
@@ -30,7 +33,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import mul
 from typing import Iterator
 
 from .ideals import (
@@ -57,7 +59,6 @@ from .polyring import (
     Polynomial,
     _raw,
     clear_denominators,
-    exponent_box,
     integer_weights,
 )
 
@@ -170,44 +171,53 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     """The verdicts f^k in J_k at the origin for k = 1..max_level, one level per step.
 
     Each verdict equals ``jk_ideal(f, I, k).local_member(f**k)``.  With
-    f = F / c and N_b the uncancelled numerators of ``jk_ideal``,
-    J_k = F * J_(k-1) + (N_b : |b| = k).  So level k lifts the echelon form
-    of level k - 1 by F, unreduced (min(F*r) = min(F) + min(r) in a linear
-    packing, so distinct pivots stay distinct), derives only the N_b with
-    |b| = k, in ``jk_ideal``'s walk order, and multiplies the packed
-    F^(k-1) by F.  A ``Germ`` f lends its weights, guard and Milnor
-    number.  Level k raises ``ExponentOverflow``, naming it, where
-    ``jk_ideal`` or the test would.  The route is decided once, from the
-    germ's weights.
+    f = F / c and N_b the uncancelled numerators of ``jk_ideal``, level k
+    derives only the N_b with |b| = k, in ``jk_ideal``'s walk order, and
+    multiplies the packed F^(k-1) by F.  A ``Germ`` f lends its weights,
+    guard and Milnor number.  Level k raises ``ExponentOverflow``, naming
+    it, where ``jk_ideal`` or the test would.  The route is decided once,
+    from the germ's weights.
 
     A graded germ, one whose weights (``Germ.weights``) make every
     generator of I weighted homogeneous too, takes one linear system in
-    weighted degree D_k = k * wdeg(F).  For weighted homogeneous inputs
-    local membership is global membership (from u*p = sum a_i g_i with
-    u(0) != 0, the components of weighted degree D = wdeg(p) give
-    u(0)*p = sum (a_i)_(D - wdeg g_i) g_i), and global membership is the
-    span of the Macaulay rows m*g with wdeg(m) = D - wdeg(g) (Lazard,
-    Groebner bases, Gaussian elimination and resolution of systems of
-    algebraic equations, 1983), reduced by ``_add_rows``.  The rows of
-    level k span F * R_(k-1) + span{m * N_b : |b| = k}.  N_b has rows
-    exactly when wdeg(G) <= b.W for the integer weights W, so b + e_i is
-    derived only when some node of its subtree has rows by ``max_level``:
-    wdeg(G) <= b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).  Once
-    f^k reduces to zero a level adds no more rows: later levels pass.
+    weighted degree D_k = k * D, D = wdeg(F).  For weighted homogeneous
+    inputs local membership is global membership (from u*p = sum a_i g_i
+    with u(0) != 0, the components of weighted degree wdeg(p) give
+    u(0)*p = sum (a_i)_(wdeg(p) - wdeg g_i) g_i), and global membership is
+    the span R_k of the Macaulay rows m*g with wdeg(m) = D_k - wdeg(g)
+    (Lazard, Groebner bases, Gaussian elimination and resolution of
+    systems of algebraic equations, 1983), reduced by ``_add_rows``.  The
+    rows of a generator F^(k-|b|) * N_b are m * F^(k-|b|) * N_b with
+    wdeg(m) = gap_b = b.W - wdeg(G), for the integer weights W, so N_b has
+    rows exactly when gap_b >= 0.  Level k needs only the rows of the N_b
+    with |b| = k, by the Euler field E = sum_i W_i x_i d_i:
+    E(N) = wdeg(N) * N and wdeg(N_b) = wdeg(G) + |b| D - b.W, so E applied
+    to the recurrence gives
+    sum_i W_i x_i N_(b+e_i) = F * E(N_b) - (|b| + 1) * N_b * E(F)
+    = -(gap_b + D) * F * N_b.  Where N_b has rows the factor is nonzero,
+    so m * F^(k-|b|) * N_b with |b| < k is a combination of the rows
+    (m x_i) * F^(k-|b|-1) * N_(b+e_i), and by induction
+    R_k = span{m * N_b : |b| = k}.  So each level starts a fresh echelon
+    form and reduces F^k once.  b + e_i is derived only when some node of
+    its subtree has rows by ``max_level``:
+    wdeg(G) <= b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).
 
-    Other germs climb the local echelon (see ``ideals``) from that of I.
-    With N' the Nakayama exponent of level k - 1 and P' its pivot rows cut
-    below N', J_(k-1) * O = span(P') + m^N', so level k is seeded with
-    F * P': the stop test counts those pivots, and they are never
-    multiplied by a variable, as x_i * F * P' lies in
-    span(F * P') + F * m^N'.  The other rows are x^a * F with |a| = N' and
-    the N_b with |b| = k.  There is no degree cap: let f be isolated and I
-    m-primary at the origin, and p != 0 near it, so G(p) != 0 for some G
-    in I and grad F(p) != 0.  If F(p) != 0, F^k * G does not vanish at p.
-    If F(p) = 0, the recurrence reads N_(b+e_i)(p) =
-    -(|b| + 1) * N_b(p) * d_iF(p), so N_(k*e_i)(p) =
-    (-1)^k * k! * G(p) * (d_iF(p))^k != 0 for an i with d_iF(p) != 0.  So
-    J_k is m-primary at the origin and the search for N_k ends.
+    Other germs climb the local echelon (see ``ideals``) from that of I,
+    on J_k = F * J_(k-1) + (N_b : |b| = k).  F times an echelon form is
+    again one, unreduced: min(F*r) = min(F) + min(r) in a linear packing,
+    so distinct pivots stay distinct.  With N' the Nakayama exponent of
+    level k - 1 and P' its pivot rows cut below N',
+    J_(k-1) * O = span(P') + m^N', so level k is seeded with F * P': the
+    stop test counts those pivots, and they are never multiplied by a
+    variable, as x_i * F * P' lies in span(F * P') + F * m^N'.  The other
+    rows are x^a * F with |a| = N' and the N_b with |b| = k.  There is no
+    degree cap: let f be isolated and I m-primary at the origin, and
+    p != 0 near it, so G(p) != 0 for some G in I and grad F(p) != 0.  If
+    F(p) != 0, F^k * G does not vanish at p.  If F(p) = 0, the recurrence
+    reads N_(b+e_i)(p) = -(|b| + 1) * N_b(p) * d_iF(p), so
+    N_(k*e_i)(p) = (-1)^k * k! * G(p) * (d_iF(p))^k != 0 for an i with
+    d_iF(p) != 0.  So J_k is m-primary at the origin and the search for
+    N_k ends.
 
     Before it climbs, the ladder refuses a germ of infinite Milnor number,
     and the local route also an I of infinite colength at the origin, with
@@ -238,11 +248,7 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
         # (N_b, b.W, first variable left to derive in, wdeg(G)) of the kept nodes
         nodes = [(g, 0, 0, d) for g, d in zip(gens, degs)]
         shifts: dict[int, list[int]] = {}
-        if graded:
-            pivots: dict[int, tuple[int, list]] = {}
-            for g, _, _, d in nodes:
-                _add_rows(pivots, g, -d, ws, pk, shifts)
-        else:
+        if not graded:
             nak, pivots = _local_echelon(ideal)
         power = {0: 1}  # 0 packs the exponent 0
         for k in range(1, max_level + 1):
@@ -251,11 +257,6 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
                 top = k * deg_f // min(ws) if graded else nak + top_f
                 if max(k * top_f + top_g, top) >= EXPONENT_LIMIT:
                     raise _overflow()
-                lifted = {}
-                for p, (lc, tail) in pivots.items():
-                    row = _mul(big_f, {p: lc, **dict(tail)})
-                    lifted[p + low] = (row.pop(p + low), list(row.items()))
-                pivots = lifted
                 power = _mul(power, big_f)
                 slack = max_level - k
                 nodes = [
@@ -265,21 +266,21 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
                     if (not graded or d <= bw + ws[i] + slack * reach[i])
                     and (child := _derive(num, i, k - 1, big_f, partials[i], pk))
                 ]
-                if not graded:
+                if graded:
+                    pivots = {}
+                    for num, bw, _, d in nodes:
+                        _add_rows(pivots, num, bw - d, ws, pk, shifts)
+                    left = _pivot_reduce(dict(power), pivots)
+                else:
+                    lifted = {}
+                    for p, (lc, tail) in pivots.items():
+                        row = _mul(big_f, {p: lc, **dict(tail)})
+                        lifted[p + low] = (row.pop(p + low), list(row.items()))
                     rows = [num for num, *_ in nodes]
                     for a in map(pk.pack, _exponents_of_degree(ws, nak)):
                         rows.append({m + a: c for m, c in big_f.items()})
-                    nak, pivots = _nakayama_echelon(rows, pk, pivots)
+                    nak, pivots = _nakayama_echelon(rows, pk, lifted)
                     left = _echelon_head(power, (nak, pivots), pk)
-                elif (left := _pivot_reduce(dict(power), pivots)) is not None:
-                    for num, bw, _, d in nodes:
-                        _add_rows(pivots, num, bw - d, ws, pk, shifts)
-                        head, lc, tail = left
-                        # the remainder's least monomial decides: a span member's is a pivot
-                        if head in pivots:
-                            left = _pivot_reduce({head: lc, **dict(tail)}, pivots)
-                            if left is None:
-                                break
             except ExponentOverflow as err:
                 raise ExponentOverflow(f"equality level {k}: {err}") from err
             yield left is None
@@ -420,14 +421,14 @@ def generation_descent(f: Polynomial, weights: WeightSystem, k: int = 0) -> Desc
     """Certified chain rewriting every x^u / f^(k+1) with rho(u) < k + 1.
 
     Exhausting these targets expresses 1 / f^(k+1) (and every section below
-    the threshold) through first partials of sections at or above it.  The
-    enumeration is finite: rho(u) < k + 1 forces u_i < (k + 1) / w_i.  The
-    filter compares integers: with W = L*w the weights scaled by their
-    common denominator L, rho(u) < k + 1 exactly when
-    sum_i u_i W_i < (k + 1) L - sum_i W_i, so every step's scale
-    1 / (rho(u) - (k + 1)) is defined.  The Euler identity is checked once,
-    and the chain is replayed once, as a whole, before it is returned: each
-    step counts only after its identity is re-derived.
+    the threshold) through first partials of sections at or above it.  With
+    W = L*w the weights scaled by their common denominator L,
+    rho(u) < k + 1 exactly when sum_i u_i W_i < (k + 1) L - sum_i W_i, so
+    the targets are the exponents of each integer weighted degree below
+    that bar, and every step's scale 1 / (rho(u) - (k + 1)) is defined.
+    The Euler identity is checked once, and the chain is replayed once, as
+    a whole, before it is returned: each step counts only after its
+    identity is re-derived.
     """
     if k < 0:
         raise ValueError("level must be nonnegative")
@@ -435,8 +436,7 @@ def generation_descent(f: Polynomial, weights: WeightSystem, k: int = 0) -> Desc
         raise ValueError("weights do not satisfy the Euler identity for f")
     ws, scale = integer_weights(weights)
     bar = (k + 1) * scale - sum(ws)
-    bounds = [math.ceil(Fraction(k + 1) / w) + 1 for w in weights]
-    targets = [u for u in exponent_box(bounds) if sum(map(mul, u, ws)) < bar]
+    targets = [u for d in range(bar) for u in _exponents_of_degree(ws, d)]
     targets.sort(key=lambda u: (-sum(u), u))
     steps = tuple(DescentStep(u, k, 1 / (weights.rho(u) - (k + 1)), weights) for u in targets)
     chain = DescentChain(f=f, weights=weights, level=k, steps=steps)

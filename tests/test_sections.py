@@ -8,12 +8,14 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 from pathlib import Path
 
 import pytest
 import sympy
 
 import singulens.ideals as ideals
+import singulens.sections as sections
 from singulens.genus import classify, compute_genus
 from singulens.analyzer import COUNTEREXAMPLE_TEXT, equality_certificate
 from singulens.ideals import (
@@ -24,7 +26,15 @@ from singulens.ideals import (
     maximal_ideal_power,
 )
 from singulens.invariants import Germ, WeightSystem, jacobian_ideal
-from singulens.polyring import GRLEX, Polynomial, exact_div, integer_weights, parse
+from singulens.polyring import (
+    GRLEX,
+    Polynomial,
+    RingContext,
+    clear_denominators,
+    exact_div,
+    integer_weights,
+    parse,
+)
 from singulens.sections import (
     DescentStep,
     euler_check,
@@ -443,6 +453,66 @@ def _ladder_cases(rng, P, monkeypatch):
             yield f, cls.weights, compute_genus(f).multiplier
 
 
+def _weighted_form(rng, ring):
+    """A Brieskorn-Pham or chain form in ring's variables, with seeded signs, and its G.
+
+    The chain shape is a*x_1^p*x_2 + b*x_2^q + ..., the rest pure powers.
+    G is a monomial, weighted homogeneous for every weight system.
+    """
+    n = ring.arity
+    terms = [[0] * n for _ in range(n)]
+    for i, e in enumerate(terms):
+        e[i] = rng.randint(2, 5)
+    if rng.random() < 0.5:
+        terms[0][1] = 1
+    f = sum(
+        (Polynomial.monomial(ring, tuple(e)) * rng.choice((1, -1, 2, -3)) for e in terms),
+        Polynomial.zero(ring),
+    )
+    return f, tuple(rng.randint(0, 3) for _ in range(n))
+
+
+def test_euler_identity_ties_each_level_to_the_next(rng):
+    """sum_i W_i x_i N_(b+e_i) = -(b.W - wdeg(G) + D) * F * N_b for |b| <= 3.
+
+    F is weighted homogeneous of degree D for the integer weights W, and
+    G = x^u, so wdeg(N_b) = wdeg(G) + |b| D - b.W; the Euler field applied
+    to the recurrence gives the identity, on ``_derive``'s packed integers.
+    It is why the graded ladder's level k needs only the rows of the N_b
+    with |b| = k.
+    """
+    cases = 0
+    for arity in (2, 3, 4):
+        ring = RingContext(tuple("xyzw"[:arity]))
+        pk = ideals._packing(arity, GRLEX)
+        for _ in range(70):
+            f, u = _weighted_form(rng, ring)
+            ws = integer_weights(Germ(f).weights)[0]
+            ints = clear_denominators(f)[0]
+            (deg_f,) = {sum(map(mul, e, ws)) for e in ints}
+            big_f = pk.pack_poly(ints)
+            partials = [pk.partial(big_f, i) for i in range(arity)]
+            nums = {(0,) * arity: {pk.pack(u): 1}}
+            for size in range(4):
+                for b in [b for b in nums if sum(b) == size]:
+                    for i in range(arity):
+                        c = tuple(e + (j == i) for j, e in enumerate(b))
+                        nums[c] = sections._derive(nums[b], i, size, big_f, partials[i], pk)
+            for b, num in nums.items():
+                if sum(b) == 4:
+                    continue
+                left: dict[int, int] = {}
+                for i, (w, unit) in enumerate(zip(ws, pk.units)):
+                    c = tuple(e + (j == i) for j, e in enumerate(b))
+                    for m, v in nums[c].items():
+                        left[m + unit] = left.get(m + unit, 0) + w * v
+                factor = -(sum(map(mul, b, ws)) - sum(map(mul, u, ws)) + deg_f)
+                right = {m: factor * v for m, v in sections._mul(big_f, num).items() if factor}
+                assert {m: v for m, v in left.items() if v} == right, (f, u, b)
+            cases += 1
+    assert cases >= 200
+
+
 def test_graded_ladder_matches_the_level_tests(rng, P, monkeypatch):
     """Levels 0-5: the ladder's verdicts = jk_ideal's level tests = the tuple-based test's.
 
@@ -499,8 +569,6 @@ def test_graded_ladder_declines_ungraded_ideals(ring, P, monkeypatch):
     never the local echelon; an I that the weights leave ungraded, and a
     germ without weights, climb the local echelon and never a graded row.
     """
-    import singulens.sections as sections
-
     fermat = P("x^4 + y^4 + z^4")
     chain = P("x^2*y + y^3 + z^4")
     graded = [
@@ -574,8 +642,6 @@ def _alive_nodes(ws, degree, max_level):
 )
 def test_graded_ladder_derives_only_numerators_that_reach_rows(P, monkeypatch, text, max_level):
     """The numerators the ladder derives are exactly the nodes whose subtree has rows."""
-    import singulens.sections as sections
-
     f = P(text)
     cls = classify(f)
     multiplier = compute_genus(f).multiplier
@@ -691,8 +757,6 @@ def _ladder_against_per_level(f, ideal, monkeypatch, max_level):
     whose stop test never fires fails after 30 s, where it would search on
     up to the exponent limit.
     """
-    import singulens.sections as sections
-
     found = []
     real = sections._nakayama_echelon
 
