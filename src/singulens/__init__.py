@@ -32,7 +32,6 @@ from .ideals import (
 from .invariants import (
     Germ,
     QHVerdict,
-    SqhObstruction,
     WeightSystem,
     find_weights,
     is_quasi_homogeneous,
@@ -93,7 +92,6 @@ __all__ = [
     "RingContext",
     "ScreenResult",
     "SingularityClass",
-    "SqhObstruction",
     "WeightSystem",
     "analyze",
     "classify",

@@ -125,9 +125,13 @@ class EqualityVerdict:
 
     status: str
     level: int | None
-    refuted_at_level_one: bool
     level_results: tuple[tuple[int, bool], ...]
     descent_steps: int | None = None
+
+    @property
+    def refuted_at_level_one(self) -> bool:
+        """Whether the level-1 test ran and failed."""
+        return any(k == 1 and not ok for k, ok in self.level_results)
 
     def label(self) -> str:
         if self.status == "proven_at_level":
@@ -176,16 +180,13 @@ def equality_certificate(
             results.append((k, ok))
             if ok:
                 break
-    refuted = any(k == 1 and not member for k, member in results)
     if ok:
-        return EqualityVerdict("proven_at_level", len(results) - 1, refuted, tuple(results))
+        return EqualityVerdict("proven_at_level", len(results) - 1, tuple(results))
     if germ.weights is not None:
         # generation_descent replays the chain before it returns it
         chain = generation_descent(f, germ.weights, 0)
-        return EqualityVerdict(
-            "proven_by_descent", None, refuted, tuple(results), len(chain)
-        )
-    return EqualityVerdict("unknown_up_to", max_level, refuted, tuple(results))
+        return EqualityVerdict("proven_by_descent", None, tuple(results), len(chain))
+    return EqualityVerdict("unknown_up_to", max_level, tuple(results))
 
 
 @dataclass(frozen=True)
@@ -369,11 +370,9 @@ def analyze(
     )
 
 
-def counterexample_polynomial(ring: RingContext | None = None) -> Polynomial:
-    """The bundled witness polynomial."""
-    if ring is None:
-        ring = RingContext(("x", "y", "z"))
-    return parse(COUNTEREXAMPLE_TEXT, ring)
+def counterexample_polynomial() -> Polynomial:
+    """The bundled witness polynomial, in Q[x,y,z]."""
+    return parse(COUNTEREXAMPLE_TEXT, RingContext(("x", "y", "z")))
 
 
 def _detail(**kwargs) -> tuple[tuple[str, str], ...]:
@@ -570,16 +569,16 @@ _CERTIFICATE_BUILDERS = (
 )
 
 
-def counterexample_certificates(
-    f: Polynomial | None = None, seed: int | None = None
-) -> tuple[Certificate, ...]:
+def counterexample_certificates(seed: int | None = None) -> tuple[Certificate, ...]:
     """Evaluate the seven witness certificates, each from scratch.
 
     A seed shuffles evaluation order; the result is always reported in
     name order and must not depend on the evaluation order.
     """
-    if f is None:
-        f = counterexample_polynomial()
+    return _certificates(counterexample_polynomial(), seed)
+
+
+def _certificates(f: Polynomial, seed: int | None) -> tuple[Certificate, ...]:
     builders = list(_CERTIFICATE_BUILDERS)
     if seed is not None:
         random.Random(seed).shuffle(builders)
@@ -588,9 +587,7 @@ def counterexample_certificates(
     return tuple(certs)
 
 
-def counterexample_suite(
-    f: Polynomial | None = None, seed: int | None = None
-) -> AnalysisReport:
+def counterexample_suite(seed: int | None = None) -> AnalysisReport:
     """Analysis of the bundled witness plus its strictness certificates.
 
     Levelwise equality testing stops at level 1; the suite's point is the
@@ -599,10 +596,9 @@ def counterexample_suite(
     closing strictness argument trusted rather than re-verified.
     """
     t0 = time.perf_counter()
-    if f is None:
-        f = counterexample_polynomial()
+    f = counterexample_polynomial()
     base = analyze(f, max_level=1)
-    certs = counterexample_certificates(f, seed=seed)
+    certs = _certificates(f, seed)
     all_pass = bool(certs) and all(c.verdict for c in certs)
     refuted = base.equality is not None and base.equality.refuted_at_level_one
     strict = all_pass and refuted and base.bound is not None

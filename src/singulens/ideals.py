@@ -4,7 +4,7 @@ Inside the exact kernel a monomial is one Python int (packed exponent
 vectors: Bachmann and Schoenemann, Monomial representations for Groebner
 bases computations, ISSAC 1998; Monagan and Pearce, Polynomial division
 using dynamic arrays, heaps, and packed exponent vectors, CASC 2007).
-Every order in use (lex, grlex, grevlex and the ``elim`` block order) is
+Every order in use (lex, grlex, grevlex and the block order ``ELIM``) is
 a linear form on exponents, so a monomial e packs as
 M(e) = (K(e) << pbits) + P(e).  P(e) holds the exponents in fields of 15
 value bits and one guard bit each, x_1 most significant, and
@@ -131,6 +131,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from .polyring import (
+    ELIM,
     GREVLEX,
     GRLEX,
     Exponent,
@@ -138,7 +139,6 @@ from .polyring import (
     Polynomial,
     RingContext,
     clear_denominators,
-    elimination_order,
     exact_div,
     exponent_box,
     integer_weights,
@@ -266,8 +266,8 @@ _PACKINGS: dict[tuple, _Packing] = {}
 
 
 def _packing(arity: int, order: MonomialOrder) -> _Packing:
-    """The packing for an arity and order, one per (arity, order name)."""
-    slot = (arity, order.name)
+    """The packing for an arity and order, built once."""
+    slot = (arity, order)
     pk = _PACKINGS.get(slot)
     if pk is None:
         pk = _PACKINGS[slot] = _Packing(arity, order.key)
@@ -595,8 +595,6 @@ def _buchberger(gens: list[_IntPoly], pk: _Packing) -> list[_IntPoly]:
         return False
 
     for g in gens:
-        if not g:
-            continue
         fp = frozenset(g.items())
         if fp in seen:
             continue
@@ -871,7 +869,7 @@ class Ideal:
             raise ValueError("polynomial from a different ring")
         if not self.generators:
             return Ideal(self.ring, ())
-        pk = _packing(self.ring.arity + 1, elimination_order())
+        pk = _packing(self.ring.arity + 1, ELIM)
         lifted = [
             {pk.pack((1,) + e): c for e, c in _int_poly(g).items()} for g in self.groebner_basis()
         ]
@@ -1117,7 +1115,7 @@ def _echelon_head(p: _IntPoly, echelon: tuple[int, dict], pk: _Packing) -> tuple
 def _t_free(gens: list[_IntPoly], pk: _Packing) -> list[_IntPoly]:
     """The elements free of t of the reduced basis of (gens), t the first variable.
 
-    pk packs (t, x) by ``elimination_order``, which compares the exponent
+    pk packs (t, x) by ``ELIM``, which compares the exponent
     of t first, so an element whose leading monomial is free of t is free
     of t, and these elements are the reduced basis of (gens) meet Q[x].
     """
@@ -1137,7 +1135,7 @@ def _isolated(ideal: Ideal) -> bool:
     """
     cached = ideal._cache.get("isolated")
     if cached is None:
-        pk = _packing(ideal.ring.arity + 1, elimination_order())
+        pk = _packing(ideal.ring.arity + 1, ELIM)
         # The reduced basis, not the raw generators: on germs with messy
         # critical points away from the origin, the elimination from the raw
         # generators ran many times longer.

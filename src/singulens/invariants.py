@@ -24,7 +24,6 @@ from .polyring import Exponent, Polynomial, integer_weights
 __all__ = [
     "Germ",
     "QHVerdict",
-    "SqhObstruction",
     "WeightSystem",
     "find_weights",
     "is_quasi_homogeneous",
@@ -98,24 +97,6 @@ class QHVerdict:
             ),
             "obstruction": None if self.obstruction is None else str(self.obstruction),
         }
-
-
-@dataclass(frozen=True)
-class SqhObstruction:
-    """Certificate that g + h is not in its own Jacobian ideal locally.
-
-    Valid when g is homogeneous of degree d >= 3 with an isolated critical
-    point, h is homogeneous of degree d + 1, and h lies outside the
-    Jacobian ideal of g.
-    """
-
-    principal: Polynomial
-    perturbation: Polynomial
-    degree: int
-
-    @property
-    def f(self) -> Polynomial:
-        return self.principal + self.perturbation
 
 
 def jacobian_ideal(f: Polynomial) -> Ideal:
@@ -231,22 +212,22 @@ def _try_sqh_decomposition(germ: Germ) -> Polynomial | None:
     parts = germ.f.homogeneous_components()
     if len(parts) != 2:
         return None
+    h = parts[max(parts)]
     try:
-        cert = sqh_obstruction(germ.cone, parts[max(parts)])
+        return h if sqh_obstruction(germ.cone, h) else None
     except ValueError:
         return None
-    return None if cert is None else cert.perturbation
 
 
-def sqh_obstruction(
-    principal: Polynomial | Germ, perturbation: Polynomial
-) -> SqhObstruction | None:
-    """Certify that principal + perturbation is not quasi-homogeneous.
+def sqh_obstruction(principal: Polynomial | Germ, perturbation: Polynomial) -> bool:
+    """Whether principal + perturbation is certified not quasi-homogeneous.
 
-    Returns a certificate when the perturbation lies outside the Jacobian
-    ideal of the principal part, None when it lies inside (no conclusion).
-    Hypothesis violations raise ValueError individually.  A germ of the
-    principal part lends its Jacobian ideal.
+    Valid when the principal part g is homogeneous of degree d >= 3 with
+    an isolated critical point and the perturbation h is homogeneous of
+    degree d + 1: then g + h is not quasi-homogeneous when h lies outside
+    the Jacobian ideal of g.  True when it does, False when h lies inside
+    (no conclusion).  Hypothesis violations raise ValueError individually.
+    A germ of the principal part lends its Jacobian ideal.
     """
     cone = as_germ(principal)
     g, h = cone.f, perturbation
@@ -259,9 +240,7 @@ def sqh_obstruction(
         raise ValueError("perturbation must be homogeneous of degree one above the principal part")
     if not cone.jacobian.is_m_primary():
         raise ValueError("principal part must have an isolated critical point")
-    if cone.jacobian.member(h):
-        return None
-    return SqhObstruction(principal=g, perturbation=h, degree=d)
+    return not cone.jacobian.member(h)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Monomial orders are supplied as key functions: ``order.key(e)`` returns an
 int tuple that sorts monomials ascending, so ``max(exponents, key=order.key)``
 is the leading monomial.  Three classical orders are provided (lex, graded
 lex, graded reverse lex; ties broken by the declaration order of the ring
-variables) plus a block order used internally for elimination.  A
+variables) plus ``ELIM``, a block order used internally for elimination.  A
 polynomial's ``terms``, ``leading_monomial`` and ``leading_coefficient``
 are read in grevlex, the order of every normal form; only
 ``Ideal.groebner_basis`` takes another order.
@@ -31,11 +31,11 @@ separates the numerator and denominator of a literal rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "GREVLEX",
@@ -142,26 +142,15 @@ class RingContext:
         return "Q[" + ",".join(self.names) + "]"
 
 
+@dataclass(frozen=True)
 class MonomialOrder:
-    """A monomial order presented as an ascending sort key on exponents."""
+    """A monomial order presented as an ascending sort key on exponents.
 
-    __slots__ = ("name", "_key")
+    Orders compare and hash by name.
+    """
 
-    def __init__(self, name: str, key):
-        self.name = name
-        self._key = key
-
-    def key(self, e: Exponent) -> tuple[int, ...]:
-        return self._key(e)
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder({self.name})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialOrder) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(self.name)
+    name: str
+    key: Callable[[Exponent], tuple[int, ...]] = field(compare=False, repr=False)
 
     @staticmethod
     def by_name(name: str) -> "MonomialOrder":
@@ -191,18 +180,10 @@ GREVLEX = MonomialOrder("grevlex", _grevlex_key)
 _ORDERS = {o.name: o for o in (LEX, GRLEX, GREVLEX)}
 
 
-def elimination_order() -> MonomialOrder:
-    """Block order for a ring whose first variable must be eliminated.
-
-    Compares the first exponent alone, then graded reverse lex on the rest.
-    Any basis element free of the first variable belongs to the elimination
-    ideal.
-    """
-
-    def key(e: Exponent) -> tuple[int, ...]:
-        return (e[0], *_grevlex_key(e[1:]))
-
-    return MonomialOrder("elim", key)
+# Block order for a ring whose first variable must be eliminated: the first
+# exponent alone, then graded reverse lex on the rest.  Any basis element
+# free of the first variable belongs to the elimination ideal.
+ELIM = MonomialOrder("elim", lambda e: (e[0], *_grevlex_key(e[1:])))
 
 
 def _coerce_scalar(value: Scalar) -> Fraction:

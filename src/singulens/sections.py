@@ -19,12 +19,12 @@ the echelon form of the level below.
 The Euler layer certifies, for f weighted homogeneous with weights w, the
 rewriting of a monomial section x^u / f^(k+1) as a weighted sum of first
 partials of sections x^(u+e_i) / f^(k+1).  Each step stores its scale
-1 / (rho(u) - (k+1)).  Its replay re-derives both sides exactly, as one
-identity between integer polynomials: both sections times f^(k+2), the
-common pole of the partials, with the denominators of f and of the
-coefficients cleared.  A chain checks the Euler identity of f once and is
-replayed once, step by step on one packed integer form of f, before it
-is returned.
+1 / (rho(u) - (k+1)).  A chain checks the Euler identity of f once and is
+replayed once before it is returned: step by step on one packed integer
+form of f, each step's two sides are re-derived exactly, as one identity
+between integer polynomials: both sections times f^(k+2), the common pole
+of the partials, with the denominators of f and of the coefficients
+cleared.
 """
 
 from __future__ import annotations
@@ -319,8 +319,8 @@ class DescentStep:
     """One certified rewriting of x^u / f^(k+1) through first partials.
 
     The step asserts x^u / f^(k+1) = scale * sum_i w_i d_i (x^(u+e_i) / f^(k+1))
-    with scale = 1 / (rho(u) - (k+1)); ``replay`` re-derives both sides
-    exactly.
+    with scale = 1 / (rho(u) - (k+1)); ``DescentChain.replay`` re-derives
+    both sides exactly.
     """
 
     u: Exponent
@@ -336,10 +336,11 @@ class DescentStep:
             for i in range(n)
         )
 
-    def replay(self, f: Polynomial) -> bool:
+    def _holds(self, pk: _Packing, big_f: dict, partials: list[dict]) -> bool:
         """Whether the step's identity holds, re-derived on integer numerators.
 
-        With f = F / c, both sides times f^(k+2) / c^(k+1) are polynomials:
+        Reads f = F / c in the packed integer form of ``_integer_form``.
+        Both sides times f^(k+2) / c^(k+1) are polynomials:
         d_i (x^(u+e_i) / F^(k+1)) = ((u_i+1) x^u F - (k+1) x^(u+e_i) d_iF) / F^(k+2),
         so the identity reads
         scale * sum_i w_i ((u_i+1) x^u F - (k+1) x^(u+e_i) d_iF) = x^u F.
@@ -348,10 +349,6 @@ class DescentStep:
         by the nonzero f^(k+2) / c^(k+1) is injective, so this is the
         identity of the sections.
         """
-        return self._holds(*_integer_form(f))
-
-    def _holds(self, pk: _Packing, big_f: dict, partials: list[dict]) -> bool:
-        """``replay`` on the packed integer form of f from ``_integer_form``."""
         n = len(partials)
         if len(self.u) != n or min(self.u) < 0:
             raise ValueError(f"bad exponent {self.u}")

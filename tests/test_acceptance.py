@@ -56,8 +56,8 @@ def _diagonal(ring, exponents):
 def test_criterion_1_witness_certificates(ring, P, capsys):
     with criterion("C1", capsys, "witness suite: all seven certificates, exact facts, < 30 s"):
         t0 = time.perf_counter()
-        f = counterexample_polynomial(ring)
-        report = counterexample_suite(f)
+        f = counterexample_polynomial()
+        report = counterexample_suite()
         assert report.all_certificates_pass()
         assert [c.name for c in report.certificates] == [
             "C1", "C2", "C3", "C4", "C5", "C6", "C7",
@@ -81,7 +81,7 @@ def test_criterion_1_witness_certificates(ring, P, capsys):
 def test_criterion_2_spot_memberships(ring, P, capsys):
     with criterion("C2", capsys, "twelve spot memberships in the order-1 numerator ideal, < 5 s"):
         t0 = time.perf_counter()
-        f = counterexample_polynomial(ring)
+        f = counterexample_polynomial()
         j1 = jk_ideal(f, maximal_ideal(ring), 1)
         spots = [
             P("x") * f, P("y") * f, P("z") * f,
@@ -99,7 +99,7 @@ def test_criterion_3_quasi_homogeneity(ring, capsys):
         from singulens.cli import bundled_corpus_text, load_corpus
 
         assert not is_quasi_homogeneous(
-            counterexample_polynomial(ring)
+            counterexample_polynomial()
         ).quasi_homogeneous
         assert is_quasi_homogeneous(parse("x^4 + y^4 + z^4", ring)).quasi_homogeneous
         assert is_quasi_homogeneous(parse("x^2 + y^3 + z^5", ring)).quasi_homogeneous
@@ -153,7 +153,7 @@ def test_criterion_5_equality_certificates(ring, capsys):
         assert r3.equality.status == "proven_at_level" and r3.equality.level == 0
         r4 = analyze(parse("x^4 + y^4 + z^4", ring), max_level=3)
         assert r4.equality.status == "proven_at_level" and r4.equality.level == 1
-        rw = analyze(counterexample_polynomial(ring), max_level=3)
+        rw = analyze(counterexample_polynomial(), max_level=3)
         assert rw.equality.status == "unknown_up_to"
         assert rw.equality.level == 3
         assert rw.equality.refuted_at_level_one

@@ -93,7 +93,7 @@ def test_equality_proven_by_descent(ring, P):
 
 
 def test_equality_unknown_for_witness(ring):
-    f = counterexample_polynomial(ring)
+    f = counterexample_polynomial()
     genus = compute_genus(f)
     verdict = equality_certificate(f, genus.multiplier, max_level=1)
     assert verdict.status == "unknown_up_to"
@@ -252,12 +252,11 @@ def test_analyze_smooth_point_noted(ring, P):
     assert any("smooth point" in note for note in report.notes)
 
 
-def test_counterexample_polynomial_default(ring):
+def test_counterexample_polynomial_default():
     f = counterexample_polynomial()
     assert f == parse(COUNTEREXAMPLE_TEXT, f.ring)
     assert str(f) == "x*y^2*z^2 + x^4 + y^4 + z^4"
     assert f.ring == RingContext(("x", "y", "z"))
-    assert counterexample_polynomial(ring) == parse(COUNTEREXAMPLE_TEXT, ring)
 
 
 def test_counterexample_certificates_pass(ring):
@@ -300,8 +299,9 @@ def test_counterexample_suite_deterministic(ring):
     assert a == b
 
 
-def test_counterexample_suite_tampered(ring, P):
-    report = counterexample_suite(P("x^4 + y^4 + z^4"))
+def test_counterexample_suite_tampered(monkeypatch):
+    monkeypatch.setattr(analyzer_module, "COUNTEREXAMPLE_TEXT", "x^4 + y^4 + z^4")
+    report = counterexample_suite()
     verdicts = {c.name: c.verdict for c in report.certificates}
     assert verdicts == {
         "C1": False,
@@ -325,7 +325,7 @@ def _above_cone_germs(rng, ring, P):
     Each seeded germ is a Fermat quartic or quintic plus one or two terms
     one degree above it.
     """
-    germs = [P("x^4 + y^4 + z^4"), counterexample_polynomial(ring)]
+    germs = [P("x^4 + y^4 + z^4"), counterexample_polynomial()]
     for _ in range(10):
         d = rng.choice([4, 4, 5])
         f = P(f"x^{d} + y^{d} + z^{d}")
@@ -403,7 +403,7 @@ def test_c4_rejects_a_summand_that_is_not_a_generator(ring, P, monkeypatch):
         gens = [2 * g if g == summand else g for g in real(f, ideal, k).generators]
         return Ideal(ring, gens)
 
-    f = counterexample_polynomial(ring)
+    f = counterexample_polynomial()
     assert analyzer_module._cert_f_plus_perturbation_in_j1(f).verdict
     monkeypatch.setattr(analyzer_module, "jk_ideal", doubled)
     h = f - Germ(f).cone.f
@@ -486,7 +486,7 @@ def test_graded_level_tests_run_no_buchberger(ring, P, monkeypatch):
 
 
 def test_ungraded_input_takes_the_general_path(ring, monkeypatch):
-    f = counterexample_polynomial(ring)
+    f = counterexample_polynomial()
     j1 = jk_ideal(f, maximal_ideal(ring), 1)
     asked = []
     real_member = Ideal.member

@@ -343,6 +343,10 @@ def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, ["gb", " , "])
     assert code == EXIT_USAGE
     assert "syntax error:" in err and "empty generator list" in err
+    for text, position in [("x $ y", 2), ("x^1000000", 2), ("1/0*x", 2), ("(x + y", 6)]:
+        code, out, err = run(capsys, ["invariants", text])
+        assert code == EXIT_USAGE, text
+        assert err.startswith(f"syntax error: parse error at position {position}: "), text
 
 
 def test_unknown_variable_exit_code(capsys):
@@ -470,3 +474,16 @@ def test_check_annotations_level_mapping(capsys):
     ]
     mismatches = check_annotations(report, {"g": "7"})
     assert mismatches == ["g: expected 7, computed 3"]
+    # a descent verdict reads "descent"; a germ without a genus route reads "none"
+    descent = analyze(parse("x^7 + y^7 + z^7", ring))
+    stated = {"mu": "216", "g": "15", "bound": "17", "level": "descent"}
+    assert check_annotations(descent, stated) == []
+    assert check_annotations(descent, {"level": "3"}) == ["level: expected 3, computed descent"]
+    unclassified = analyze(parse("x^3 + y^4 + z^5 + x*y^2*z^2", ring))
+    nulls = ("g", "lc", "bound", "level", "refuted1")
+    stated = {"mu": "24", "class": "unclassified", **{key: "none" for key in nulls}}
+    assert check_annotations(unclassified, stated) == []
+    assert check_annotations(unclassified, {key: "0" for key in nulls}) == [
+        f"{key}: expected 0, computed none" for key in nulls
+    ]
+

@@ -1,11 +1,13 @@
 """Singularity classification and the reduced genus by both routes."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import singulens.genus as genus_module
 import singulens.ideals as ideals_module
 from singulens.cli import bundled_corpus_text, load_corpus
 from singulens.genus import (
@@ -263,6 +265,24 @@ def test_compute_genus_none_when_no_route(ring, P):
     cls = classify(f)
     assert not cls.is_ordinary and not cls.is_weighted
     assert compute_genus(f) is None
+
+
+def test_compute_genus_demands_agreement(ring, P, monkeypatch):
+    """A weighted route that disagrees in g, or in the multiplier ideal, is refused."""
+    f = P("x^4 + y^4 + z^4")
+    real = genus_module.genus_weighted
+    m2 = maximal_ideal_power(ring, 2)
+    for tamper, g, same in [
+        (lambda r: replace(r, g=r.g + 1), 4, True),
+        (lambda r: replace(r, multiplier=m2), 3, False),
+    ]:
+        monkeypatch.setattr(genus_module, "genus_weighted", lambda germ: tamper(real(germ)))
+        with pytest.raises(RuntimeError) as err:
+            compute_genus(f)
+        assert str(err.value) == (
+            "ordinary and weighted genus computations disagree: "
+            f"g 3 vs {g}, log canonical False vs False, ideals equal: {same}"
+        )
 
 
 def test_multiplier_span_membership_matches_rho(rng, ring):

@@ -123,7 +123,7 @@ def test_echelon_exponent_is_bounded_by_the_cap(ring, P, monkeypatch):
 
 
 def _witness_levels(ring):
-    f = counterexample_polynomial(ring)
+    f = counterexample_polynomial()
     return f, [jk_ideal(f, maximal_ideal(ring), k) for k in (1, 2, 3)]
 
 
@@ -263,6 +263,32 @@ def test_echelon_membership_matches_quotient_membership(rng, ring, ring2, monkey
     assert (False, False) in answers
     assert (True, True) in answers
     assert (True, False) in answers  # in I locally, not globally
+
+
+def test_long_reductions_strip_content_every_64_pivots(ring2, monkeypatch):
+    """A target that meets more than 64 pivots runs ``_pivot_reduce``'s periodic strip.
+
+    I = ((1 + y)*g, (1 + x)*h) with g, h binary forms of degree 10 without
+    a common factor, so N = 19 and 90 of the 190 monomials below degree 19
+    are pivots.  The target (g + h)*(1 + x + y)^8 lies in I locally but
+    not globally.  A target in I*O_0 reduces to zero, and
+    a zero row takes no strip at its head, so every strip counted is a
+    periodic one.  ``_quotient_member``, the route C2 takes, agrees.
+    """
+    g, h = (parse(t, ring2) for t in ("x^10 + 3*x^5*y^5 + y^10", "x^9*y + 2*x*y^9"))
+    gens = [parse("1 + y", ring2) * g, parse("1 + x", ring2) * h]
+    ideal = Ideal(ring2, gens)
+    target = (g + h) * parse("(1 + x + y)^8", ring2)
+    n, pivots = ideals_module._local_echelon(ideal)
+    assert (n, len(pivots)) == (19, 90)
+    strips = []
+    real = ideals_module._strip_pair
+    with monkeypatch.context() as m:
+        m.setattr(ideals_module, "_strip_pair", lambda *args: strips.append(1) or real(*args))
+        assert ideal.local_member(target)
+    assert strips
+    assert not ideal.member(target)
+    assert Ideal(ring2, gens)._quotient_member(target)
 
 
 def test_saito_test_reads_the_hull(ring, P, monkeypatch):

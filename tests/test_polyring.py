@@ -63,6 +63,17 @@ def test_parse_errors_carry_positions(ring):
         parse("", ring)
     with pytest.raises(ParseError, match="unknown variable 't__elim'"):
         parse("t__elim + x", ring)
+    for text, position, message in [
+        ("x $ y", 2, "unexpected character '$'"),
+        ("x^1000000", 2, "exponent too large"),
+        ("1/0*x", 2, "expected a positive integer denominator"),
+        ("(x + y", 6, "expected ')'"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text, ring)
+        assert err.value.position == position
+        assert str(err.value) == f"parse error at position {position}: {message}"
+
 
 
 def test_roundtrip_random(rng, ring, random_poly):

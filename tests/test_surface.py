@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import singulens
+import singulens.polyring as polyring
 from singulens import Ideal, Polynomial
 
 PUBLIC = [
@@ -31,7 +32,6 @@ PUBLIC = [
     "RingContext",
     "ScreenResult",
     "SingularityClass",
-    "SqhObstruction",
     "WeightSystem",
     "analyze",
     "classify",
@@ -66,6 +66,15 @@ def test_the_public_surface_is_pinned():
     assert singulens.__all__ == PUBLIC
     for name in PUBLIC:
         assert getattr(singulens, name) is not None, name
+    # sqh_obstruction is a verdict, a step replays through its chain, the
+    # elimination order is one constant, and the witness runs are fixed
+    assert inspect.signature(singulens.sqh_obstruction).return_annotation == "bool"
+    assert not hasattr(singulens.DescentStep, "replay")
+    assert polyring.ELIM == polyring.MonomialOrder("elim", polyring.ELIM.key)
+    assert not hasattr(polyring, "elimination_order")
+    assert list(inspect.signature(singulens.counterexample_polynomial).parameters) == []
+    for fn in (singulens.counterexample_suite, singulens.counterexample_certificates):
+        assert list(inspect.signature(fn).parameters) == ["seed"], fn.__name__
 
 
 # Ideal answers global questions on its grevlex basis and local ones on its
