@@ -109,8 +109,13 @@ functional lam below degree T that kills every product x^a*g of a
 generator g but not p refutes p in I*O_0 outright, with no Nakayama
 premise.  p in I*O_0 means u*p in I for some u with u(0) != 0, u is
 invertible modulo m^T, so p lies in I + m^T for every T, and lam kills
-I + m^T.  ``Ideal._local_functional`` reads such a lam off the echelon
-below N, and ``refutation.refutes`` checks it without this module.
+I + m^T.  ``_functional`` reads such a lam off an echelon form at the
+head of a row that stays nonzero, and ``Ideal._local_functional`` off
+the local echelon below N.  The local equality ladder
+(``sections.level_ladder``) refutes f^k in one class of the support
+lattice below a cut T_k, with no Nakayama exponent: its class echelon
+and the head of f^k give lam the same way, supported in that class.
+``refutation.refutes`` checks lam without this module.
 
 ``local_colength`` has two routes.  An ideal checked to be weighted
 homogeneous for positive weights (all ones by default) is measured
@@ -932,17 +937,11 @@ class Ideal:
     def _local_functional(self, p: Polynomial) -> tuple[int, dict[Exponent, Fraction]] | None:
         """(N, lam), lam a functional below degree N that refutes p in I*O_0.
 
-        Read off the local echelon (N, pivots), whose pivot rows
-        c*x^key + tail, every tail monomial above key, span (I + m^N)/m^N.
-        The terms of p below degree N are reduced against it, and h is the
-        first monomial left without a pivot.  lam(h) = 1, lam vanishes on
-        every other monomial without a pivot, and one sweep over the pivots,
-        largest first, sets lam(x^key) = -(1/c) * sum(tail * lam), so lam
-        kills every pivot row.  Reducing the monomials above h never
-        changes the coefficient of h, so lam(p) != 0.  None when p reduces
-        to zero, that is p lies in I*O_0, or when the origin is not
-        isolated in V(I) and there is no echelon.  ``refutation.refutes``
-        checks lam without this module.
+        Read off the local echelon (N, pivots), whose pivot rows span
+        (I + m^N)/m^N, by ``_functional`` at the head of the terms of p
+        below degree N.  None when p reduces to zero, that is p lies in
+        I*O_0, or when the origin is not isolated in V(I) and there is no
+        echelon.  ``refutation.refutes`` checks lam without this module.
         """
         found = _local_echelon(self)
         if found is None:
@@ -951,14 +950,8 @@ class Ideal:
         head = _echelon_head(pk.pack_poly(_int_poly(p)), found, pk)
         if head is None:
             return None
-        n, pivots = found
-        lam = {head[0]: Fraction(1)}
-        for key in sorted(pivots, reverse=True):
-            c, tail = pivots[key]
-            s = sum(v * lam.get(t, 0) for t, v in tail)
-            if s:
-                lam[key] = Fraction(-s, c)
-        return n, {pk.unpack(m): v for m, v in lam.items()}
+        lam = _functional(found[1], head[0])
+        return found[0], {pk.unpack(m): v for m, v in lam.items()}
 
     def _graded_degrees(
         self, weights: Iterable
@@ -1110,6 +1103,27 @@ def _echelon_head(p: _IntPoly, echelon: tuple[int, dict], pk: _Packing) -> tuple
     n, pivots = echelon
     bound = n << pk.pbits
     return _pivot_reduce({m: c for m, c in p.items() if m < bound}, pivots)
+
+
+def _functional(pivots: dict, head: int) -> dict[int, Fraction]:
+    """The functional lam that kills every pivot row, with lam(head) = 1.
+
+    ``pivots`` is an echelon form of ``_pivot_reduce``, pivot rows
+    c*x^key + tail with every tail monomial above key, and ``head`` the
+    head monomial of a row p reduced against it, itself without a pivot.
+    lam(head) = 1, lam vanishes on every other monomial without a pivot,
+    and one sweep over the pivots, largest first, sets
+    lam(x^key) = -(1/c) * sum(tail * lam), so lam kills every pivot row.
+    Reducing the monomials above head never changes the coefficient of
+    head, so lam(p) != 0.  Keys are packed monomials, as in ``pivots``.
+    """
+    lam = {head: Fraction(1)}
+    for key in sorted(pivots, reverse=True):
+        c, tail = pivots[key]
+        s = sum(v * lam.get(t, 0) for t, v in tail)
+        if s:
+            lam[key] = Fraction(-s, c)
+    return lam
 
 
 def _t_free(gens: list[_IntPoly], pk: _Packing) -> list[_IntPoly]:

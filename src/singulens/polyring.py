@@ -529,29 +529,49 @@ class _Parser:
         return p
 
     def term(self) -> Polynomial:
-        p = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
-            p = p * self.factor()
-        return p
+        """A product of factors.
 
-    def factor(self) -> Polynomial:
-        p = self.atom()
-        if self.peek().kind == "^":
-            caret = self.advance()
-            tok = self.peek()
-            if tok.kind == "-":
-                raise ParseError("negative exponent", tok.pos)
-            if tok.kind != "num":
-                raise ParseError("expected a nonnegative integer exponent", caret.pos + 1)
+        Numbers and variables only add up to one coefficient and one
+        exponent vector; a parenthesized factor alone is multiplied as a
+        polynomial.
+        """
+        coeff = Fraction(1)
+        exps = [0] * self.ring.arity
+        poly = None
+        while True:
+            kind, value = self.atom()
+            k = self.exponent()
+            if kind == "var":
+                exps[value] += k
+            elif kind == "num":
+                coeff *= value**k
+            else:
+                value = value**k
+                poly = value if poly is None else poly * value
+            if self.peek().kind != "*":
+                break
             self.advance()
-            k = int(tok.text)
-            if k >= 10**6:
-                raise ParseError("exponent too large", tok.pos)
-            p = p**k
-        return p
+        mono = _raw(self.ring, {tuple(exps): coeff} if coeff else {})
+        return mono if poly is None else mono * poly
 
-    def atom(self) -> Polynomial:
+    def exponent(self) -> int:
+        """The exponent after ``^``, else 1."""
+        if self.peek().kind != "^":
+            return 1
+        caret = self.advance()
+        tok = self.peek()
+        if tok.kind == "-":
+            raise ParseError("negative exponent", tok.pos)
+        if tok.kind != "num":
+            raise ParseError("expected a nonnegative integer exponent", caret.pos + 1)
+        self.advance()
+        k = int(tok.text)
+        if k >= 10**6:
+            raise ParseError("exponent too large", tok.pos)
+        return k
+
+    def atom(self) -> tuple[str, int | Fraction | Polynomial]:
+        """("num", value), ("var", index) or ("poly", a parenthesized polynomial)."""
         tok = self.advance()
         if tok.kind == "num":
             numerator = int(tok.text)
@@ -561,18 +581,18 @@ class _Parser:
                 if den.kind != "num" or int(den.text) == 0:
                     raise ParseError("expected a positive integer denominator", den.pos)
                 self.advance()
-                return Polynomial.constant(self.ring, Fraction(numerator, int(den.text)))
-            return Polynomial.constant(self.ring, numerator)
+                return "num", Fraction(numerator, int(den.text))
+            return "num", numerator
         if tok.kind == "ident":
             if tok.text not in self.ring.names:
                 raise ParseError(f"unknown variable {tok.text!r}", tok.pos)
-            return Polynomial.variable(self.ring, tok.text)
+            return "var", self.ring.index(tok.text)
         if tok.kind == "(":
             p = self.expr()
             closing = self.advance()
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.pos)
-            return p
+            return "poly", p
         raise ParseError(f"unexpected {tok.kind!r}", tok.pos)
 
 

@@ -12,9 +12,16 @@ formed as a fraction.  The levels k >= 1 climb one ladder
 the weighted degree of f^k on the rows of those numerators alone: the
 Euler field turns the recurrence into
 sum_i W_i x_i N_(b+e_i) = -(b.W - wdeg(G) + D) * F * N_b, so the rows of
-lower numerators add nothing.  Other germs climb the local echelon, where
-J_k = F * J_(k-1) + (N_b : |b| = k) and each level starts from F times
-the echelon form of the level below.
+lower numerators add nothing.  Other germs take the local route, on
+J_k = F * J_(k-1) + (N_b : |b| = k), where each level starts from F times
+the echelon form of the level below.  When every generator of I is
+homogeneous for the grading by Z^n / L, L the lattice of the differences
+of f's exponents, a level is first tested in f^k's class alone, below a
+cut T_k = T_(k-1) + ord F from T_0 = 2: the cut is what keeps the seed
+F times the level below exact.  A nonzero remainder refutes f^k in
+J_k * O outright; otherwise, and for every other I, the level climbs the
+full local echelon to its Nakayama exponent, from the echelon of I, and
+its verdict stands.
 
 The Euler layer certifies, for f weighted homogeneous with weights w, the
 rewriting of a monomial section x^u / f^(k+1) as a weighted sum of first
@@ -167,6 +174,10 @@ def jk_ideal(f: Polynomial, ideal: Ideal, k: int) -> Ideal:
     )
 
 
+# The cut T_0 of level 0's class echelon (see ``level_ladder``).
+_FIRST_CUT = 2
+
+
 def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator[bool]:
     """The verdicts f^k in J_k at the origin for k = 1..max_level, one level per step.
 
@@ -175,8 +186,9 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     derives only the N_b with |b| = k, in ``jk_ideal``'s walk order, and
     multiplies the packed F^(k-1) by F.  A ``Germ`` f lends its weights,
     guard and Milnor number.  Level k raises ``ExponentOverflow``, naming
-    it, where ``jk_ideal`` or the test would.  The route is decided once,
-    from the germ's weights.
+    it, where an exponent of its numerators or rows would reach the limit;
+    on the graded route that is where ``jk_ideal`` or the test would.  The
+    route is decided once, from the germ's weights.
 
     A graded germ, one whose weights (``Germ.weights``) make every
     generator of I weighted homogeneous too, takes one linear system in
@@ -202,19 +214,43 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     its subtree has rows by ``max_level``:
     wdeg(G) <= b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).
 
-    Other germs climb the local echelon (see ``ideals``) from that of I,
-    on J_k = F * J_(k-1) + (N_b : |b| = k).  F times an echelon form is
-    again one, unreduced: min(F*r) = min(F) + min(r) in a linear packing,
-    so distinct pivots stay distinct.  With N' the Nakayama exponent of
-    level k - 1 and P' its pivot rows cut below N',
-    J_(k-1) * O = span(P') + m^N', so level k is seeded with F * P': the
-    stop test counts those pivots, and they are never multiplied by a
-    variable, as x_i * F * P' lies in span(F * P') + F * m^N'.  The other
-    rows are x^a * F with |a| = N' and the N_b with |b| = k.  There is no
-    degree cap: let f be isolated and I m-primary at the origin, and
-    p != 0 near it, so G(p) != 0 for some G in I and grad F(p) != 0.  If
-    F(p) != 0, F^k * G does not vanish at p.  If F(p) = 0, the recurrence
-    reads N_(b+e_i)(p) = -(|b| + 1) * N_b(p) * d_iF(p), so
+    Other germs climb the local echelon (see ``ideals``) on
+    J_k = F * J_(k-1) + (N_b : |b| = k).  F times an echelon form is again
+    one, unreduced: min(F*r) = min(F) + min(r) in a linear packing, so
+    distinct pivots stay distinct.  Each level first tries a refutation
+    in one class of the support lattice, and climbs in full only where
+    none shows.  Let L be the lattice of the differences of the exponents
+    of f (``_Classes``).  Every term of f has one class [f] in Z^n / L,
+    and d_i moves a class by -e_i, so when every generator of I has one
+    class, the recurrence keeps every N_b of one class and f^k has class
+    k[f].  Truncation below a degree T and projection to one class both
+    act monomial by monomial, so f^k lies in J_k + m^T exactly when its
+    terms below T lie in the span of the rows x^a * g, cut below T, with
+    [x^a] + [g] = k[f]; a nonzero remainder refutes f^k in J_k * O for
+    every T (see ``refutation``).  The class echelon of level 0 holds the
+    class-0 rows x^a * G cut below T_0 = 2.  Level k cuts below
+    T_k = T_(k-1) + ord F and is seeded with F times the class echelon of
+    level k - 1: F * m^(T_(k-1)) lies in m^(T_k), so the seed spans the
+    class part of F * J_(k-1) modulo m^(T_k), and would fall short of it
+    under any larger cut.  The other rows are x^a * N_b with |b| = k and
+    [x^a] = k[f] - [N_b].  T_0 = 1 missed level 1 on every ungraded
+    frontier germ; T_0 = 2 refutes every level the full climb refutes
+    there, and a larger T_0 only costs time.
+
+    When f^k reduces to zero in its class, or when a generator of I spans
+    more than one class, the level climbs in full, from the echelon of I
+    through every level up to k, on the N_b the ladder kept; that
+    verdict is the level's, and the later levels climb in full from it.
+    With N' the Nakayama exponent of level k - 1 and P' its pivot rows
+    cut below N', J_(k-1) * O = span(P') + m^N', so level k is seeded
+    with F * P': the stop test counts those pivots, and they are never
+    multiplied by a variable, as x_i * F * P' lies in
+    span(F * P') + F * m^N'.  The other rows are x^a * F with |a| = N'
+    and the N_b with |b| = k.  There is no degree cap: let f be isolated
+    and I m-primary at the origin, and p != 0 near it, so G(p) != 0 for
+    some G in I and grad F(p) != 0.  If F(p) != 0, F^k * G does not
+    vanish at p.  If F(p) = 0, the recurrence reads
+    N_(b+e_i)(p) = -(|b| + 1) * N_b(p) * d_iF(p), so
     N_(k*e_i)(p) = (-1)^k * k! * G(p) * (d_iF(p))^k != 0 for an i with
     d_iF(p) != 0.  So J_k is m-primary at the origin and the search for
     N_k ends.
@@ -243,18 +279,69 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     reach = [max(ws[i:]) for i in range(n)]
     partials = [pk.partial(big_f, i) for i in range(n)]
     low = min(big_f)
+    ord_f = low >> pk.pbits
+    classes = None if graded else _Classes([pk.unpack(m) for m in big_f], pk)
+    e_f = pk.unpack(low)
+
+    def lift(pivots: dict, bound: int | None = None) -> dict:
+        """F times an echelon form, the tails cut below a packed ``bound``."""
+        out = {}
+        for p, (lc, tail) in pivots.items():
+            row = _mul(big_f, {p: lc, **dict(tail)})
+            c = row.pop(p + low)
+            if bound is None:
+                out[p + low] = (c, list(row.items()))
+            else:
+                out[p + low] = (c, [(t, v) for t, v in row.items() if t < bound])
+        return out
+
+    def class_rows(nums: list[dict], k: int, cut: int) -> Iterator[dict]:
+        """The rows x^a * N cut below degree ``cut``, [x^a] = k[f] - [N], N in ``nums``."""
+        bound = cut << pk.pbits
+        for num in nums:
+            least = min(num)
+            terms = [(m, c) for m, c in num.items() if m < bound]
+            shift = least >> pk.pbits << pk.pbits  # ord N in the degree field
+            target = classes.of(tuple(k * u - v for u, v in zip(e_f, pk.unpack(least))))
+            for a in classes.monomials(target, cut):
+                if a + shift >= bound:  # the monomials ascend in degree
+                    break
+                yield {m + a: c for m, c in terms if m + a < bound}
+
+    def full_step(nums: list[dict], echelon: tuple[int, dict]) -> tuple[int, dict]:
+        """The full echelon of J_k from that of J_(k-1) and the N_b with |b| = k."""
+        nak, pivots = echelon
+        if nak + top_f >= EXPONENT_LIMIT:  # the largest exponent of x^a * F, |a| = N'
+            raise _overflow()
+        rows = list(nums)
+        for a in map(pk.pack, _exponents_of_degree(ws, nak)):
+            rows.append({m + a: c for m, c in big_f.items()})
+        return _nakayama_echelon(rows, pk, lift(pivots))
 
     def climb() -> Iterator[bool]:
         # (N_b, b.W, first variable left to derive in, wdeg(G)) of the kept nodes
         nodes = [(g, 0, 0, d) for g, d in zip(gens, degs)]
         shifts: dict[int, list[int]] = {}
-        if not graded:
-            nak, pivots = _local_echelon(ideal)
         power = {0: 1}  # 0 packs the exponent 0
+        full = None  # the full echelon (N, pivots) of the last level, once climbed
+        if not graded:
+            cut = _FIRST_CUT
+            classed = all(len({classes.of(pk.unpack(m)) for m in g}) == 1 for g in gens)
+            if classed:  # level 0's class echelon; f^0 = 1 is not tested
+                pivots = {}
+                _class_level(pivots, class_rows(gens, 0, cut), power, cut << pk.pbits)
+                kept = []  # the N_b of each level, for a full climb
+            else:
+                full = _local_echelon(ideal)
         for k in range(1, max_level + 1):
             try:
-                # the largest exponent of a row: of degree D_k, or x^a * F with |a| = N'
-                top = k * deg_f // min(ws) if graded else nak + top_f
+                if graded:
+                    top = k * deg_f // min(ws)  # the largest exponent of a row of degree D_k
+                elif full is None:
+                    cut += ord_f
+                    top = cut  # every row of the class route is cut below it
+                else:
+                    top = 0  # ``full_step`` bounds its own rows
                 if max(k * top_f + top_g, top) >= EXPONENT_LIMIT:
                     raise _overflow()
                 power = _mul(power, big_f)
@@ -266,26 +353,111 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
                     if (not graded or d <= bw + ws[i] + slack * reach[i])
                     and (child := _derive(num, i, k - 1, big_f, partials[i], pk))
                 ]
+                nums = [num for num, *_ in nodes]
                 if graded:
                     pivots = {}
                     for num, bw, _, d in nodes:
                         _add_rows(pivots, num, bw - d, ws, pk, shifts)
                     left = _pivot_reduce(dict(power), pivots)
+                elif full is None:
+                    kept.append(nums)
+                    bound = cut << pk.pbits
+                    pivots = lift(pivots, bound)
+                    left = _class_level(pivots, class_rows(nums, k, cut), power, bound)
+                    if left is None:  # no refutation in the class: climb in full
+                        full = _local_echelon(ideal)
+                        for level in kept:
+                            full = full_step(level, full)
+                        kept.clear()
+                        left = _echelon_head(power, full, pk)
                 else:
-                    lifted = {}
-                    for p, (lc, tail) in pivots.items():
-                        row = _mul(big_f, {p: lc, **dict(tail)})
-                        lifted[p + low] = (row.pop(p + low), list(row.items()))
-                    rows = [num for num, *_ in nodes]
-                    for a in map(pk.pack, _exponents_of_degree(ws, nak)):
-                        rows.append({m + a: c for m, c in big_f.items()})
-                    nak, pivots = _nakayama_echelon(rows, pk, lifted)
-                    left = _echelon_head(power, (nak, pivots), pk)
+                    full = full_step(nums, full)
+                    left = _echelon_head(power, full, pk)
             except ExponentOverflow as err:
                 raise ExponentOverflow(f"equality level {k}: {err}") from err
             yield left is None
 
     return climb()
+
+
+class _Classes:
+    """The classes of exponents modulo the lattice L of the differences of f's exponents.
+
+    L gets an integer echelon (Hermite) basis: rows h, each with a
+    positive pivot h[p] and zeros left of it, the pivot columns
+    increasing.  Reducing u by each row in turn at its pivot column, so
+    that 0 <= u[p] < h[p], leaves one representative per coset: two
+    reduced u, v of one coset differ by sum c_h * h, and the first pivot
+    column forces the first c_h to 0, and so on.  No Smith form is needed.
+    The monomials, packed by ``pk``, are listed by class degree by degree:
+    x^e * x_i for i at or after the last variable of x^e reaches each
+    monomial once, and its class is that of [x^e] + e_i.
+    """
+
+    def __init__(self, exponents: list[Exponent], pk: _Packing):
+        base = exponents[0]
+        rows = [[a - b for a, b in zip(e, base)] for e in exponents[1:]]
+        self._basis = []
+        for col in range(len(base)):
+            live = [r for r in rows if r[col]]
+            while len(live) > 1:
+                piv = min(live, key=lambda r: abs(r[col]))
+                rows = [
+                    r if r is piv or not r[col] else [a - r[col] // piv[col] * b for a, b in zip(r, piv)]
+                    for r in rows
+                ]
+                live = [r for r in rows if r[col]]
+            if live:
+                piv = live[0]
+                rows = [r for r in rows if r is not piv]
+                self._basis.append((col, piv if piv[col] > 0 else [-a for a in piv]))
+        self._pk = pk
+        zero = self.of((0,) * len(base))
+        # the packed monomials below degree _filled by class, ascending in degree;
+        # (monomial, class, last variable) of those of degree _filled - 1
+        self._listed = {zero: [0]}  # 0 packs the exponent 0
+        self._frontier = [(0, zero, 0)]
+        self._filled = 1
+        self._moves: dict[tuple, Exponent] = {}
+
+    def of(self, u: Exponent) -> Exponent:
+        """The representative of the class of u."""
+        for p, h in self._basis:
+            q = u[p] // h[p]
+            if q:
+                u = tuple(a - q * b for a, b in zip(u, h))
+        return tuple(u)
+
+    def monomials(self, cls: Exponent, cut: int) -> list[int]:
+        """The packed monomials of class ``cls``, at least those below degree ``cut``, by degree."""
+        units = self._pk.units
+        while self._filled < cut:
+            frontier = []
+            for m, c, last in self._frontier:
+                for i in range(last, len(units)):
+                    moved = self._moves.get((c, i))
+                    if moved is None:
+                        moved = self._moves[c, i] = self.of(c[:i] + (c[i] + 1,) + c[i + 1 :])
+                    frontier.append((m + units[i], moved, i))
+                    self._listed.setdefault(moved, []).append(m + units[i])
+            self._frontier = frontier
+            self._filled += 1
+        return self._listed.get(cls, [])
+
+
+def _class_level(pivots: dict, rows: Iterator[dict], power: dict, bound: int) -> tuple | None:
+    """Reduce ``rows`` into the class echelon ``pivots``, then F^k cut below ``bound``.
+
+    Returns the ``_pivot_reduce`` head of F^k, None when it reduces to
+    zero.  All packed by the grlex packing, cut below the packed ``bound``.
+    The rows go in by descending least monomial, which on the frontier
+    germs ran faster than ascending or by length.
+    """
+    for row in sorted(rows, key=min, reverse=True):
+        head = _pivot_reduce(row, pivots)
+        if head is not None:
+            pivots[head[0]] = head[1:]
+    return _pivot_reduce({m: c for m, c in power.items() if m < bound}, pivots)
 
 
 def _integer_form(f: Polynomial) -> tuple[_Packing, dict, list[dict]]:

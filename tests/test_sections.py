@@ -7,8 +7,8 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from operator import mul
+from itertools import combinations, combinations_with_replacement
+from operator import mul, sub
 from pathlib import Path
 
 import pytest
@@ -35,6 +35,7 @@ from singulens.polyring import (
     integer_weights,
     parse,
 )
+from singulens.refutation import refutes
 from singulens.sections import (
     DescentChain,
     DescentStep,
@@ -755,32 +756,66 @@ def _within(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _ladder_against_per_level(f, ideal, monkeypatch, max_level):
-    """Levels 0..max_level up to the first success: ladder = per-level path, N and colength too.
+def _recording(monkeypatch):
+    """Record each full step's (N, colength) and each class level's (pivots, head, bound).
 
-    Returns the first level at which f^k lies in J_k, or None.  Past a
-    success both paths pass every level (f^(k+1) lies in F * J_k).  A climb
-    whose stop test never fires fails after 30 s, where it would search on
-    up to the exponent limit.
+    The class levels include level 0's seed, so entry k is level k.
     """
-    found = []
-    real = sections._nakayama_echelon
+    found, classed = [], []
+    real_step, real_class = sections._nakayama_echelon, sections._class_level
 
-    def recording(*args):
-        n, pivots = real(*args)
+    def step(*args):
+        n, pivots = real_step(*args)
         found.append((n, math.comb(n + 2, 3) - len(pivots)))
         return n, pivots
 
-    monkeypatch.setattr(sections, "_nakayama_echelon", recording)
+    def class_level(pivots, rows, power, bound):
+        head = real_class(pivots, rows, power, bound)
+        classed.append((pivots, head, bound))
+        return head
+
+    monkeypatch.setattr(sections, "_nakayama_echelon", step)
+    monkeypatch.setattr(sections, "_class_level", class_level)
+    return found, classed
+
+
+def _class_refutes(f, ideal, k, classed):
+    """Whether level k's class echelon refutes f^k, by a functional that ``refutes`` accepts."""
+    pivots, head, bound = classed[k]
+    if head is None:
+        return False
+    lam = {GRLEX_3.unpack(m): v for m, v in ideals._functional(pivots, head[0]).items()}
+    return refutes(jk_ideal(f, ideal, k).generators, f**k, lam, bound >> GRLEX_3.pbits)
+
+
+def _ladder_against_per_level(f, ideal, monkeypatch, max_level):
+    """Levels 0..max_level up to the first success: ladder = per-level path.
+
+    Returns the first level at which f^k lies in J_k, or None.  Past a
+    success both paths pass every level (f^(k+1) lies in F * J_k).  Every
+    verdict equals the per-level one.  A level is either refuted in its
+    class, by a functional that ``refutes`` accepts against the generators
+    of J_k, or climbed in full, with one full step for it and each level
+    below it, whose N and colength are those of each J_j on its own.  A
+    climb whose stop test never fires fails after 30 s, where it would
+    search on up to the exponent limit.
+    """
+    found, classed = _recording(monkeypatch)
     verdicts = [_per_level(f, ideal, 0)]
+    checked = 0
     with _within(30):
         for verdict in [] if verdicts[0] else level_ladder(f, ideal, max_level):
             verdicts.append(verdict)
             k = len(verdicts) - 1
-            jk = jk_ideal(f, ideal, k)
-            assert verdict == jk.local_member(f**k), (f, k)
-            n, pivots = ideals._local_echelon(jk)
-            assert found[k - 1] == (n, math.comb(n + 2, 3) - len(pivots)), (f, k)
+            assert verdict == jk_ideal(f, ideal, k).local_member(f**k), (f, k)
+            if not found:
+                assert not verdict and _class_refutes(f, ideal, k, classed), (f, k)
+                continue
+            assert len(found) == k, (f, k)
+            for j in range(checked + 1, k + 1):
+                n, pivots = ideals._local_echelon(jk_ideal(f, ideal, j))
+                assert found[j - 1] == (n, math.comb(n + 2, 3) - len(pivots)), (f, j)
+            checked = k
             if verdict:
                 break
     monkeypatch.undo()
@@ -788,7 +823,10 @@ def _ladder_against_per_level(f, ideal, monkeypatch, max_level):
 
 
 def test_local_ladder_matches_the_per_level_path_on_the_census(ring, P, monkeypatch):
-    """The census: N_k, colength and verdict of the local climb = those of each J_k on its own.
+    """The census: verdicts, and N_k and colength at full steps, = those of each J_k on its own.
+
+    Every level refuted in its class carries a functional that ``refutes``
+    accepts.
 
     The quintics stop at level 4: the per-level J_5 of each takes about 2 s.
     """
@@ -810,3 +848,69 @@ def test_local_ladder_matches_the_per_level_path_on_seeded_germs(rng, ring, P, m
         terms = [P(f"x^{d}"), P(f"y^{d}"), P(f"z^{d}"), Polynomial.monomial(ring, e)]
         f = sum((c * t for c, t in zip(coeffs, terms)), P("0"))
         _ladder_against_per_level(f, maximal_ideal_power(ring, d - 3), monkeypatch, 9 - d)
+
+
+@pytest.mark.parametrize(
+    "text, max_level",
+    [
+        (COUNTEREXAMPLE_TEXT, 6),
+        ("x^5 + y^5 + z^5 + x^2*y^2*z^2", 5),
+        ("x^5 + y^5 + z^5 + x^3*y^3", 5),
+    ],
+)
+def test_frontier_levels_are_refuted_in_their_class(P, monkeypatch, text, max_level):
+    """Each level of the frontier germs is refuted in f^k's class, with no full step.
+
+    Each refutation's functional, read off the class echelon cut below
+    T_k = 2 + k * ord F, passes ``refutes`` against the generators of J_k.
+    """
+    f = P(text)
+    ideal = compute_genus(f).multiplier
+    found, classed = _recording(monkeypatch)
+    assert list(level_ladder(f, ideal, max_level)) == [False] * max_level
+    assert not found and len(classed) == max_level + 1
+    order = min(sum(e) for e, _ in f.items())
+    for k in range(1, max_level + 1):
+        assert classed[k][2] >> GRLEX_3.pbits == 2 + k * order
+        assert _class_refutes(f, ideal, k, classed), (f, k)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        COUNTEREXAMPLE_TEXT,
+        "x^4 + y^4 + z^4 + x^3*y*z",
+        "x^5 + y^5 + z^5 + x^2*y^2*z^2",
+        "x^5 + y^5 + z^5 + x^3*y^3",
+    ],
+)
+def test_class_lists_partition_the_monomials_into_cosets(P, text):
+    """The class lists hold each monomial below the cut once, in its coset of L, by degree.
+
+    L is spanned by the three differences of f's four exponents, whose
+    determinant is nonzero, so w lies in L exactly when M^-1 * w is
+    integral; there are |det M| cosets, and every one meets the monomials
+    below the cut.
+    """
+    exponents = [e for e, _ in P(text).items()]
+    m = sympy.Matrix([list(map(sub, e, exponents[0])) for e in exponents[1:]]).T
+    inverse = m.inv()
+
+    def in_lattice(w):
+        return all(x.is_integer for x in inverse * sympy.Matrix(w))
+
+    classes = sections._Classes(exponents, GRLEX_3)
+    cut = 10
+    monomials = [e for d in range(cut) for e in ideals._exponents_of_degree((1, 1, 1), d)]
+    reps = {classes.of(e) for e in monomials}
+    assert len(reps) == abs(m.det())
+    assert not any(in_lattice(list(map(sub, a, b))) for a, b in combinations(reps, 2))
+    listed = []
+    for rep in reps:
+        members = [
+            GRLEX_3.unpack(x) for x in classes.monomials(rep, cut) if x >> GRLEX_3.pbits < cut
+        ]
+        assert all(in_lattice(list(map(sub, e, rep))) for e in members), rep
+        assert [sum(e) for e in members] == sorted(sum(e) for e in members)
+        listed += members
+    assert sorted(listed) == sorted(monomials)
