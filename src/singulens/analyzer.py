@@ -34,7 +34,7 @@ from .invariants import (
 )
 from .polyring import Polynomial, RingContext, parse
 from .refutation import refutes
-from .sections import generation_descent, jk_ideal, level_ladder
+from .sections import _descent_depth, generation_descent, jk_ideal, level_ladder
 
 __all__ = [
     "AnalysisReport",
@@ -118,9 +118,10 @@ class EqualityVerdict:
 
     ``status`` is one of ``proven_at_level`` (f^k lies in the order-k
     numerator ideal locally for the recorded level), ``proven_by_descent``
-    (a replayed weighted rewriting chain generates the unit section), or
-    ``unknown_up_to`` (every level test up to the recorded level failed
-    and no descent applies).
+    (the replayed level-0 descent chain of 1 / f, whose leaves x^v all lie
+    in the ideal, puts f^d in J_d at its depth d, beyond every level
+    tested), or ``unknown_up_to`` (every level test up to the recorded
+    level failed and no descent applies).
     """
 
     status: str
@@ -161,13 +162,16 @@ def equality_certificate(
 
     Levelwise: for k = 0..max_level test whether f^k lies, locally at the
     origin, in the order-k numerator ideal J_k of the multiplier ideal.
-    The first success proves equality.  If every level fails and the germ
-    has weights (``Germ.weights``, which satisfy the Euler identity by
-    construction), a level-0 descent chain, replayed once as it is built,
-    proves equality for the weighted homogeneous case.  Level 0 holds when
-    a generator of ``jk_ideal(f, I, 0)`` is a local unit; levels
-    1..max_level climb ``level_ladder``, which reads the same germ's
-    weights for its grading and its Milnor number for its refusals.
+    The first success proves equality.  Level 0 holds when a generator of
+    ``jk_ideal(f, I, 0)`` is a local unit; levels 1..max_level climb
+    ``level_ladder``, which reads the same germ's weights for its grading
+    and its Milnor number for its refusals, and answers the graded levels
+    from the descent depth d on by the replayed chain.  If every level
+    fails, the germ has weights (``Germ.weights``, which satisfy the Euler
+    identity by construction) and I holds every leaf x^v of the level-0
+    descent chain, then d > max_level and that chain, replayed once as it
+    is built, proves equality at level d: ``proven_by_descent``.  An I
+    missing a leaf gets ``unknown_up_to``.
     """
     if max_level < 0:
         raise ValueError("maximum level must be nonnegative")
@@ -182,7 +186,7 @@ def equality_certificate(
                 break
     if ok:
         return EqualityVerdict("proven_at_level", len(results) - 1, tuple(results))
-    if germ.weights is not None:
+    if germ.weights is not None and _descent_depth(germ.weights, multiplier) is not None:
         # generation_descent replays the chain before it returns it
         chain = generation_descent(f, germ.weights, 0)
         return EqualityVerdict("proven_by_descent", None, tuple(results), len(chain))

@@ -12,7 +12,11 @@ formed as a fraction.  The levels k >= 1 climb one ladder
 the weighted degree of f^k on the rows of those numerators alone: the
 Euler field turns the recurrence into
 sum_i W_i x_i N_(b+e_i) = -(b.W - wdeg(G) + D) * F * N_b, so the rows of
-lower numerators add nothing.  Other germs take the local route, on
+lower numerators add nothing.  Only the graded levels below the depth d
+of the level-0 Euler descent chain of 1 / f are eliminated, when I holds
+every leaf x^v of that chain (``_descent_depth``): unrolled, the chain
+puts f^d in J_d, F * J_k lies in J_(k+1), and so the chain, replayed
+once, proves every level from d on.  Other germs take the local route, on
 J_k = F * J_(k-1) + (N_b : |b| = k), where each level starts from F times
 the echelon form of the level below.  When every generator of I is
 homogeneous for the grading by Z^n / L, L the lattice of the differences
@@ -187,8 +191,9 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     multiplies the packed F^(k-1) by F.  A ``Germ`` f lends its weights,
     guard and Milnor number.  Level k raises ``ExponentOverflow``, naming
     it, where an exponent of its numerators or rows would reach the limit;
-    on the graded route that is where ``jk_ideal`` or the test would.  The
-    route is decided once, from the germ's weights.
+    on the graded route that is where ``jk_ideal`` or the test would, at
+    the levels below the descent depth.  The route is decided once, from
+    the germ's weights.
 
     A graded germ, one whose weights (``Germ.weights``) make every
     generator of I weighted homogeneous too, takes one linear system in
@@ -210,9 +215,29 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     so m * F^(k-|b|) * N_b with |b| < k is a combination of the rows
     (m x_i) * F^(k-|b|-1) * N_(b+e_i), and by induction
     R_k = span{m * N_b : |b| = k}.  So each level starts a fresh echelon
-    form and reduces F^k once.  b + e_i is derived only when some node of
-    its subtree has rows by ``max_level``:
-    wdeg(G) <= b.W + W_i + (max_level - |b| - 1) * max(W_i, ..., W_n).
+    form and reduces F^k once.
+
+    The levels from the depth d of the Euler descent on are proven, not
+    eliminated.  With W the integer weights and L their scale
+    (``integer_weights``), the targets of ``generation_descent(f, w, 0)``
+    are the u with u.W < L - sum_i W_i, that is rho(u) < 1;
+    d = 1 + max |u| over them, and the leaves are the u + e_i outside
+    them, d = 0 and the one leaf 0 when there is no target.  d comes from
+    the targets alone, with no chain built.  Unrolled from 1 / f, the
+    chain reads 1 / f = sum_v c_v d^(b_v)(x^v / f) over the leaves v, with
+    |b_v| = |v| <= d, so
+    f^d = sum_v c_v f^(d-|v|) * f^(|v|+1) d^(b_v)(x^v / f).  When every
+    x^v lies in I (a divisibility test for a monomial I,
+    ``Ideal.contains_ideal`` in general), each term lies in J_d, so f^d
+    lies in J_d globally, hence locally, and F * J_k, which lies in
+    J_(k+1), carries that to every k > d.  The chain is then built and
+    replayed once, when the ladder first reaches level max(d, 1); a failed
+    replay raises its ``AssertionError`` and passes no level.  Only the
+    levels below d climb the rows, and b + e_i is derived only when some
+    node of its subtree has rows by the last of them, top =
+    min(max_level, d - 1) (max_level when some leaf is missing from I):
+    wdeg(G) <= b.W + W_i + (top - |b| - 1) * max(W_i, ..., W_n).  With
+    d > max_level the ladder builds no chain.
 
     Other germs climb the local echelon (see ``ideals``) on
     J_k = F * J_(k-1) + (N_b : |b| = k).  F times an echelon form is again
@@ -270,6 +295,9 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     if not graded and _stage_colength(stage, "ideal I", ideal, germ, None) == INFINITE:
         raise ValueError(f"{stage}: the ideal I is not m-primary at the origin")
     ws, pk, degs = grading or ((1,) * n, _packing(n, GRLEX), repeat(None))
+    depth = _descent_depth(germ.weights, ideal) if graded else None
+    # the levels the rows decide; the replayed chain decides those from depth on
+    last = max_level if depth is None else min(max_level, max(depth, 1) - 1)
     big_f = pk.pack_poly(_int_poly(germ.f))
     deg_f = _packed_degree(big_f, pk)
     gens = ideal._packed_generators(pk)
@@ -333,7 +361,7 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
                 kept = []  # the N_b of each level, for a full climb
             else:
                 full = _local_echelon(ideal)
-        for k in range(1, max_level + 1):
+        for k in range(1, last + 1):
             try:
                 if graded:
                     top = k * deg_f // min(ws)  # the largest exponent of a row of degree D_k
@@ -345,7 +373,7 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
                 if max(k * top_f + top_g, top) >= EXPONENT_LIMIT:
                     raise _overflow()
                 power = _mul(power, big_f)
-                slack = max_level - k
+                slack = last - k
                 nodes = [
                     (child, bw + ws[i], i, d)
                     for num, bw, start, d in nodes
@@ -376,6 +404,9 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
             except ExponentOverflow as err:
                 raise ExponentOverflow(f"equality level {k}: {err}") from err
             yield left is None
+        if last < max_level:
+            generation_descent(germ.f, germ.weights, 0)  # raises unless the chain replays
+            yield from repeat(True, max_level - last)
 
     return climb()
 
@@ -603,12 +634,50 @@ def generation_descent(f: Polynomial, weights: WeightSystem, k: int = 0) -> Desc
         raise ValueError("level must be nonnegative")
     if not euler_check(f, weights):
         raise ValueError("weights do not satisfy the Euler identity for f")
-    ws, scale = integer_weights(weights)
-    bar = (k + 1) * scale - sum(ws)
-    targets = [u for d in range(bar) for u in _exponents_of_degree(ws, d)]
+    targets = _descent_targets(weights, k)
     targets.sort(key=lambda u: (-sum(u), u))
     steps = tuple(DescentStep(u, k, 1 / (weights.rho(u) - (k + 1)), weights) for u in targets)
     chain = DescentChain(f=f, weights=weights, level=k, steps=steps)
     if not chain.replay():
         raise AssertionError("descent chain failed its replay")
     return chain
+
+
+def _descent_targets(weights: WeightSystem, k: int) -> list[Exponent]:
+    """The exponents u with rho(u) < k + 1, by ascending integer weighted degree.
+
+    With W = L*w, rho(u) < k + 1 exactly when u.W < (k + 1) L - sum_i W_i.
+    """
+    ws, scale = integer_weights(weights)
+    bar = (k + 1) * scale - sum(ws)
+    return [u for d in range(bar) for u in _exponents_of_degree(ws, d)]
+
+
+def _descent_depth(weights: WeightSystem, ideal: Ideal) -> int | None:
+    """The depth d of the level-0 descent chain when I holds each of its leaves, else None.
+
+    The chain rewrites every target x^u / f, rho(u) < 1, through sections
+    x^(u+e_i) / f, so unrolled from 1 / f it reads
+    1 / f = sum_v c_v d^(b_v)(x^v / f) with |b_v| = |v| over the leaves
+    v = u + e_i outside the targets; with no target the one leaf is 0.
+    d = 1 + max |u| over the targets, 0 with none, bounds every |v|.  When
+    each x^v lies in I, f^d = sum_v c_v f^(d-|v|) * f^(|v|+1) d^(b_v)(x^v / f)
+    lies in J_d: the chain, once replayed, proves level d.
+    """
+    targets = _descent_targets(weights, 0)
+    n = weights.arity
+    if targets:
+        depth = 1 + max(map(sum, targets))
+        inside = set(targets)
+        leaves = {
+            v
+            for u in targets
+            for i in range(n)
+            if (v := u[:i] + (u[i] + 1,) + u[i + 1 :]) not in inside
+        }
+    else:
+        depth, leaves = 0, {(0,) * n}
+    ring = ideal.ring
+    if ideal.contains_ideal(Ideal(ring, [Polynomial.monomial(ring, v) for v in leaves])):
+        return depth
+    return None

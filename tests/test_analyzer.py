@@ -23,7 +23,7 @@ from singulens.analyzer import (
     screen_isolated,
 )
 from singulens.genus import classify, compute_genus
-from singulens.ideals import DegreeCapExceeded, Ideal, maximal_ideal
+from singulens.ideals import DegreeCapExceeded, Ideal, maximal_ideal, maximal_ideal_power
 from singulens.invariants import Germ, milnor_number
 from singulens.polyring import GREVLEX, Polynomial, RingContext, parse
 from singulens.sections import jk_ideal, level_ladder
@@ -90,6 +90,21 @@ def test_equality_proven_by_descent(ring, P):
     assert verdict.descent_steps == 1
     assert verdict.level_results == ((0, False),)
     assert verdict.label() == "equality proven by descent (1 steps)"
+
+
+@pytest.mark.parametrize("ideal", ["m^2", "m^5", "x, y, z^2"])
+def test_equality_descent_needs_the_leaves_in_the_ideal(ring, P, ideal):
+    """The chain of x^4 + y^4 + z^4 reaches only x, y and z: an I missing one proves nothing."""
+    f = P("x^4 + y^4 + z^4")
+    if ideal.startswith("m^"):
+        ideal = maximal_ideal_power(ring, int(ideal[2:]))
+    else:
+        ideal = Ideal(ring, [P(g) for g in ideal.split(", ")])
+    for max_level in (0, 2):
+        verdict = equality_certificate(f, ideal, max_level)
+        assert verdict.status == "unknown_up_to"
+        assert verdict.level == max_level and verdict.descent_steps is None
+        assert verdict.level_results == tuple((k, False) for k in range(max_level + 1))
 
 
 def test_equality_unknown_for_witness(ring):

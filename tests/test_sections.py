@@ -7,7 +7,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from operator import mul, sub
 from pathlib import Path
 
@@ -46,6 +46,7 @@ from singulens.sections import (
 )
 
 from conftest import (
+    GRADED_GERMS,
     add_rows_member,
     derive_numerator,
     random_polynomial,
@@ -637,6 +638,13 @@ def _alive_nodes(ws, degree, max_level):
     return count
 
 
+def _depth(weights):
+    """1 + max |u| over the u with rho(u) < 1, found in the box u_i < 1 / w_i; 0 for none."""
+    box = [range(math.ceil(1 / w)) for w in weights]
+    sizes = [sum(u) for u in product(*box) if weights.rho(u) < 1]
+    return 1 + max(sizes) if sizes else 0
+
+
 @pytest.mark.parametrize(
     "text, max_level",
     [
@@ -648,10 +656,15 @@ def _alive_nodes(ws, degree, max_level):
     ],
 )
 def test_graded_ladder_derives_only_numerators_that_reach_rows(P, monkeypatch, text, max_level):
-    """The numerators the ladder derives are exactly the nodes whose subtree has rows."""
+    """The numerators the ladder derives are exactly the nodes whose subtree has rows.
+
+    Only levels below the descent depth d climb the rows, so the subtrees
+    are cut at min(max_level, d - 1).
+    """
     f = P(text)
     cls = classify(f)
     multiplier = compute_genus(f).multiplier
+    top = min(max_level, _depth(cls.weights) - 1)
     ws = integer_weights(cls.weights)[0]
     pk = ideals._weighted_packing(ws)
     derived = []
@@ -664,12 +677,77 @@ def test_graded_ladder_derives_only_numerators_that_reach_rows(P, monkeypatch, t
     monkeypatch.setattr(sections, "_derive", counting)
     list(level_ladder(f, multiplier, max_level))
     expected = sum(
-        _alive_nodes(ws, ideals._packed_degree(g, pk), max_level)
+        _alive_nodes(ws, ideals._packed_degree(g, pk), top)
         for g in multiplier._packed_generators(pk)
     )
     assert len(derived) == expected
     if text == "x^7 + y^7 + z^7":
         assert expected == 0
+
+
+@pytest.mark.parametrize("text", GRADED_GERMS + ("x^7 + y^7 + z^7", "x^8 + y^8 + z^8"))
+def test_graded_ladder_matches_the_level_tests_past_the_descent_depth(P, text):
+    """Levels 1..d+1, d the descent depth: the ladder's verdicts = the tuple-based level tests.
+
+    From level d on the ladder answers from the replayed chain, not the rows.
+    """
+    f = P(text)
+    weights = classify(f).weights
+    multiplier = compute_genus(f).multiplier
+    top = _depth(weights) + 1
+    expected = [
+        tuple_graded_member(jk_ideal(f, multiplier, k), f**k, weights) for k in range(1, top + 1)
+    ]
+    assert list(level_ladder(f, multiplier, top)) == expected
+
+
+def _count_replays(monkeypatch):
+    """Record the length of each chain ``DescentChain.replay`` replays."""
+    replays = []
+    real = DescentChain.replay
+
+    def counting(chain):
+        replays.append(len(chain))
+        return real(chain)
+
+    monkeypatch.setattr(DescentChain, "replay", counting)
+    return replays
+
+
+def test_graded_ladder_replays_the_chain_once_from_the_depth(P, monkeypatch):
+    """x^7 + y^7 + z^7 (d = 4): levels 1-3 climb the rows; the 20-step chain replays once at 4.
+
+    A ladder that stops below d builds no chain, and a chain that fails
+    its replay raises instead of passing a level.
+    """
+    f = P("x^7 + y^7 + z^7")
+    multiplier = compute_genus(f).multiplier
+    replays = _count_replays(monkeypatch)
+    ladder = level_ladder(f, multiplier, 7)
+    assert [next(ladder) for _ in range(3)] == [False] * 3 and replays == []
+    assert list(ladder) == [True] * 4 and replays == [20]
+    assert list(level_ladder(f, multiplier, 3)) == [False] * 3 and replays == [20]
+    monkeypatch.setattr(DescentStep, "_holds", lambda *args: False)
+    with pytest.raises(AssertionError, match="^descent chain failed its replay$"):
+        list(level_ladder(f, multiplier, 5))
+
+
+@pytest.mark.parametrize(
+    "gens", [("x^2", "x*y", "x*z", "y^2", "y*z", "z^2"), ("x", "y", "z^2")], ids=["m^2", "x, y, z^2"]
+)
+def test_graded_ladder_climbs_when_a_leaf_lies_outside_the_ideal(P, ring, monkeypatch, gens):
+    """x^4 + y^4 + z^4 (d = 1, leaves x, y, z): with z not in I the rows decide every level.
+
+    Levels 1-4 are refuted, as the level tests refute them, and no chain
+    is built.
+    """
+    f = P("x^4 + y^4 + z^4")
+    weights = classify(f).weights
+    ideal = Ideal(ring, [P(g) for g in gens])
+    replays = _count_replays(monkeypatch)
+    expected = [tuple_graded_member(jk_ideal(f, ideal, k), f**k, weights) for k in range(1, 5)]
+    assert list(level_ladder(f, ideal, 4)) == expected == [False] * 4
+    assert replays == []
 
 
 def test_graded_ladder_overflows_at_the_level_of_the_level_tests(ring, P):
