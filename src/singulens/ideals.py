@@ -113,8 +113,10 @@ I + m^T.  ``_functional`` reads such a lam off an echelon form at the
 head of a row that stays nonzero, and ``Ideal._local_functional`` off
 the local echelon below N.  The local equality ladder
 (``sections.level_ladder``) refutes f^k in one class of the support
-lattice below a cut T_k, with no Nakayama exponent: its class echelon
-and the head of f^k give lam the same way, supported in that class.
+lattice, spanned by the differences of the exponents inside the supports
+of f and of each generator of I, below a cut T_k, with no Nakayama
+exponent: its class echelon and the head of f^k give lam the same way,
+supported in that class.
 ``refutation.refutes`` checks lam without this module.
 
 ``local_colength`` has two routes.  An ideal checked to be weighted

@@ -18,14 +18,16 @@ every leaf x^v of that chain (``_descent_depth``): unrolled, the chain
 puts f^d in J_d, F * J_k lies in J_(k+1), and so the chain, replayed
 once, proves every level from d on.  Other germs take the local route, on
 J_k = F * J_(k-1) + (N_b : |b| = k), where each level starts from F times
-the echelon form of the level below.  When every generator of I is
-homogeneous for the grading by Z^n / L, L the lattice of the differences
-of f's exponents, a level is first tested in f^k's class alone, below a
-cut T_k = T_(k-1) + ord F from T_0 = 2: the cut is what keeps the seed
-F times the level below exact.  A nonzero remainder refutes f^k in
-J_k * O outright; otherwise, and for every other I, the level climbs the
-full local echelon to its Nakayama exponent, from the echelon of I, and
-its verdict stands.
+the echelon form of the level below.  With L the lattice spanned by the
+differences of the exponents inside the support of f and inside the
+support of each generator of I, f and every generator are homogeneous
+for the grading by Z^n / L, and each level is first tested in f^k's
+class alone, below a cut T_k = T_(k-1) + ord F from T_0 = 2: the cut is
+what keeps the seed F times the level below exact.  A nonzero remainder
+refutes f^k in J_k * O outright.  Otherwise the full local echelon
+catches up to the level, to its Nakayama exponent, from the last level
+climbed in full or from the echelon of I, and its verdict stands; the
+next level tries its class test again.
 
 The Euler layer certifies, for f weighted homogeneous with weights w, the
 rewriting of a monomial section x^u / f^(k+1) as a weighted sum of first
@@ -244,13 +246,15 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     one, unreduced: min(F*r) = min(F) + min(r) in a linear packing, so
     distinct pivots stay distinct.  Each level first tries a refutation
     in one class of the support lattice, and climbs in full only where
-    none shows.  Let L be the lattice of the differences of the exponents
-    of f (``_Classes``).  Every term of f has one class [f] in Z^n / L,
-    and d_i moves a class by -e_i, so when every generator of I has one
-    class, the recurrence keeps every N_b of one class and f^k has class
-    k[f].  Truncation below a degree T and projection to one class both
-    act monomial by monomial, so f^k lies in J_k + m^T exactly when its
-    terms below T lie in the span of the rows x^a * g, cut below T, with
+    none shows.  Let L be the lattice spanned by the differences of the
+    exponents inside the support of f and inside the support of each
+    generator of I (``_Classes``); for a monomial I that is the lattice of
+    f's differences.  Every term of f has one class [f] in Z^n / L, every
+    generator of I has one class, and d_i moves a class by -e_i, so the
+    recurrence keeps every N_b of one class and f^k has class k[f].
+    Truncation below a degree T and projection to one class both act
+    monomial by monomial, so f^k lies in J_k + m^T exactly when its terms
+    below T lie in the span of the rows x^a * g, cut below T, with
     [x^a] + [g] = k[f]; a nonzero remainder refutes f^k in J_k * O for
     every T (see ``refutation``).  The class echelon of level 0 holds the
     class-0 rows x^a * G cut below T_0 = 2.  Level k cuts below
@@ -262,10 +266,10 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     frontier germ; T_0 = 2 refutes every level the full climb refutes
     there, and a larger T_0 only costs time.
 
-    When f^k reduces to zero in its class, or when a generator of I spans
-    more than one class, the level climbs in full, from the echelon of I
-    through every level up to k, on the N_b the ladder kept; that
-    verdict is the level's, and the later levels climb in full from it.
+    When f^k reduces to zero in its class, the full echelon catches up to
+    level k, from the last level climbed in full, or from the echelon of
+    I, through every level up to k, on the N_b the ladder kept; that
+    verdict is the level's, and level k + 1 tries its class test again.
     With N' the Nakayama exponent of level k - 1 and P' its pivot rows
     cut below N', J_(k-1) * O = span(P') + m^N', so level k is seeded
     with F * P': the stop test counts those pivots, and they are never
@@ -308,19 +312,16 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
     partials = [pk.partial(big_f, i) for i in range(n)]
     low = min(big_f)
     ord_f = low >> pk.pbits
-    classes = None if graded else _Classes([pk.unpack(m) for m in big_f], pk)
+    classes = None if graded else _Classes([list(map(pk.unpack, p)) for p in (big_f, *gens)], pk)
     e_f = pk.unpack(low)
 
-    def lift(pivots: dict, bound: int | None = None) -> dict:
+    def lift(pivots: dict, bound: float = math.inf) -> dict:
         """F times an echelon form, the tails cut below a packed ``bound``."""
         out = {}
         for p, (lc, tail) in pivots.items():
             row = _mul(big_f, {p: lc, **dict(tail)})
             c = row.pop(p + low)
-            if bound is None:
-                out[p + low] = (c, list(row.items()))
-            else:
-                out[p + low] = (c, [(t, v) for t, v in row.items() if t < bound])
+            out[p + low] = (c, [(t, v) for t, v in row.items() if t < bound])
         return out
 
     def class_rows(nums: list[dict], k: int, cut: int) -> Iterator[dict]:
@@ -351,25 +352,19 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
         nodes = [(g, 0, 0, d) for g, d in zip(gens, degs)]
         shifts: dict[int, list[int]] = {}
         power = {0: 1}  # 0 packs the exponent 0
-        full = None  # the full echelon (N, pivots) of the last level, once climbed
-        if not graded:
+        if not graded:  # level 0's class echelon; f^0 = 1 is not tested
             cut = _FIRST_CUT
-            classed = all(len({classes.of(pk.unpack(m)) for m in g}) == 1 for g in gens)
-            if classed:  # level 0's class echelon; f^0 = 1 is not tested
-                pivots = {}
-                _class_level(pivots, class_rows(gens, 0, cut), power, cut << pk.pbits)
-                kept = []  # the N_b of each level, for a full climb
-            else:
-                full = _local_echelon(ideal)
+            pivots = {}
+            _class_level(pivots, class_rows(gens, 0, cut), power, cut << pk.pbits)
+            full = None  # the full echelon (N, pivots) of the last level climbed in full
+            kept = []  # the N_b of each level above it
         for k in range(1, last + 1):
             try:
                 if graded:
                     top = k * deg_f // min(ws)  # the largest exponent of a row of degree D_k
-                elif full is None:
-                    cut += ord_f
-                    top = cut  # every row of the class route is cut below it
                 else:
-                    top = 0  # ``full_step`` bounds its own rows
+                    cut += ord_f
+                    top = cut  # every class row is cut below it; ``full_step`` bounds its own
                 if max(k * top_f + top_g, top) >= EXPONENT_LIMIT:
                     raise _overflow()
                 power = _mul(power, big_f)
@@ -387,20 +382,17 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
                     for num, bw, _, d in nodes:
                         _add_rows(pivots, num, bw - d, ws, pk, shifts)
                     left = _pivot_reduce(dict(power), pivots)
-                elif full is None:
+                else:
                     kept.append(nums)
                     bound = cut << pk.pbits
                     pivots = lift(pivots, bound)
                     left = _class_level(pivots, class_rows(nums, k, cut), power, bound)
-                    if left is None:  # no refutation in the class: climb in full
-                        full = _local_echelon(ideal)
+                    if left is None:  # no refutation in the class: catch the full echelon up
+                        full = full or _local_echelon(ideal)
                         for level in kept:
                             full = full_step(level, full)
                         kept.clear()
                         left = _echelon_head(power, full, pk)
-                else:
-                    full = full_step(nums, full)
-                    left = _echelon_head(power, full, pk)
             except ExponentOverflow as err:
                 raise ExponentOverflow(f"equality level {k}: {err}") from err
             yield left is None
@@ -412,24 +404,25 @@ def level_ladder(f: Polynomial | Germ, ideal: Ideal, max_level: int) -> Iterator
 
 
 class _Classes:
-    """The classes of exponents modulo the lattice L of the differences of f's exponents.
+    """The classes of exponents modulo the lattice L of the differences inside some supports.
 
-    L gets an integer echelon (Hermite) basis: rows h, each with a
-    positive pivot h[p] and zeros left of it, the pivot columns
-    increasing.  Reducing u by each row in turn at its pivot column, so
-    that 0 <= u[p] < h[p], leaves one representative per coset: two
-    reduced u, v of one coset differ by sum c_h * h, and the first pivot
-    column forces the first c_h to 0, and so on.  No Smith form is needed.
+    The ladder passes the supports of f and of each generator of I, so
+    each of them is homogeneous for the grading by Z^n / L.  L gets an
+    integer echelon (Hermite) basis: rows h, each with a positive pivot
+    h[p] and zeros left of it, the pivot columns increasing.  Reducing u
+    by each row in turn at its pivot column, so that 0 <= u[p] < h[p],
+    leaves one representative per coset: two reduced u, v of one coset
+    differ by sum c_h * h, and the first pivot column forces the first
+    c_h to 0, and so on.  No Smith form is needed.
     The monomials, packed by ``pk``, are listed by class degree by degree:
     x^e * x_i for i at or after the last variable of x^e reaches each
     monomial once, and its class is that of [x^e] + e_i.
     """
 
-    def __init__(self, exponents: list[Exponent], pk: _Packing):
-        base = exponents[0]
-        rows = [[a - b for a, b in zip(e, base)] for e in exponents[1:]]
+    def __init__(self, supports: list[list[Exponent]], pk: _Packing):
+        rows = [[a - b for a, b in zip(e, s[0])] for s in supports for e in s[1:]]
         self._basis = []
-        for col in range(len(base)):
+        for col in range(len(pk.units)):
             live = [r for r in rows if r[col]]
             while len(live) > 1:
                 piv = min(live, key=lambda r: abs(r[col]))
@@ -443,7 +436,7 @@ class _Classes:
                 rows = [r for r in rows if r is not piv]
                 self._basis.append((col, piv if piv[col] > 0 else [-a for a in piv]))
         self._pk = pk
-        zero = self.of((0,) * len(base))
+        zero = self.of((0,) * len(pk.units))
         # the packed monomials below degree _filled by class, ascending in degree;
         # (monomial, class, last variable) of those of degree _filled - 1
         self._listed = {zero: [0]}  # 0 packs the exponent 0

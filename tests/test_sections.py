@@ -857,13 +857,16 @@ def _recording(monkeypatch):
     return found, classed
 
 
-def _class_refutes(f, ideal, k, classed):
-    """Whether level k's class echelon refutes f^k, by a functional that ``refutes`` accepts."""
+def _class_refutes(f, j_k, k, classed):
+    """Whether level k's class echelon refutes f^k, by a functional that ``refutes`` accepts.
+
+    ``j_k`` is the numerator ideal J_k, built on its own.
+    """
     pivots, head, bound = classed[k]
     if head is None:
         return False
     lam = {GRLEX_3.unpack(m): v for m, v in ideals._functional(pivots, head[0]).items()}
-    return refutes(jk_ideal(f, ideal, k).generators, f**k, lam, bound >> GRLEX_3.pbits)
+    return refutes(j_k.generators, f**k, lam, bound >> GRLEX_3.pbits)
 
 
 def _ladder_against_per_level(f, ideal, monkeypatch, max_level):
@@ -871,27 +874,32 @@ def _ladder_against_per_level(f, ideal, monkeypatch, max_level):
 
     Returns the first level at which f^k lies in J_k, or None.  Past a
     success both paths pass every level (f^(k+1) lies in F * J_k).  Every
-    verdict equals the per-level one.  A level is either refuted in its
-    class, by a functional that ``refutes`` accepts against the generators
-    of J_k, or climbed in full, with one full step for it and each level
-    below it, whose N and colength are those of each J_j on its own.  A
-    climb whose stop test never fires fails after 30 s, where it would
-    search on up to the exponent limit.
+    verdict equals the per-level one, and every level runs its class test.
+    A level the test refutes carries a functional that ``refutes`` accepts
+    against the generators of J_k, and takes no full step.  A level the
+    test leaves open catches the full echelon up: the full steps then
+    number k, one for each level up to k, and each has the N and colength
+    of J_j on its own.  A climb whose stop test never fires fails after
+    30 s, where it would search on up to the exponent limit.
     """
     found, classed = _recording(monkeypatch)
-    verdicts = [_per_level(f, ideal, 0)]
+    levels = [jk_ideal(f, ideal, 0)]  # J_k built on its own
+    verdicts = [levels[0].local_member(f**0)]
     checked = 0
     with _within(30):
         for verdict in [] if verdicts[0] else level_ladder(f, ideal, max_level):
             verdicts.append(verdict)
             k = len(verdicts) - 1
-            assert verdict == jk_ideal(f, ideal, k).local_member(f**k), (f, k)
-            if not found:
-                assert not verdict and _class_refutes(f, ideal, k, classed), (f, k)
+            levels.append(jk_ideal(f, ideal, k))
+            assert verdict == levels[k].local_member(f**k), (f, k)
+            assert len(classed) == k + 1, (f, k)
+            if classed[k][1] is not None:
+                assert not verdict and _class_refutes(f, levels[k], k, classed), (f, k)
+                assert len(found) == checked, (f, k)
                 continue
             assert len(found) == k, (f, k)
             for j in range(checked + 1, k + 1):
-                n, pivots = ideals._local_echelon(jk_ideal(f, ideal, j))
+                n, pivots = ideals._local_echelon(levels[j])
                 assert found[j - 1] == (n, math.comb(n + 2, 3) - len(pivots)), (f, j)
             checked = k
             if verdict:
@@ -929,6 +937,28 @@ def test_local_ladder_matches_the_per_level_path_on_seeded_germs(rng, ring, P, m
 
 
 @pytest.mark.parametrize(
+    "text, gens, max_level",
+    [
+        ("x^4 + y^4 + z^4", "x + y^2, y - z^3, z^2", 3),
+        (COUNTEREXAMPLE_TEXT, "x + y^2, y - z^3, z^2", 3),
+        (COUNTEREXAMPLE_TEXT, "x^2 + y*z, y^2, z^2, x*y, x*z", 4),
+        ("x^5 + y^5 + z^5 + x^2*y^2*z^2", "x^2 - y^2, x*y, z^2, x*z, y*z", 4),
+    ],
+)
+def test_local_ladder_matches_the_per_level_path_on_polynomial_ideals(
+    ring, P, monkeypatch, text, gens, max_level
+):
+    """Ideals that are not monomial: the support lattice of f and I keeps every N_b homogeneous.
+
+    Fermat's ideal is not weighted homogeneous, so it takes the local
+    route too.  The witness with the first ideal stops at level 3: the
+    per-level J_4 takes about a minute.
+    """
+    ideal = Ideal(ring, [P(g) for g in gens.split(",")])
+    assert _ladder_against_per_level(P(text), ideal, monkeypatch, max_level) is None
+
+
+@pytest.mark.parametrize(
     "text, max_level",
     [
         (COUNTEREXAMPLE_TEXT, 6),
@@ -950,38 +980,57 @@ def test_frontier_levels_are_refuted_in_their_class(P, monkeypatch, text, max_le
     order = min(sum(e) for e, _ in f.items())
     for k in range(1, max_level + 1):
         assert classed[k][2] >> GRLEX_3.pbits == 2 + k * order
-        assert _class_refutes(f, ideal, k, classed), (f, k)
+        assert _class_refutes(f, jk_ideal(f, ideal, k), k, classed), (f, k)
+
+
+def _index(columns):
+    """The index in Z^3 of the lattice the columns span: the gcd of their 3 x 3 minors."""
+    return math.gcd(*(int(sympy.Matrix(c).det()) for c in combinations(columns, 3)))
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, gens",
     [
-        COUNTEREXAMPLE_TEXT,
-        "x^4 + y^4 + z^4 + x^3*y*z",
-        "x^5 + y^5 + z^5 + x^2*y^2*z^2",
-        "x^5 + y^5 + z^5 + x^3*y^3",
-    ],
+        pytest.param(text, gens, id=text)
+        for text, gens in [
+            (COUNTEREXAMPLE_TEXT, "x, y, z"),
+            ("x^4 + y^4 + z^4 + x^3*y*z", "x, y, z"),
+            ("x^5 + y^5 + z^5 + x^2*y^2*z^2", "x^2, x*y, x*z, y^2, y*z, z^2"),
+            ("x^5 + y^5 + z^5 + x^3*y^3", "x^2, x*y, x*z, y^2, y*z, z^2"),
+        ]
+    ]
+    + [pytest.param(COUNTEREXAMPLE_TEXT, "x^2 + y*z, y^2, z^2, x*y, x*z", id="witness, x^2 + y*z")],
 )
-def test_class_lists_partition_the_monomials_into_cosets(P, text):
+def test_class_lists_partition_the_monomials_into_cosets(ring, P, text, gens):
     """The class lists hold each monomial below the cut once, in its coset of L, by degree.
 
-    L is spanned by the three differences of f's four exponents, whose
-    determinant is nonzero, so w lies in L exactly when M^-1 * w is
-    integral; there are |det M| cosets, and every one meets the monomials
-    below the cut.
+    L is spanned by the differences inside the supports of f and of each
+    generator of I.  They span a lattice of full rank, whose index is the
+    gcd of their 3 x 3 minors, and w lies in L exactly when adding w keeps
+    that index; there are index-many cosets, and every one meets the
+    monomials below the cut.  Every N_b with |b| <= 2 is homogeneous for
+    Z^n / L: F^(2-|b|) * N_b, a generator of J_2, has one class.  The
+    index falls below that of f's differences alone exactly for the ideal
+    that is not monomial: x^2 + y*z spans two classes of f's lattice.
     """
-    exponents = [e for e, _ in P(text).items()]
-    m = sympy.Matrix([list(map(sub, e, exponents[0])) for e in exponents[1:]]).T
-    inverse = m.inv()
+    f = P(text)
+    ideal = Ideal(ring, [P(g) for g in gens.split(",")])
+    supports = [[e for e, _ in p.items()] for p in (f, *ideal.generators)]
+    differences = [list(map(sub, e, s[0])) for s in supports for e in s[1:]]
+    index = _index(differences)
+    monomial = all(len(s) == 1 for s in supports[1:])
+    assert (index == _index(differences[: len(supports[0]) - 1])) == monomial
 
     def in_lattice(w):
-        return all(x.is_integer for x in inverse * sympy.Matrix(w))
+        return _index(differences + [w]) == index
 
-    classes = sections._Classes(exponents, GRLEX_3)
+    classes = sections._Classes(supports, GRLEX_3)
+    for g in jk_ideal(f, ideal, 2).generators:
+        assert len({classes.of(e) for e, _ in g.items()}) == 1, g
     cut = 10
     monomials = [e for d in range(cut) for e in ideals._exponents_of_degree((1, 1, 1), d)]
     reps = {classes.of(e) for e in monomials}
-    assert len(reps) == abs(m.det())
+    assert len(reps) == index
     assert not any(in_lattice(list(map(sub, a, b))) for a, b in combinations(reps, 2))
     listed = []
     for rep in reps:
